@@ -83,7 +83,6 @@ from .systems import (
     SymbolicSystem,
     apply,
     circle_net,
-    distance,
     dyadic_radius,
     symbolic_distance,
 )
@@ -101,7 +100,7 @@ __all__ = [
     "build_chain_graph", "chain_class", "chain_class_shadowability",
     "chain_recurrent_set", "circle_net", "concatenate", "connect",
     "crossing_pseudo_orbit", "decomposition", "dense_shadowable_example",
-    "distance", "dstar", "dyadic_radius", "entropy_estimate",
+    "dstar", "dyadic_radius", "entropy_estimate",
     "expansivity_witness", "extension_builder", "fig1_circle",
     "find_loop_family", "find_shadow", "h_class_two_sided_shadowing",
     "has_shadowing_at_resolution", "is_equicontinuous_at_resolution",

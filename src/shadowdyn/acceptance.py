@@ -34,13 +34,13 @@ class CriterionResult:
 
 
 def _run(number: int, name: str, budget: Optional[float], body: Callable) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         ok, details = body()
     except Exception as err:  # a crashed criterion is a failed criterion
-        return CriterionResult(number, name, False, time.time() - t0,
+        return CriterionResult(number, name, False, time.perf_counter() - t0,
                                f"error: {err!r}")
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     if budget is not None and elapsed >= budget:
         ok = False
         details += f"; runtime {elapsed:.1f}s exceeded the {budget:.0f}s budget"

@@ -18,12 +18,11 @@ from typing import Optional, Sequence
 
 from .horseshoe import (
     HorseshoeCertificate,
-    LoopFamily,
     build_certificate,
     make_family,
     verify_semiconjugacy,
 )
-from .measures import DStarResult, EmpiricalMeasure, TestFunctionFamily, dstar
+from .measures import EmpiricalMeasure, TestFunctionFamily, dstar
 from .pseudo_orbits import PseudoOrbit, concatenate, orbit_segment, repeat, splice_chain
 from .shadowing import is_positively_shadowable_at
 from .systems import SymbolicPoint, SymbolicSystem, dyadic_radius

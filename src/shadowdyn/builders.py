@@ -13,17 +13,15 @@ claim checked against these objects carries the truncation stamps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .shadow_search import find_shadow
 from .shadowing import has_shadowing_at_resolution, is_positively_shadowable_at
 from .systems import (
     NetSystem,
     SymbolicPoint,
-    SymbolicSystem,
     circle_distance,
     circle_net,
     symbolic_distance,
@@ -102,12 +100,6 @@ class LayeredSpace:
     heights: dict                  # layer key -> Fraction
     gaps: dict                     # layer key -> isolation gap (exact)
     meta: dict = field(default_factory=dict)
-
-    def layer_of(self, index: int):
-        for key, members in self.layers.items():
-            if index in members:
-                return key
-        return None
 
 
 def dense_shadowable_example(levels: int, base_size: int = 120) -> LayeredSpace:

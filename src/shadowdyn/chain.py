@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .finitize import CylinderNet
-from .pseudo_orbits import connect, repeat, validate
+from .pseudo_orbits import connect, repeat
 from .shadow_search import find_shadow
 from .systems import NetSystem, SymbolicSystem
 
@@ -45,14 +44,9 @@ def build_chain_graph(system: Union[NetSystem, SymbolicSystem], delta,
     delta = Fraction(delta)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    stamp = None
-    if isinstance(system, SymbolicSystem):
-        if depth is None:
-            raise ValueError("finitization depth required for symbolic systems")
-        system = CylinderNet(system, depth)
-        stamp = depth
-    succ = tuple(system.successors(i, delta) for i in range(system.n))
-    return ChainGraph(system, delta, succ, stamp)
+    net = system.chain_net(depth)
+    succ = tuple(net.successors(i, delta) for i in range(net.n))
+    return ChainGraph(net, delta, succ, net.depth)
 
 
 def strongly_connected_components(succ: Sequence[Sequence[int]]) -> list:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -20,9 +21,9 @@ from . import io as sio
 from .approx import PipelineStageError, approximate_by_positive_entropy_ergodic
 from .builders import dense_shadowable_example, extension_builder, fig1_circle
 from .chain import build_chain_graph, decomposition
-from .entropy import entropy_estimate, max_separated_cylinders, separated_set
+from .entropy import entropy_estimate
 from .horseshoe import build_certificate, find_loop_family
-from .measures import EmpiricalMeasure, TestFunctionFamily, dstar, verify_measure_approx
+from .measures import TestFunctionFamily, dstar
 from .shadowing import has_shadowing_at_resolution, is_positively_shadowable_at
 from .systems import BudgetExceeded, NetSystem, SymbolicSystem
 from .words import SubstitutionLanguage
@@ -154,8 +155,6 @@ def cmd_entropy(args) -> int:
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("n,cardinality,log_cardinality\n")
-            import math
-
             for n, c in est.entries:
                 fh.write(f"{n},{c},{math.log(c)}\n")
     return EXIT_OK
@@ -216,9 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="shadowdyn",
         description="pseudo-orbit, shadowing, chain-recurrence and entropy "
                     "machinery on finitely represented dynamical systems")
-    parser.add_argument("--workers", type=int, default=os.cpu_count(),
-                        help="parallelism bound (execution is currently "
-                             "sequential; results are independent of this)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a named example system")
@@ -295,11 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", type=int, default=None, help="run one criterion")
     p.set_defaults(func=cmd_accept)
     return parser
-
-
-def run(argv=None) -> int:
-    """Parse an argument vector (the experiment config) and execute it."""
-    return main(argv)
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .systems import NetSystem, SymbolicSystem, dyadic_radius
+from .systems import SymbolicSystem, dyadic_radius
+
+# Largest candidate list searched exactly for a maximum separated set.
+CLIQUE_LIMIT = 4096
+# Largest witness set of cylinder closures built for a separated count.
+MATERIALIZE_LIMIT = 4096
 
 
 @dataclass
@@ -102,10 +107,10 @@ def max_clique(neighbors: Sequence[int], n: int) -> list:
 
 
 def separated_set(system, candidates: Sequence, n: int, epsilon,
-                  exact: bool = True, clique_limit: int = 4096) -> SeparatedSetResult:
+                  exact: bool = True) -> SeparatedSetResult:
     """Largest pairwise (n, epsilon)-separated subset of the candidates.
 
-    Exact (clique search) up to ``clique_limit`` candidates when requested;
+    Exact (clique search) up to ``CLIQUE_LIMIT`` candidates when requested;
     greedy lower bound otherwise, flagged as such.
     """
     epsilon = Fraction(epsilon)
@@ -129,7 +134,7 @@ def separated_set(system, candidates: Sequence, n: int, epsilon,
                 return True
         return False
 
-    if exact and m <= clique_limit:
+    if exact and m <= CLIQUE_LIMIT:
         neighbors = [0] * m
         for i in range(m):
             for j in range(i + 1, m):
@@ -156,8 +161,7 @@ def separation_window(epsilon) -> Optional[int]:
     return dyadic_radius(epsilon) - 1
 
 
-def max_separated_cylinders(system: SymbolicSystem, n: int, epsilon,
-                            materialize_limit: int = 4096) -> SeparatedSetResult:
+def max_separated_cylinders(system: SymbolicSystem, n: int, epsilon) -> SeparatedSetResult:
     """Exact S(n, epsilon) over the whole symbolic system.
 
     Points separate within n steps iff their words on [-t', n+t'] differ
@@ -175,7 +179,7 @@ def max_separated_cylinders(system: SymbolicSystem, n: int, epsilon,
     width = n + 2 * tp + 1
     count = system.count_words(width)
     witness: tuple = ()
-    if count <= materialize_limit:
+    if count <= MATERIALIZE_LIMIT:
         pts = []
         for w in system.words(width):
             p = system.periodic_closure(w, anchor=-tp)
@@ -206,8 +210,8 @@ def entropy_estimate(system, epsilon, n_range: Sequence[int],
                      candidates: Optional[Sequence] = None) -> EntropyEstimate:
     """Least-squares slope of log S(n, epsilon) as a function of n.
 
-    Symbolic systems use the exact cylinder counts; net systems need an
-    explicit candidate list (defaults to every net point).
+    Without candidates, systems with a counting argument (symbolic systems:
+    exact cylinder counts) use it; net systems search every net point.
     """
     epsilon = Fraction(epsilon)
     ns = list(n_range)
@@ -215,12 +219,11 @@ def entropy_estimate(system, epsilon, n_range: Sequence[int],
         raise ValueError("need at least two n values")
     entries = []
     for n in ns:
-        if isinstance(system, SymbolicSystem) and candidates is None:
-            res = max_separated_cylinders(system, n, epsilon)
-        else:
+        count = system.separated_count(n, epsilon) if candidates is None else None
+        if count is None:
             cands = candidates if candidates is not None else range(system.n)
-            res = separated_set(system, cands, n, epsilon)
-        entries.append((n, res.cardinality))
+            count = separated_set(system, cands, n, epsilon).cardinality
+        entries.append((n, count))
     xs = [float(n) for n, _ in entries]
     ys = [math.log(c) for _, c in entries]
     mean_x = sum(xs) / len(xs)
@@ -254,42 +257,5 @@ def expansivity_witness(system, x, e, horizon: int,
     its forced window, realized as periodic closures.
     """
     e = Fraction(e)
-    if isinstance(system, NetSystem):
-        lo = -horizon if system.invertible else 0
-        members = []
-        for q in range(system.n):
-            ok = True
-            for i in range(lo, horizon + 1):
-                if system.distance(system.iterate(x, i), system.iterate(q, i)) > e:
-                    ok = False
-                    break
-            if ok:
-                members.append(q)
-        return DynamicalBallReport(x, e, horizon, tuple(members), len(members),
-                                   universe="net",
-                                   stamps={"window": (lo, horizon)})
-
-    t = dyadic_radius(e) if e < 1 else 0
-    if t == 0:
-        # radius at least the diameter: the ball is the whole space
-        stamp_depth = depth if depth is not None else 1
-        width = 2 * stamp_depth + 1
-        count = system.count_words(width)
-        return DynamicalBallReport(x, e, horizon, (), count,
-                                   universe=f"cylinders at depth {stamp_depth}",
-                                   stamps={"constraint": None})
-    lo, hi = -horizon - (t - 1), horizon + (t - 1)
-    stamp_depth = depth if depth is not None else hi
-    forced = {j: x.coord(j) for j in range(lo, hi + 1)}
-    members = []
-    count = 0
-    width_lo, width_hi = min(lo, -stamp_depth), max(hi, stamp_depth)
-    for w in system.words(width_hi - width_lo + 1):
-        if all(w[j - width_lo] == s for j, s in forced.items()):
-            count += 1
-            p = system.periodic_closure(w, anchor=width_lo)
-            if p is not None and len(members) < 4096:
-                members.append(p)
-    return DynamicalBallReport(x, e, horizon, tuple(members), count,
-                               universe=f"cylinders on [{width_lo}, {width_hi}]",
-                               stamps={"forced_window": (lo, hi)})
+    members, count, universe, stamps = system.dynamical_ball(x, e, horizon, depth)
+    return DynamicalBallReport(x, e, horizon, members, count, universe, stamps)

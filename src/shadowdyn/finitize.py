@@ -7,26 +7,32 @@ it was verified at.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .systems import BudgetExceeded, NetSystem, SymbolicPoint, SymbolicSystem
+
+# Largest number of cylinder words a finitization may hold.
+MAX_POINTS = 20000
 
 
 class CylinderNet(NetSystem):
     """Net of one periodic representative per admissible word on the window
     [-depth, depth].  Distances between distinct representatives are the
-    exact symbolic distances, which are determined by the words alone."""
+    exact symbolic distances, which are determined by the words alone.
 
-    def __init__(self, system: SymbolicSystem, depth: int, max_points: int = 20000):
+    Net nodes stand for symbolic points: ``node_of`` and ``point_of``
+    translate, and ``restrict_to`` keeps the symbolic shadowability scan
+    inside a node set."""
+
+    def __init__(self, system: SymbolicSystem, depth: int):
         if depth < 0:
             raise ValueError("depth must be >= 0")
         self.base = system
         self.depth = depth
         width = 2 * depth + 1
-        if system.count_words(width) > max_points:
+        if system.count_words(width) > MAX_POINTS:
             raise BudgetExceeded(
                 f"{system.count_words(width)} cylinder words at depth {depth} "
-                f"exceed the budget of {max_points}")
+                f"exceed the budget of {MAX_POINTS}")
         words = []
         reps = []
         for w in system.words(width):
@@ -64,7 +70,7 @@ class CylinderNet(NetSystem):
                 raise AssertionError(rep.summary())
             self.metric_report = rep
 
-    def index_of(self, p: SymbolicPoint) -> int:
+    def node_of(self, p: SymbolicPoint) -> int:
         """Net point whose cylinder contains p (same central window)."""
         w = p.window(-self.depth, self.depth)
         idx = self.word_index.get(w)
@@ -72,5 +78,16 @@ class CylinderNet(NetSystem):
             raise ValueError("point's central word is not represented in this net")
         return idx
 
-    def nearest(self, p: SymbolicPoint) -> SymbolicPoint:
-        return self.reps[self.index_of(p)]
+    def point_of(self, node: int) -> SymbolicPoint:
+        return self.reps[node]
+
+    def restrict_to(self, nodes):
+        """The test keeping symbolic pseudo-orbits inside the given nodes: a
+        point passes when its central word is one of theirs."""
+        members = frozenset(nodes)
+
+        def inside(q: SymbolicPoint) -> bool:
+            i = self.word_index.get(q.window(-self.depth, self.depth))
+            return i is not None and i in members
+
+        return inside

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .pseudo_orbits import PseudoOrbit, concatenate, connect, orbit_segment, repeat, splice_chain, validate
-from .shadow_search import ShadowWitness, find_shadow, shadows
-from .systems import BudgetExceeded, NetSystem, SymbolicPoint, SymbolicSystem
+from .pseudo_orbits import PseudoOrbit, concatenate, orbit_segment, repeat, validate
+from .shadow_search import find_shadow, shadows
+from .systems import BudgetExceeded
 
 
 class RecipeInapplicable(ValueError):
@@ -151,59 +151,10 @@ def find_loop_family(x, epsilon, delta, n_max: int, k: int, system,
 
 
 def _candidate_loops(system, x, delta: Fraction, n_max: int, budget: int) -> list:
-    """Delta-loops at x, shortest first."""
-    out = []
-    if isinstance(system, NetSystem):
-        seen_lengths = set()
-        loop = connect(x, x, delta, system, max_len=n_max)
-        if loop is not None and loop.step_count <= n_max:
-            out.append(loop)
-            seen_lengths.add(loop.step_count)
-        # detours: shortest chains x -> q -> x for every reachable q
-        count = 0
-        for q in range(system.n):
-            if q == x:
-                continue
-            count += 1
-            if count > budget:
-                raise BudgetExceeded("loop candidate search exceeded its budget")
-            first = connect(x, q, delta, system, max_len=n_max)
-            if first is None:
-                continue
-            back = connect(q, x, delta, system, max_len=n_max - first.step_count)
-            if back is None:
-                continue
-            loop = concatenate(first, back)
-            if loop.step_count <= n_max:
-                out.append(loop)
-    else:
-        # dwell loop: the periodic orbit of x when it is periodic
-        period = x.least_period()
-        if period is not None and period <= n_max:
-            out.append(orbit_segment(system, x, period))
-        # excursions through periodic closures of small windows
-        depth = 2
-        width = 2 * depth + 1
-        count = 0
-        for w in system.words(width):
-            q = system.periodic_closure(w, anchor=-depth)
-            if q is None or q == x:
-                continue
-            count += 1
-            if count > budget:
-                raise BudgetExceeded("loop candidate search exceeded its budget")
-            first = splice_chain(system, x, q, delta)
-            if first is None:
-                continue
-            per = q.least_period()
-            if per is not None:
-                first = concatenate(first, orbit_segment(system, q, per))
-            back = splice_chain(system, q, x, delta)
-            if back is None:
-                continue
-            loop = concatenate(first, back)
-            if loop.step_count <= n_max:
-                out.append(loop)
+    """Delta-loops at x of at most n_max steps, shortest first."""
+    out = [validate(pts, delta, system)
+           for pts in system.loop_candidates(x, delta, n_max, budget)
+           if len(pts) - 1 <= n_max]
     out.sort(key=lambda lp: lp.step_count)
     return out
 
@@ -234,7 +185,7 @@ class HorseshoeCertificate:
             po = concatenate(po, lp[s])
         return po
 
-    def reverify(self, deep: bool = True) -> bool:
+    def reverify(self) -> bool:
         """The tracing clause for every stored word: the coded point stays
         within epsilon of the indicated loop blocks."""
         fam = self.family
@@ -244,8 +195,6 @@ class HorseshoeCertificate:
             po = self.word_orbit(word)
             if shadows(fam.system, witness.shadow_point, po, fam.epsilon) is None:
                 return False
-            if not deep:
-                break
         return True
 
     def separated_pair_count(self, length: int) -> int:
@@ -272,17 +221,13 @@ class HorseshoeCertificate:
         return fam.system.distance(za, zb) > bound
 
 
-def build_certificate(family: LoopFamily, word_length_max: int,
-                      include_shorter: bool = True) -> HorseshoeCertificate:
+def build_certificate(family: LoopFamily, word_length_max: int) -> HorseshoeCertificate:
     """Shadow every loop word with |w| <= word_length_max at the family's
     epsilon.  Aborts with the offending word when some concatenation admits
     no shadow (a falsification at this resolution)."""
     fam = family
     coded = {}
-    lengths = range(1, word_length_max + 1) if include_shorter else [word_length_max]
-    if word_length_max == 0:
-        return HorseshoeCertificate(fam, 0, {})
-    for length in lengths:
+    for length in range(1, word_length_max + 1):
         for word in itertools.product(range(fam.k), repeat=length):
             po = None
             for s in word:
@@ -341,51 +286,32 @@ def nonminimal_recipe(x, cycle_points: Sequence, delta, system,
     cyc = list(cycle_points)
     if not cyc:
         raise RecipeInapplicable("empty cycle set")
-
-    if isinstance(system, NetSystem):
-        members = set(class_nodes) if class_nodes is not None else None
-        if z is None:
-            z = x if x not in set(cyc) else None
-            if z is None and members:
-                off = sorted(members - set(cyc))
-                z = off[0] if off else None
-        if z is None or z in set(cyc):
-            raise RecipeInapplicable("chain class does not strictly contain the cycle")
-        dist_zk = min(system.distance(z, c) for c in cyc)
-        eps = dist_zk / 5
-        if not 4 * delta < eps:
-            raise ValueError(f"need 4 delta < epsilon = d(z, K)/5 = {eps}")
-        c1 = connect(z, z, delta, system)
-        if c1 is None:
-            raise RecipeInapplicable("no delta-loop through z")
-        y = cyc[0]
-        a2 = connect(z, y, delta, system)
-        a1 = connect(y, z, delta, system)
-        if a2 is None or a1 is None:
-            raise RecipeInapplicable("z and the cycle are not mutually chained")
-        a3 = orbit_segment(system, y, _cycle_length(system, y))
-    else:
-        if z is None:
-            z = x
-        if any(z == c for c in cyc):
-            raise RecipeInapplicable("base point lies in the cycle set")
-        dist_zk = min(system.distance(z, c) for c in cyc)
-        eps = dist_zk / 5
-        if not 4 * delta < eps:
-            raise ValueError(f"need 4 delta < epsilon = d(z, K)/5 = {eps}")
-        period = z.least_period()
-        if period is None:
-            raise RecipeInapplicable("symbolic recipe needs a periodic z")
-        c1 = orbit_segment(system, z, period)
-        y = cyc[0]
-        a2 = splice_chain(system, z, y, delta)
-        a1 = splice_chain(system, y, z, delta)
-        if a2 is None or a1 is None:
-            raise RecipeInapplicable("z and the cycle are not mutually chained")
-        yper = y.least_period()
-        if yper is None:
-            raise RecipeInapplicable("cycle points must be periodic")
-        a3 = orbit_segment(system, y, yper)
+    if z is None:
+        z = x
+        if x in cyc:
+            off = sorted(set(class_nodes or ()) - set(cyc))
+            z = off[0] if off else None
+    if z is None or z in cyc:
+        raise RecipeInapplicable("chain class does not strictly contain the cycle")
+    dist_zk = min(system.distance(z, c) for c in cyc)
+    eps = dist_zk / 5
+    if not 4 * delta < eps:
+        raise ValueError(f"need 4 delta < epsilon = d(z, K)/5 = {eps}")
+    dwell = system.dwell_loop(z, delta)
+    if dwell is None:
+        raise RecipeInapplicable("no delta-loop dwells at z")
+    c1 = validate(dwell, delta, system)
+    y = cyc[0]
+    to_cycle = system.chain(z, y, delta)
+    from_cycle = system.chain(y, z, delta)
+    if to_cycle is None or from_cycle is None:
+        raise RecipeInapplicable("z and the cycle are not mutually chained")
+    a2 = validate(to_cycle, delta, system)
+    a1 = validate(from_cycle, delta, system)
+    period = system.period(y)
+    if period is None:
+        raise RecipeInapplicable("cycle points must be periodic")
+    a3 = orbit_segment(system, y, period)
 
     n1 = c1.step_count
     dwell_reps = (n1 // a3.step_count) + 2
@@ -409,17 +335,6 @@ def nonminimal_recipe(x, cycle_points: Sequence, delta, system,
                      (SeparationWitness(0, 1, witness[0], witness[1]),))
     assert fam.reverify()
     return fam
-
-
-def _cycle_length(system: NetSystem, y: int) -> int:
-    cur = system.step(y)
-    steps = 1
-    while cur != y:
-        cur = system.step(cur)
-        steps += 1
-        if steps > system.n:
-            raise RecipeInapplicable("cycle point does not close up")
-    return steps
 
 
 def sensitive_recipe(x, neighborhood: Sequence, constant, system, delta,

@@ -10,11 +10,12 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
-from .horseshoe import HorseshoeCertificate, LoopFamily, SeparationWitness
+from .horseshoe import HorseshoeCertificate, LoopFamily, SeparationWitness, verify_semiconjugacy
 from .measures import EmpiricalMeasure
 from .pseudo_orbits import PseudoOrbit, validate
+from .shadow_search import ShadowWitness, shadows
 from .systems import NetSystem, SymbolicPoint, SymbolicSystem
 
 SCHEMA_SYSTEM = "shadowdyn/system.v1"
@@ -33,8 +34,6 @@ def frac_str(x) -> str:
 
 
 def parse_frac(s) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
     return Fraction(s)
 
 
@@ -44,13 +43,26 @@ def point_to_json(p) -> Union[int, dict]:
     return int(p)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def point_from_json(doc, system):
+    """A symbolic point from {"period", "word", "offset"} (integer lists and
+    an integer), or a net point index."""
     if isinstance(doc, dict):
-        p = SymbolicPoint(doc["period"], doc.get("word", ()), doc.get("offset", 0))
+        period, word, offset = doc.get("period"), doc.get("word", []), doc.get("offset", 0)
+        if not (isinstance(period, list) and isinstance(word, list) and _is_int(offset)
+                and all(_is_int(s) for s in period + word)):
+            raise SchemaError("a symbolic point needs integer lists 'period' and "
+                              "'word' and an integer 'offset'")
+        p = SymbolicPoint(period, word, offset)
         if isinstance(system, SymbolicSystem) and not system.admissible(p):
             raise SchemaError("point is not admissible for the system")
         return p
-    return int(doc)
+    if not _is_int(doc):
+        raise SchemaError(f"{doc!r} is neither a symbolic point nor a point index")
+    return doc
 
 
 def system_to_json(system) -> dict:
@@ -148,8 +160,6 @@ def certificate_from_json(doc, system) -> HorseshoeCertificate:
                       for w in doc["witnesses"])
     fam = LoopFamily(system, point_from_json(doc["base"], system), loops,
                      delta, epsilon, witnesses)
-    from .shadow_search import ShadowWitness
-
     coded = {}
     for entry in doc["coded"]:
         word = tuple(entry["word"])
@@ -165,15 +175,11 @@ def verify_certificate(doc, system) -> dict:
     """Re-check every stored invariant from the document and the system
     alone: loop validity, separation witnesses, the tracing clause for all
     coded words, the semiconjugacy relation and the separation counts."""
-    from .horseshoe import verify_semiconjugacy
-
     cert = certificate_from_json(doc, system)
     checks = {}
     details: dict = {}
     checks["family"] = cert.family.reverify()
     bad_words = []
-    from .shadow_search import shadows
-
     for word, witness in sorted(cert.coded.items()):
         po = cert.word_orbit(word)
         if shadows(cert.family.system, witness.shadow_point, po,

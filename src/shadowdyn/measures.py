@@ -11,23 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
-from .systems import (
-    NetSystem,
-    SymbolicPoint,
-    SymbolicSystem,
-    SystemPoint,
-)
+from .systems import SystemPoint
 
 ZERO = Fraction(0)
-
-
-def _atom_key(point):
-    """Deterministic total order on atoms of one system kind."""
-    if isinstance(point, SymbolicPoint):
-        return point.canonical()
-    return point
 
 
 class EmpiricalMeasure:
@@ -49,7 +38,8 @@ class EmpiricalMeasure:
         total = sum(merged.values())
         if total != 1:
             raise ValueError(f"weights sum to {total}, not 1")
-        self.atoms = tuple(sorted(merged.items(), key=lambda kv: _atom_key(kv[0])))
+        # points of one system kind are totally ordered (shifts canonically)
+        self.atoms = tuple(sorted(merged.items(), key=itemgetter(0)))
 
     @classmethod
     def from_orbit(cls, system, x: SystemPoint, n: int) -> "EmpiricalMeasure":
@@ -84,9 +74,6 @@ class EmpiricalMeasure:
             for p, w in mu.atoms:
                 atoms.append((p, a * w))
         return cls(atoms)
-
-    def support(self) -> tuple:
-        return tuple(p for p, _ in self.atoms)
 
     def weight_of(self, point) -> Fraction:
         for p, w in self.atoms:
@@ -131,16 +118,7 @@ class TestFunctionFamily:
     @classmethod
     def for_system(cls, system, size: int = 24, depth: int = 2,
                    radii: Optional[Sequence] = None) -> "TestFunctionFamily":
-        if isinstance(system, SymbolicSystem):
-            width = 2 * depth + 1
-            centers = []
-            for w in system.words(width):
-                p = system.periodic_closure(w, anchor=-depth)
-                if p is not None:
-                    centers.append(p)
-        else:
-            centers = list(range(system.n))
-        return cls(system, centers, radii=radii, size=size)
+        return cls(system, system.test_centers(depth), radii=radii, size=size)
 
     def pair(self, j: int) -> tuple:
         """(center, radius) of the j-th function, 1-based."""
@@ -235,33 +213,6 @@ class MeasureApproxReport:
         return not self.violations
 
 
-def _random_point(system, rng) -> SystemPoint:
-    if isinstance(system, SymbolicSystem):
-        while True:
-            length = rng.randint(1, 6)
-            word = tuple(rng.randrange(system.alphabet_size) for _ in range(length))
-            p = system.periodic_closure(word, anchor=rng.randint(-3, 3))
-            if p is not None:
-                return p
-    return rng.randrange(system.n)
-
-
-def _nearby_point(system, x, eps: Fraction, rng) -> SystemPoint:
-    """A point at distance < eps from x (strict)."""
-    if isinstance(system, SymbolicSystem):
-        from .systems import dyadic_radius
-
-        t = dyadic_radius(eps)  # 2^-t <= eps; agreement to radius t gives d < eps
-        w = x.window(-t - 1, t + 1)
-        p = system.periodic_closure(w, anchor=-t - 1)
-        if p is not None:
-            return p
-        return x
-    row = system.row(x)
-    options = [q for q in range(system.n) if row[q] < eps]
-    return rng.choice(options)
-
-
 def verify_measure_approx(system, family: TestFunctionFamily, trials: int = 1000,
                           seed: int = 0, eps: Fraction = Fraction(1, 4),
                           orbit_len: int = 12) -> MeasureApproxReport:
@@ -281,7 +232,7 @@ def verify_measure_approx(system, family: TestFunctionFamily, trials: int = 1000
     violations = []
     for trial in range(trials):
         # shared random orbit sequence
-        base = _random_point(system, rng)
+        base = system.sample_point(rng)
         seq = [base]
         for _ in range(orbit_len - 1):
             seq.append(system.step(seq[-1]))
@@ -305,7 +256,7 @@ def verify_measure_approx(system, family: TestFunctionFamily, trials: int = 1000
         # item 2
         m = rng.randint(1, orbit_len)
         xs = seq[:m]
-        ys = [_nearby_point(system, x, eps, rng) for x in xs]
+        ys = [system.nearby_point(x, eps, rng) for x in xs]
         mu_x = EmpiricalMeasure.from_sequence(xs)
         mu_y = EmpiricalMeasure.from_sequence(ys)
         lhs = dstar(mu_x, mu_y, family).value
@@ -317,7 +268,7 @@ def verify_measure_approx(system, family: TestFunctionFamily, trials: int = 1000
         mu = EmpiricalMeasure.from_sequence(xs)
         parts = []
         for _ in range(k):
-            ys = [_nearby_point(system, x, eps, rng) for x in xs]
+            ys = [system.nearby_point(x, eps, rng) for x in xs]
             parts.append(EmpiricalMeasure.from_sequence(ys))
         if all(dstar(p, mu, family).value < eps for p in parts):
             cuts = sorted(rng.randint(0, 24) for _ in range(k - 1))

@@ -1,5 +1,5 @@
 """The delta-pseudo-orbit calculus: validation, concatenation, loop
-repetition and breadth-first chain search on net systems.
+repetition and delta-chains (the system's ``chain`` points, validated).
 
 Length bookkeeping is in *steps*: a pseudo-orbit with points x_0..x_n has
 step_count n, and step counts add exactly under concatenation.
@@ -7,12 +7,11 @@ step_count n, and step counts add exactly under concatenation.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .systems import NetSystem, System, SystemPoint, check_point
+from .systems import NetSystem, SymbolicSystem, System, SystemPoint
 
 SEGMENT = "segment"
 LOOP = "loop"
@@ -83,7 +82,7 @@ def validate(points: Sequence[SystemPoint], delta, system: System,
     if not pts:
         raise ValueError("pseudo-orbit must be nonempty")
     for p in pts:
-        check_point(system, p)
+        system.check_point(p)
     first_bad = None
     worst = Fraction(0)
     for i in range(len(pts) - 1):
@@ -154,98 +153,22 @@ def periodic_extension(loop: PseudoOrbit) -> Iterator[SystemPoint]:
 
 
 def splice_chain(system, a, b, delta) -> Optional[PseudoOrbit]:
-    """A delta-chain between two symbolic points.
-
-    Jumps into a periodic splice point whose window copies f(a), rides the
-    shift until the window copies the approach to b, and jumps out; both
-    jumps cost at most 2^-s <= delta and all other steps are exact.  None
-    when the transition graph admits no connecting paths.
-    """
-    from .systems import SymbolicPoint, SymbolicSystem, dyadic_radius
-
+    """A delta-chain between two symbolic points, through a periodic splice
+    point (see ``SymbolicSystem.chain``).  None when the transition graph
+    admits no connecting paths."""
     if not isinstance(system, SymbolicSystem):
         raise ValueError("splice_chain works on symbolic systems")
     delta = Fraction(delta)
-    if delta <= 0:
-        img = a.shift(1)
-        if img == b:
-            return validate([a, b], 0, system)
-        return None
-    if system.distance(a.shift(1), b) <= delta:
-        return validate([a, b], delta, system)
-    s = dyadic_radius(delta)
-    if s == 0:
-        return validate([a, b], delta, system)
-    u = a.window(-s + 2, s)          # forced window of f(a), length 2s-1
-    v = b.window(-s + 1, s - 1)      # target window of b, length 2s-1
-    p1 = system.connecting_path(u[-1], v[0], min_steps=1)
-    p2 = system.connecting_path(v[-1], u[0], min_steps=1)
-    if p1 is None or p2 is None:
-        return None
-    period = u + p1[1:-1] + v + p2[1:-1]
-    m0 = SymbolicPoint(period, (), -(s - 1))
-    if not system.admissible(m0):
-        raise AssertionError("splice point must be admissible by construction")
-    pos_v = len(u) + len(p1) - 2
-    r = pos_v - 1
-    pts = [a] + [m0.shift(i) for i in range(r + 1)] + [b]
-    return validate(pts, delta, system)
+    pts = system.chain(a, b, delta)
+    return None if pts is None else validate(pts, delta, system)
 
 
 def connect(a: int, b: int, delta, system: NetSystem,
             max_len: int = 10 ** 6) -> Optional[PseudoOrbit]:
-    """Shortest delta-chain from a to b on a net system, or None.
-
-    Found by breadth-first search on the delta-transition graph; among
-    shortest chains the pointwise lowest-index one is returned.  When
-    a == b the chain makes at least one step.
-    """
+    """Shortest delta-chain from a to b on a net system, or None (see
+    ``NetSystem.chain``).  When a == b the chain makes at least one step."""
     if not isinstance(system, NetSystem):
         raise ValueError("connect works on net systems")
     delta = Fraction(delta)
-
-    # backward BFS from b: dist_to[q] = fewest steps from q to b
-    preds: list[list[int]] = [[] for _ in range(system.n)]
-    for p in range(system.n):
-        for q in system.successors(p, delta):
-            preds[q].append(p)
-    INF = -1
-    dist_to = [INF] * system.n
-    dist_to[b] = 0
-    queue = deque([b])
-    while queue:
-        q = queue.popleft()
-        if dist_to[q] >= max_len:
-            continue
-        for p in preds[q]:
-            if dist_to[p] == INF:
-                dist_to[p] = dist_to[q] + 1
-                queue.append(p)
-
-    if a == b:
-        options = [(dist_to[q], q) for q in system.successors(a, delta) if dist_to[q] != INF]
-        if not options:
-            return None
-        steps = min(options)[0] + 1
-    else:
-        if dist_to[a] == INF:
-            return None
-        steps = dist_to[a]
-    if steps > max_len:
-        return None
-
-    path = [a]
-    cur = a
-    remaining = steps
-    while remaining > 0:
-        nxt = None
-        for q in system.successors(cur, delta):
-            if dist_to[q] == remaining - 1:
-                nxt = q
-                break
-        assert nxt is not None
-        path.append(nxt)
-        cur = nxt
-        remaining -= 1
-    assert cur == b
-    return validate(path, delta, system)
+    pts = system.chain(a, b, delta, max_len)
+    return None if pts is None else validate(pts, delta, system)

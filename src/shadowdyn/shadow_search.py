@@ -16,11 +16,11 @@ from typing import Optional, Sequence, Union
 
 from .pseudo_orbits import PseudoOrbit
 from .systems import (
+    BudgetExceeded,
     NetSystem,
     SymbolicPoint,
     SymbolicSystem,
     SystemPoint,
-    distance_le,
     dyadic_radius,
 )
 
@@ -33,9 +33,6 @@ class ShadowWitness:
     epsilon: Fraction
     window: tuple  # (first time index, last time index) checked
 
-    def length(self) -> int:
-        return self.window[1] - self.window[0] + 1
-
 
 def _points_of(orbit: Union[PseudoOrbit, Sequence]) -> tuple:
     if isinstance(orbit, PseudoOrbit):
@@ -43,102 +40,38 @@ def _points_of(orbit: Union[PseudoOrbit, Sequence]) -> tuple:
     return tuple(orbit)
 
 
-def shadows(system, z: SystemPoint, orbit, epsilon,
-            start_time: int = 0) -> Optional[ShadowWitness]:
-    """Witness that d(f^(start_time+i)(z), x_i) <= epsilon for every index i
-    of the pseudo-orbit, or None.  ``start_time`` lets the caller check
-    two-sided windows by relabeling (z is then the point at the window's
-    left edge)."""
+def shadows(system, z: SystemPoint, orbit, epsilon) -> Optional[ShadowWitness]:
+    """Witness that d(f^i(z), x_i) <= epsilon for every index i of the
+    pseudo-orbit, or None."""
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     pts = _points_of(orbit)
-    cur = system.iterate(z, start_time) if start_time else z
-    if isinstance(system, SymbolicSystem):
-        if epsilon == 0:
-            for x in pts:
-                if cur != x:
-                    return None
-                cur = cur.shift(1)
-            return ShadowWitness(z, epsilon, (start_time, start_time + len(pts) - 1))
-        t = dyadic_radius(epsilon) if epsilon < 1 else 0
-        for x in pts:
-            if t and not distance_le(cur, x, t):
-                return None
-            cur = cur.shift(1)
-    else:
-        for x in pts:
-            if system.distance(cur, x) > epsilon:
-                return None
-            cur = system.step(cur)
-    return ShadowWitness(z, epsilon, (start_time, start_time + len(pts) - 1))
+    close = system.closeness(epsilon)
+    cur = z
+    for x in pts:
+        if not close(cur, x):
+            return None
+        cur = system.step(cur)
+    return ShadowWitness(z, epsilon, (0, len(pts) - 1))
 
 
-def glue_constraints(pts: Sequence[SymbolicPoint], rho: int) -> Optional[dict]:
-    """Coordinate constraints forced on any shadow agreeing with each x_i on
-    the window |j| <= rho.  None when two windows conflict (no shadow)."""
-    constraints: dict[int, int] = {}
-    for i, x in enumerate(pts):
-        for j in range(-rho, rho + 1):
-            c = i + j
-            s = x.coord(j)
-            old = constraints.get(c)
-            if old is None:
-                constraints[c] = s
-            elif old != s:
-                return None
-    return constraints
-
-
-def find_shadow(system, orbit, epsilon,
-                budget: int = 10 ** 6) -> Optional[ShadowWitness]:
+def find_shadow(system, orbit, epsilon) -> Optional[ShadowWitness]:
     """A shadow witness for a finite pseudo-orbit, or a proof of absence.
 
-    Net systems: exhaustive search over all net points.  Symbolic systems:
-    the glued-word construction; a window conflict or inadmissible glue rules
-    every shadow out.  (On a reducible transition graph the glued word may
-    admit no eventually periodic closure; None then means no *representable*
-    witness.)
+    The system names the candidates (see ``shadow_candidates``): every net
+    point, exhausted; on a shift the single glued word, which shadows by
+    construction, or none when the glue fails.
     """
     epsilon = Fraction(epsilon)
     pts = _points_of(orbit)
-    if isinstance(system, NetSystem):
-        for z in range(system.n):
-            w = shadows(system, z, pts, epsilon)
-            if w is not None:
-                return w
-        return None
-
-    if epsilon == 0:
-        # only a true orbit can be 0-shadowed, by its own start point
-        return shadows(system, pts[0], pts, epsilon)
-    t = dyadic_radius(epsilon) if epsilon < 1 else 0
-    if t == 0:
-        return shadows(system, pts[0], pts, epsilon)
-    rho = t - 1
-    if rho == 0:
-        word = tuple(x.coord(0) for x in pts)
-        if not system.word_admissible(word):
-            return None
-        z = system.periodic_closure(word, anchor=0)
-        if z is None:
-            return None
+    candidates, glued = system.shadow_candidates(pts, epsilon)
+    for z in candidates:
         w = shadows(system, z, pts, epsilon)
-        assert w is not None
-        return w
-    cons = glue_constraints(pts, rho)
-    if cons is None:
-        return None
-    lo, hi = -rho, len(pts) - 1 + rho
-    word = tuple(cons[c] for c in range(lo, hi + 1))
-    if not system.word_admissible(word):
-        return None
-    z = system.periodic_closure(word, anchor=lo)
-    if z is None:
-        return None
-    w = shadows(system, z, pts, epsilon)
-    assert w is not None, "glued candidate must shadow by construction"
-    return w
+        if w is not None:
+            return w
+        assert not glued, "glued candidate must shadow by construction"
+    return None
 
 
 # -- shadowability engines ----------------------------------------------------
@@ -150,33 +83,41 @@ class SearchStats:
     budget: int = 10 ** 6
 
     def tick(self, k: int = 1):
-        from .systems import BudgetExceeded
-
         self.states += k
         if self.states > self.budget:
             raise BudgetExceeded(f"enumeration exceeded {self.budget} states")
 
 
-def net_shadowability_dfs(system: NetSystem, start: int, epsilon, delta,
-                          horizon: int, stats: SearchStats,
-                          memo: Optional[dict] = None,
+def unshadowed_orbit(system, starts: Optional[Sequence], epsilon, delta,
+                     horizon: int, stats: SearchStats, within=None) -> Optional[list]:
+    """First delta-pseudo-orbit (step count <= horizon) from the starts, in
+    DFS/lex order, admitting no epsilon-shadow; None if all are shadowed.
+
+    ``starts=None`` quantifies over every start point of the system;
+    ``within`` (from ``restrict_to`` of the system's chain net) keeps the
+    pseudo-orbits inside a node set.  Nets are exhausted, shifts scanned for
+    inconsistent steps.
+    """
+    search = net_shadowability_dfs if system.kind == "net" else symbolic_shadowability_scan
+    return search(system, starts, epsilon, delta, horizon, stats, within)
+
+
+def net_shadowability_dfs(system: NetSystem, starts: Optional[Sequence[int]], epsilon,
+                          delta, horizon: int, stats: SearchStats,
                           allowed_nodes: Optional[frozenset] = None) -> Optional[list]:
-    """Lexicographically first delta-pseudo-orbit from ``start`` (step count
-    <= horizon) admitting no epsilon-shadow, or None if all are shadowed.
+    """Lexicographically first delta-pseudo-orbit from the starts (all nodes,
+    or all allowed nodes, when None) admitting no epsilon-shadow.
 
     Tracks the surviving shadow positions along each path; a path fails
     exactly when that set empties.  Safe (point, candidate-set) states are
-    memoized with the depth they were verified to; supersets of safe sets
-    are safe.
+    memoized, across the starts, with the depth they were verified to;
+    supersets of safe sets are safe.
     """
     epsilon = Fraction(epsilon)
     delta = Fraction(delta)
-    if memo is None:
-        memo = {}
-
-    t0 = system.ball(start, epsilon)
-    if not t0:
-        return [start]  # cannot happen: start shadows itself
+    if starts is None:
+        starts = range(system.n) if allowed_nodes is None else sorted(allowed_nodes)
+    memo: dict = {}
 
     def succ(p: int):
         out = system.successors(p, delta)
@@ -195,7 +136,7 @@ def net_shadowability_dfs(system: NetSystem, start: int, epsilon, delta,
         lst[:] = [(s, r) for s, r in lst if not (s >= tset and r <= remaining)]
         lst.append((tset, remaining))
 
-    path = [start]
+    path: list = []
 
     def dfs(p: int, tset: frozenset, remaining: int) -> Optional[list]:
         if remaining == 0:
@@ -216,7 +157,15 @@ def net_shadowability_dfs(system: NetSystem, start: int, epsilon, delta,
         mark_safe(p, tset, remaining)
         return None
 
-    return dfs(start, frozenset(t0), horizon)
+    for start in starts:
+        t0 = system.ball(start, epsilon)
+        if not t0:
+            return [start]  # cannot happen: start shadows itself
+        path = [start]
+        bad = dfs(start, frozenset(t0), horizon)
+        if bad is not None:
+            return bad
+    return None
 
 
 def symbolic_successor_candidates(system: SymbolicSystem, image: SymbolicPoint,
@@ -258,12 +207,14 @@ def symbolic_edge_good(system: SymbolicSystem, p: SymbolicPoint,
     return True
 
 
-def symbolic_shadowability_scan(system: SymbolicSystem, starts: Sequence[SymbolicPoint],
+def symbolic_shadowability_scan(system: SymbolicSystem,
+                                starts: Optional[Sequence[SymbolicPoint]],
                                 epsilon, delta, horizon: int, stats: SearchStats,
-                                window_radius: Optional[int] = None,
                                 node_filter=None) -> Optional[list]:
     """First (in DFS/lex order) delta-pseudo-orbit from the given start
-    points with no epsilon-shadow, or None.
+    points with no epsilon-shadow, or None.  ``starts=None`` quantifies over
+    the cylinder candidates: periodic closures of every admissible word on
+    the candidate window.
 
     Exact for strongly connected transition graphs: a path is unshadowable
     iff it contains an inconsistent step, so the scan looks for the first
@@ -279,13 +230,16 @@ def symbolic_shadowability_scan(system: SymbolicSystem, starts: Sequence[Symboli
     if s is None:
         # delta = 0: pseudo-orbits are orbits, shadowed by their start point
         return None
-    if window_radius is None:
-        window_radius = max(s, rho + 1)
+    window_radius = max(s, rho + 1)
 
     if (rho >= 1 and s - 1 >= rho) or (rho == 0 and s >= 1):
         # every delta-step forces agreement beyond the shadow window:
         # all edges are consistent, so every pseudo-orbit glues to a shadow
         return None
+    if starts is None:
+        starts = [p for p in (system.periodic_closure(w, anchor=-window_radius)
+                              for w in system.words(2 * window_radius + 1))
+                  if p is not None]
 
     seen: dict = {}
     path: list = []

@@ -10,27 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .chain import build_chain_graph, chain_class
-from .finitize import CylinderNet
 from .pseudo_orbits import PseudoOrbit, validate
-from .shadow_search import (
-    SearchStats,
-    ShadowWitness,
-    find_shadow,
-    net_shadowability_dfs,
-    shadows,
-    symbolic_shadowability_scan,
-    symbolic_successor_candidates,
-)
-from .systems import (
-    NetSystem,
-    SymbolicPoint,
-    SymbolicSystem,
-    SystemPoint,
-    dyadic_radius,
-)
+from .shadow_search import SearchStats, find_shadow, unshadowed_orbit
+from .systems import SystemPoint
 
 SHADOWABLE = "shadowable"
 COUNTEREXAMPLE = "counterexample"
@@ -59,8 +44,15 @@ class ShadowabilityReport:
         return find_shadow(system, po, self.epsilon) is None
 
 
-def _wrap_counterexample(system, path, delta) -> PseudoOrbit:
-    return validate(path, delta, system)
+def _report(system, base, epsilon, delta, horizon, bad, stamps) -> ShadowabilityReport:
+    """The verdict on a search result: shadowable, or the re-verified
+    counterexample path."""
+    if bad is None:
+        return ShadowabilityReport(base, epsilon, delta, horizon, SHADOWABLE, None, stamps)
+    po = validate(bad, delta, system)
+    rep = ShadowabilityReport(base, epsilon, delta, horizon, COUNTEREXAMPLE, po, stamps)
+    assert rep.reverify_counterexample(system)
+    return rep
 
 
 def is_positively_shadowable_at(system, x: SystemPoint, epsilon, delta,
@@ -71,19 +63,9 @@ def is_positively_shadowable_at(system, x: SystemPoint, epsilon, delta,
     pseudo-orbit if any."""
     epsilon, delta = Fraction(epsilon), Fraction(delta)
     stats = SearchStats(budget=budget)
-    if isinstance(system, SymbolicSystem):
-        bad = symbolic_shadowability_scan(system, [x], epsilon, delta, horizon, stats)
-        stamps = {"universe": "cylinder-candidates", "states": stats.states}
-    else:
-        bad = net_shadowability_dfs(system, x, epsilon, delta, horizon, stats,
-                                    allowed_nodes=allowed_nodes)
-        stamps = {"universe": "net", "states": stats.states}
-    if bad is None:
-        return ShadowabilityReport(x, epsilon, delta, horizon, SHADOWABLE, None, stamps)
-    po = _wrap_counterexample(system, bad, delta)
-    rep = ShadowabilityReport(x, epsilon, delta, horizon, COUNTEREXAMPLE, po, stamps)
-    assert rep.reverify_counterexample(system)
-    return rep
+    bad = unshadowed_orbit(system, [x], epsilon, delta, horizon, stats, allowed_nodes)
+    stamps = {"universe": system.universe, "states": stats.states}
+    return _report(system, x, epsilon, delta, horizon, bad, stamps)
 
 
 def has_shadowing_at_resolution(system, delta, epsilon, horizon: int = 10,
@@ -96,42 +78,13 @@ def has_shadowing_at_resolution(system, delta, epsilon, horizon: int = 10,
     epsilon, delta = Fraction(epsilon), Fraction(delta)
     span = horizon
     if two_sided:
-        if not getattr(system, "invertible", False):
+        if not system.invertible:
             raise ValueError("two-sided shadowing needs an invertible system")
         span = 2 * horizon
     stats = SearchStats(budget=budget)
-    if isinstance(system, SymbolicSystem):
-        s = dyadic_radius(delta) if delta > 0 else None
-        rho = dyadic_radius(epsilon) - 1 if epsilon < 1 else -1
-        shortcut = (s is None or rho < 0 or
-                    (rho >= 1 and s - 1 >= rho) or (rho == 0 and s >= 1))
-        if shortcut:
-            bad = None  # every delta-step glues consistently; see the scan
-        else:
-            radius = max(s, rho + 1)
-            starts = [p for p in (system.periodic_closure(w, anchor=-radius)
-                                  for w in system.words(2 * radius + 1))
-                      if p is not None]
-            bad = symbolic_shadowability_scan(system, starts, epsilon, delta,
-                                              span, stats)
-        stamps = {"universe": "cylinder-candidates", "states": stats.states,
-                  "two_sided": two_sided}
-    else:
-        bad = None
-        memo: dict = {}
-        nodes = range(system.n) if allowed_nodes is None else sorted(allowed_nodes)
-        for start in nodes:
-            bad = net_shadowability_dfs(system, start, epsilon, delta, span, stats,
-                                        memo=memo, allowed_nodes=allowed_nodes)
-            if bad is not None:
-                break
-        stamps = {"universe": "net", "states": stats.states, "two_sided": two_sided}
-    if bad is None:
-        return ShadowabilityReport("all", epsilon, delta, horizon, SHADOWABLE, None, stamps)
-    po = _wrap_counterexample(system, bad, delta)
-    rep = ShadowabilityReport("all", epsilon, delta, horizon, COUNTEREXAMPLE, po, stamps)
-    assert rep.reverify_counterexample(system)
-    return rep
+    bad = unshadowed_orbit(system, None, epsilon, delta, span, stats, allowed_nodes)
+    stamps = {"universe": system.universe, "states": stats.states, "two_sided": two_sided}
+    return _report(system, "all", epsilon, delta, horizon, bad, stamps)
 
 
 def uniform_delta_for_set(system, points: Sequence[SystemPoint], epsilon,
@@ -139,10 +92,11 @@ def uniform_delta_for_set(system, points: Sequence[SystemPoint], epsilon,
                           ladder: Optional[Sequence] = None) -> tuple:
     """A single delta that works for every pseudo-orbit starting within
     delta of the set, found by per-point search then verification over the
-    delta-neighborhood (net systems) or directly (symbolic systems).
+    system's delta-neighborhood of the set (empty for symbolic systems,
+    whose verdicts quantify over cylinder candidates).
 
-    Returns (delta, per-point reports).  Raises ValueError when some point
-    fails at every ladder rung down to the resolution.
+    Returns (delta, per-point reports keyed by point).  Raises ValueError
+    when some point fails at every ladder rung down to the resolution.
     """
     epsilon = Fraction(epsilon)
     if ladder is None:
@@ -163,27 +117,16 @@ def uniform_delta_for_set(system, points: Sequence[SystemPoint], epsilon,
         if found is None:
             raise ValueError(f"point {x!r} is not positively shadowable at any "
                              f"ladder delta down to {ladder[-1]}")
-        per_point[x if not isinstance(x, SymbolicPoint) else id(x)] = found[1]
+        per_point[x] = found[1]
         deltas.append(found[0])
 
     delta = min(deltas)
-    if isinstance(system, NetSystem):
-        while True:
-            neighborhood = set()
-            for x in points:
-                neighborhood |= set(q for q in range(system.n)
-                                    if system.distance_le(x, q, delta))
-            ok = True
-            for y in sorted(neighborhood):
-                rep = is_positively_shadowable_at(system, y, epsilon, delta, horizon, budget)
-                if not rep.shadowable:
-                    ok = False
-                    break
-            if ok:
-                break
-            delta /= 2
-            if delta < system.resolution:
-                raise ValueError("mesh refinement went below the net resolution")
+    while not all(is_positively_shadowable_at(system, y, epsilon, delta, horizon,
+                                              budget).shadowable
+                  for y in system.neighborhood(points, delta)):
+        delta /= 2
+        if delta < system.resolution:
+            raise ValueError("mesh refinement went below the net resolution")
     return delta, per_point
 
 
@@ -207,16 +150,11 @@ def chain_class_shadowability(system, x, epsilon, delta, horizon: int = 10,
     epsilon, delta = Fraction(epsilon), Fraction(delta)
     graph = build_chain_graph(system, delta, depth=depth)
     net = graph.system
-    if isinstance(system, SymbolicSystem):
-        idx = net.index_of(x)
-    else:
-        idx = x
-    cls = chain_class(graph, idx)
+    cls = chain_class(graph, net.node_of(x))
     failures = []
     for node in sorted(cls):
-        point = net.reps[node] if isinstance(net, CylinderNet) else node
-        target = system if isinstance(system, SymbolicSystem) else net
-        rep = is_positively_shadowable_at(target, point, epsilon, delta, horizon, budget)
+        rep = is_positively_shadowable_at(system, net.point_of(node), epsilon, delta,
+                                          horizon, budget)
         if not rep.shadowable:
             failures.append((node, rep))
     return ClassShadowabilityReport(
@@ -231,42 +169,22 @@ def h_class_two_sided_shadowing(system, x, epsilon, delta, horizon: int = 5,
     for a single epsilon-shadow of the full window.
 
     Windows are relabeled to forward windows of length 2*horizon; the
-    quantification runs over pseudo-orbits staying inside the class."""
+    quantification runs over pseudo-orbits staying inside the class.  A
+    failure is recorded at the class node the failing pseudo-orbit starts
+    from."""
     epsilon, delta = Fraction(epsilon), Fraction(delta)
     graph = build_chain_graph(system, delta, depth=depth)
     net = graph.system
-    idx = net.index_of(x) if isinstance(system, SymbolicSystem) else x
-    cls = chain_class(graph, idx)
+    cls = chain_class(graph, net.node_of(x))
+    stats = SearchStats(budget=budget)
+    starts = [net.point_of(node) for node in sorted(cls)]
+    bad = unshadowed_orbit(system, starts, epsilon, delta, 2 * horizon, stats,
+                           net.restrict_to(cls))
     failures = []
-    if isinstance(system, SymbolicSystem):
-        stats = SearchStats(budget=budget)
-        reps = [net.reps[i] for i in sorted(cls)]
-        members = frozenset(cls)
-
-        def in_class(q: SymbolicPoint) -> bool:
-            w = q.window(-net.depth, net.depth)
-            i = net.word_index.get(w)
-            return i is not None and i in members
-
-        bad = symbolic_shadowability_scan(system, reps, epsilon, delta,
-                                          2 * horizon, stats, node_filter=in_class)
-        if bad is not None:
-            po = validate(bad, delta, system)
-            rep = ShadowabilityReport(x, epsilon, delta, horizon, COUNTEREXAMPLE, po)
-            failures.append((net.index_of(bad[0]) if in_class(bad[0]) else -1, rep))
-    else:
-        memo: dict = {}
-        stats = SearchStats(budget=budget)
-        allowed = frozenset(cls)
-        for start in sorted(cls):
-            bad = net_shadowability_dfs(net, start, epsilon, delta, 2 * horizon,
-                                        stats, memo=memo, allowed_nodes=allowed)
-            if bad is not None:
-                po = validate(bad, delta, net)
-                rep = ShadowabilityReport(start, epsilon, delta, horizon,
-                                          COUNTEREXAMPLE, po)
-                failures.append((start, rep))
-                break
+    if bad is not None:
+        po = validate(bad, delta, system)
+        rep = ShadowabilityReport(bad[0], epsilon, delta, horizon, COUNTEREXAMPLE, po)
+        failures.append((net.node_of(bad[0]), rep))
     return ClassShadowabilityReport(
         tuple(sorted(cls)), epsilon, delta, horizon, not failures, failures,
         stamps={"depth": graph.depth_stamp, "two_sided": True})

@@ -9,14 +9,38 @@ Two kinds of systems are supported:
 
 All distances are `fractions.Fraction` values, so comparisons against
 tolerance parameters are deterministic and reproducible.
+
+The system protocol.  Everything that differs between a shift and a net is
+a method of :class:`SymbolicSystem` and :class:`NetSystem` (and of the
+cylinder finitization ``finitize.CylinderNet``), so the algorithm modules
+never test the kind of a system or point:
+
+* points and dynamics: ``check_point``, ``step``, ``iterate``,
+  ``distance``, ``closeness(eps)`` (the test d <= eps, built once per call),
+  ``period``;
+* shadow search: ``shadow_candidates`` (every net point, or the one glued
+  word of a shift) and ``universe``, the stamp of the quantified universe;
+* chains and loops: ``chain(a, b, delta)`` (breadth-first on nets, spliced
+  on shifts), ``dwell_loop``, ``loop_candidates``, ``neighborhood``;
+* chain classes: ``chain_net(depth)`` (the net itself, or the cylinder net
+  of a shift) with ``node_of``, ``point_of`` and ``restrict_to`` on nets;
+* measures and entropy: ``test_centers``, ``sample_point``,
+  ``nearby_point``, ``separated_count`` and ``dynamical_ball``.
+
+Symbolic points order by their canonical form, which fixes the atom order
+of empirical measures.  The method results are plain points and point
+lists; validation into pseudo-orbits stays in ``pseudo_orbits``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from functools import lru_cache
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,6 +49,9 @@ ONE = Fraction(1)
 
 # Number of coordinates (each side of 0) packed into the fast comparison word.
 _PACK_RADIUS = 24
+
+# Triangle-inequality triples checked by a sampled metric validation.
+_SAMPLE_TRIPLES = 200000
 
 
 class BudgetExceeded(RuntimeError):
@@ -45,9 +72,6 @@ def dyadic_radius(eps: Fraction) -> int:
         t += 1
         value /= 2
     return t
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=65536)
@@ -189,9 +213,6 @@ class SymbolicPoint:
         self._canon = ("ev", neck, phi_l, phi_r, a, b, middle)
         return self._canon
 
-    def is_periodic(self) -> bool:
-        return self.canonical()[0] == "per"
-
     def least_period(self) -> Optional[int]:
         """Length of the primitive period if the sequence is periodic."""
         canon = self.canonical()
@@ -233,6 +254,9 @@ class SymbolicPoint:
             return NotImplemented
         return self.canonical() == other.canonical()
 
+    def __lt__(self, other: "SymbolicPoint") -> bool:
+        return self.canonical() < other.canonical()
+
     def __hash__(self) -> int:
         if self._hash is None:
             self._hash = hash(self.canonical())
@@ -264,15 +288,12 @@ def first_disagreement(a: SymbolicPoint, b: SymbolicPoint) -> Optional[int]:
     return None
 
 
-def symbolic_distance(a: SymbolicPoint, b: SymbolicPoint, depth: int = 64) -> Fraction:
+def symbolic_distance(a: SymbolicPoint, b: SymbolicPoint) -> Fraction:
     """Exact distance 2^-i where i is the least |j| with a_j != b_j.
 
-    Equal sequences (decided from the representations) give 0.  The depth
-    parameter caps the advertised precision of the scan but never the
-    correctness: disagreements beyond it are still located exactly.
+    Equal sequences (decided from the representations) give 0;
+    disagreements at any depth are located exactly.
     """
-    if depth <= 0:
-        raise ValueError("depth must be positive")
     if (a.alphabet_size is not None and b.alphabet_size is not None
             and a.alphabet_size != b.alphabet_size):
         raise ValueError("alphabet mismatch")
@@ -299,6 +320,30 @@ def distance_le(a: SymbolicPoint, b: SymbolicPoint, t: int) -> bool:
     return agree_on_window(a, b, -(t - 1), t - 1)
 
 
+def glue_constraints(pts: Sequence[SymbolicPoint], rho: int) -> Optional[dict]:
+    """Coordinate constraints forced on any shadow agreeing with each x_i on
+    the window |j| <= rho.  None when two windows conflict (no shadow)."""
+    constraints: dict[int, int] = {}
+    for i, x in enumerate(pts):
+        for j in range(-rho, rho + 1):
+            c = i + j
+            s = x.coord(j)
+            old = constraints.get(c)
+            if old is None:
+                constraints[c] = s
+            elif old != s:
+                return None
+    return constraints
+
+
+def _shift_orbit(p: SymbolicPoint, steps: int) -> list:
+    """The points p, f(p), ..., f^steps(p)."""
+    pts = [p]
+    for _ in range(steps):
+        pts.append(pts[-1].shift(1))
+    return pts
+
+
 class SymbolicSystem:
     """A subshift of finite type: the shift map on admissible sequences.
 
@@ -307,6 +352,7 @@ class SymbolicSystem:
     """
 
     kind = "symbolic"
+    universe = "cylinder-candidates"
     invertible = True
 
     def __init__(self, alphabet_size: int, transitions: Optional[Sequence[Sequence[int]]] = None):
@@ -340,9 +386,6 @@ class SymbolicSystem:
         """Binary shift forbidding the word 11."""
         return cls(2, [[1, 1], [1, 0]])
 
-    def is_full_shift(self) -> bool:
-        return all(all(row) for row in self.transitions)
-
     # -- admissibility -----------------------------------------------------
 
     def allowed(self, a: int, b: int) -> bool:
@@ -355,13 +398,14 @@ class SymbolicSystem:
         return all(self.transitions[word[i]][word[i + 1]] for i in range(len(word) - 1))
 
     def admissible(self, p: SymbolicPoint) -> bool:
-        """Whether every transition of the sequence is allowed."""
-        if p.max_symbol() >= self.alphabet_size:
-            return False
+        """Whether every symbol is in the alphabet and every transition of
+        the sequence is allowed."""
         per, word = p.period, p.word
         m = len(per)
         for i in range(m):
-            if not self.transitions[per[i]][per[(i + 1) % m]]:
+            # the successor list rejects any out-of-range successor symbol
+            if not (0 <= per[i] < self.alphabet_size
+                    and per[(i + 1) % m] in self._succ[per[i]]):
                 return False
         if word:
             if not self.word_admissible(word):
@@ -452,11 +496,20 @@ class SymbolicSystem:
 
     # -- dynamics ------------------------------------------------------------
 
+    def check_point(self, p) -> None:
+        if not isinstance(p, SymbolicPoint):
+            raise ValueError(f"{p!r} is not a symbolic point")
+        if not self.admissible(p):
+            raise ValueError("point is not admissible for this system")
+
     def step(self, p: SymbolicPoint) -> SymbolicPoint:
         return p.shift(1)
 
     def iterate(self, p: SymbolicPoint, k: int) -> SymbolicPoint:
         return p.shift(k)
+
+    def period(self, p: SymbolicPoint) -> Optional[int]:
+        return p.least_period()
 
     def distance(self, a: SymbolicPoint, b: SymbolicPoint) -> Fraction:
         if a.max_symbol() >= self.alphabet_size or b.max_symbol() >= self.alphabet_size:
@@ -466,8 +519,178 @@ class SymbolicSystem:
     def distance_le(self, a: SymbolicPoint, b: SymbolicPoint, eps: Fraction) -> bool:
         return distance_le(a, b, dyadic_radius(eps))
 
+    def closeness(self, eps: Fraction) -> Callable:
+        """The test d(a, b) <= eps: equality at 0, agreement on |j| <= t-1
+        (2^-t <= eps) below 1, always true from 1 on."""
+        if eps == 0:
+            return operator.eq
+        if eps >= 1:
+            return lambda a, b: True
+        t = dyadic_radius(eps)
+        return lambda a, b: distance_le(a, b, t)
+
     def diameter_bound(self) -> Fraction:
         return ONE
+
+    # -- shadows, chains and loops ---------------------------------------------
+
+    def shadow_candidates(self, pts: Sequence[SymbolicPoint], eps: Fraction) -> tuple:
+        """(candidates, glued) for an eps-shadow of the sequence.
+
+        A shadow agrees with each x_i on the shifted window |j| <= t-1, so
+        gluing those windows forces the only candidate (glued: it must
+        shadow); a window conflict or an inadmissible glue rules every
+        shadow out.  (On a reducible transition graph the glued word may
+        admit no eventually periodic closure; no candidate then means no
+        *representable* witness.)
+        """
+        if eps == 0 or eps >= 1:
+            # only an orbit is 0-shadowed, by its start; from 1 on anything shadows
+            return (pts[0],), False
+        rho = dyadic_radius(eps) - 1
+        cons = glue_constraints(pts, rho)
+        if cons is None:
+            return (), True
+        word = tuple(cons[c] for c in range(-rho, len(pts) + rho))
+        z = self.periodic_closure(word, anchor=-rho)
+        return ((z,) if z is not None else ()), True
+
+    def chain(self, a: SymbolicPoint, b: SymbolicPoint, delta: Fraction) -> Optional[list]:
+        """Points of a delta-chain from a to b.
+
+        Jumps into a periodic splice point whose window copies f(a), rides the
+        shift until the window copies the approach to b, and jumps out; both
+        jumps cost at most 2^-s <= delta and all other steps are exact.  None
+        when the transition graph admits no connecting paths.
+        """
+        if delta <= 0:
+            return [a, b] if a.shift(1) == b else None
+        if self.distance(a.shift(1), b) <= delta:
+            return [a, b]
+        s = dyadic_radius(delta)
+        if s == 0:
+            return [a, b]
+        u = a.window(-s + 2, s)          # forced window of f(a), length 2s-1
+        v = b.window(-s + 1, s - 1)      # target window of b, length 2s-1
+        p1 = self.connecting_path(u[-1], v[0], min_steps=1)
+        p2 = self.connecting_path(v[-1], u[0], min_steps=1)
+        if p1 is None or p2 is None:
+            return None
+        period = u + p1[1:-1] + v + p2[1:-1]
+        m0 = SymbolicPoint(period, (), -(s - 1))
+        if not self.admissible(m0):
+            raise AssertionError("splice point must be admissible by construction")
+        r = len(u) + len(p1) - 3
+        return [a] + [m0.shift(i) for i in range(r + 1)] + [b]
+
+    def dwell_loop(self, p: SymbolicPoint, delta: Fraction) -> Optional[list]:
+        """The periodic orbit of p, closed at p; None when p is not periodic."""
+        period = p.least_period()
+        return None if period is None else _shift_orbit(p, period)
+
+    def loop_candidates(self, x: SymbolicPoint, delta: Fraction, n_max: int,
+                        budget: int) -> list:
+        """Delta-loops at x as point lists: the dwell loop when x is periodic,
+        then excursions through the periodic closures q of the width-5
+        words (spliced out, once around q's orbit when periodic, and back)."""
+        out = []
+        dwell = self.dwell_loop(x, delta)
+        if dwell is not None:
+            out.append(dwell)
+        depth = 2
+        count = 0
+        for w in self.words(2 * depth + 1):
+            q = self.periodic_closure(w, anchor=-depth)
+            if q is None or q == x:
+                continue
+            count += 1
+            if count > budget:
+                raise BudgetExceeded("loop candidate search exceeded its budget")
+            first = self.chain(x, q, delta)
+            if first is None:
+                continue
+            visit = self.dwell_loop(q, delta)
+            if visit is not None:
+                first += visit[1:]
+            back = self.chain(q, x, delta)
+            if back is None:
+                continue
+            out.append(first + back[1:])
+        return out
+
+    def neighborhood(self, points: Sequence, delta: Fraction) -> tuple:
+        """Points near the set that need their own shadowability check; the
+        symbolic verdicts already quantify over cylinder candidates."""
+        return ()
+
+    def chain_net(self, depth: Optional[int]):
+        """The cylinder finitization the delta-chain graph is built on."""
+        # finitize subclasses NetSystem from this module, so it is imported late
+        from .finitize import CylinderNet
+
+        if depth is None:
+            raise ValueError("finitization depth required for symbolic systems")
+        return CylinderNet(self, depth)
+
+    # -- measures and entropy -------------------------------------------------------
+
+    def test_centers(self, depth: int) -> list:
+        """Periodic closures of the admissible words on [-depth, depth]."""
+        centers = []
+        for w in self.words(2 * depth + 1):
+            p = self.periodic_closure(w, anchor=-depth)
+            if p is not None:
+                centers.append(p)
+        return centers
+
+    def sample_point(self, rng) -> SymbolicPoint:
+        while True:
+            length = rng.randint(1, 6)
+            word = tuple(rng.randrange(self.alphabet_size) for _ in range(length))
+            p = self.periodic_closure(word, anchor=rng.randint(-3, 3))
+            if p is not None:
+                return p
+
+    def nearby_point(self, x: SymbolicPoint, eps: Fraction, rng) -> SymbolicPoint:
+        """A point at distance < eps from x (strict)."""
+        t = dyadic_radius(eps)  # 2^-t <= eps; agreement to radius t gives d < eps
+        w = x.window(-t - 1, t + 1)
+        p = self.periodic_closure(w, anchor=-t - 1)
+        return p if p is not None else x
+
+    def separated_count(self, n: int, eps: Fraction) -> int:
+        """Exact S(n, eps) over the whole system: points separate within n
+        steps iff their words on [-t', n+t'] differ (t' the largest i with
+        2^-i > eps), so it is the number of admissible words of that length."""
+        if eps >= 1:
+            return 1
+        return self.count_words(n + 2 * (dyadic_radius(eps) - 1) + 1)
+
+    def dynamical_ball(self, x: SymbolicPoint, e: Fraction, horizon: int,
+                       depth: Optional[int]) -> tuple:
+        """(members, count, universe, stamps) of the finite-horizon dynamical
+        ball: a cylinder, whose members are the depth-``depth`` words
+        extending its forced window, realized as periodic closures."""
+        t = dyadic_radius(e) if e < 1 else 0
+        if t == 0:
+            # radius at least the diameter: the ball is the whole space
+            stamp_depth = depth if depth is not None else 1
+            count = self.count_words(2 * stamp_depth + 1)
+            return (), count, f"cylinders at depth {stamp_depth}", {"constraint": None}
+        lo, hi = -horizon - (t - 1), horizon + (t - 1)
+        stamp_depth = depth if depth is not None else hi
+        forced = {j: x.coord(j) for j in range(lo, hi + 1)}
+        members = []
+        count = 0
+        width_lo, width_hi = min(lo, -stamp_depth), max(hi, stamp_depth)
+        for w in self.words(width_hi - width_lo + 1):
+            if all(w[j - width_lo] == s for j, s in forced.items()):
+                count += 1
+                p = self.periodic_closure(w, anchor=width_lo)
+                if p is not None and len(members) < 4096:
+                    members.append(p)
+        return (tuple(members), count, f"cylinders on [{width_lo}, {width_hi}]",
+                {"forced_window": (lo, hi)})
 
 
 @dataclass
@@ -498,6 +721,8 @@ class NetSystem:
     """
 
     kind = "net"
+    universe = "net"
+    depth: Optional[int] = None  # cylinder depth when the net finitizes a shift
 
     def __init__(self, labels: Sequence, dist, step_map: Sequence[int],
                  resolution: Fraction, invertible: bool = False,
@@ -575,7 +800,7 @@ class NetSystem:
             return None
         return mat, denom
 
-    def validate_metric(self, mode: str = "full", sample_triples: int = 200000) -> MetricReport:
+    def validate_metric(self, mode: str = "full") -> MetricReport:
         """Check symmetry, the zero diagonal, identity of indiscernibles and
         the triangle inequality.  ``mode='sample'`` checks a deterministic
         subsample of triples (for large nets); pairs are always all checked."""
@@ -611,7 +836,7 @@ class NetSystem:
                     rep.checked_triples += self.n
         else:
             rep.mode = "sampled"
-            stride = max(1, self.n ** 3 // max(1, sample_triples))
+            stride = max(1, self.n ** 3 // _SAMPLE_TRIPLES)
             count = 0
             idx = 0
             total = self.n ** 3
@@ -628,6 +853,10 @@ class NetSystem:
         return rep
 
     # -- dynamics ---------------------------------------------------------------
+
+    def check_point(self, p) -> None:
+        if not isinstance(p, int) or not 0 <= p < self.n:
+            raise ValueError(f"{p!r} is not a point index of the net system")
 
     def step(self, i: int) -> int:
         return self.map[i]
@@ -660,32 +889,175 @@ class NetSystem:
         r = self.row(i)
         return frozenset(q for q in range(self.n) if r[q] <= eps)
 
+    def period(self, p: int) -> Optional[int]:
+        """Steps until the sampled orbit of p returns to p; None when p is
+        not on a cycle."""
+        cur, steps = self.map[p], 1
+        while cur != p:
+            cur, steps = self.map[cur], steps + 1
+            if steps > self.n:
+                return None
+        return steps
+
+    def closeness(self, eps: Fraction) -> Callable:
+        """The test d(i, j) <= eps."""
+        row = self.row
+        return lambda i, j: row(i)[j] <= eps
+
+    # -- shadows, chains and loops ---------------------------------------------
+
+    def shadow_candidates(self, pts: Sequence[int], eps: Fraction) -> tuple:
+        """(candidates, glued): every net point, none forced to shadow."""
+        return range(self.n), False
+
+    def chain(self, a: int, b: int, delta: Fraction,
+              max_len: int = 10 ** 6) -> Optional[list]:
+        """Points of a shortest delta-chain from a to b, or None.
+
+        Found by breadth-first search on the delta-transition graph; among
+        shortest chains the pointwise lowest-index one is returned.  When
+        a == b the chain makes at least one step.
+        """
+        # backward BFS from b: dist_to[q] = fewest steps from q to b
+        preds: list[list[int]] = [[] for _ in range(self.n)]
+        for p in range(self.n):
+            for q in self.successors(p, delta):
+                preds[q].append(p)
+        INF = -1
+        dist_to = [INF] * self.n
+        dist_to[b] = 0
+        queue = deque([b])
+        while queue:
+            q = queue.popleft()
+            if dist_to[q] >= max_len:
+                continue
+            for p in preds[q]:
+                if dist_to[p] == INF:
+                    dist_to[p] = dist_to[q] + 1
+                    queue.append(p)
+
+        if a == b:
+            options = [(dist_to[q], q) for q in self.successors(a, delta) if dist_to[q] != INF]
+            if not options:
+                return None
+            steps = min(options)[0] + 1
+        else:
+            if dist_to[a] == INF:
+                return None
+            steps = dist_to[a]
+        if steps > max_len:
+            return None
+
+        path = [a]
+        cur = a
+        remaining = steps
+        while remaining > 0:
+            nxt = None
+            for q in self.successors(cur, delta):
+                if dist_to[q] == remaining - 1:
+                    nxt = q
+                    break
+            assert nxt is not None
+            path.append(nxt)
+            cur = nxt
+            remaining -= 1
+        assert cur == b
+        return path
+
+    def dwell_loop(self, p: int, delta: Fraction) -> Optional[list]:
+        """The shortest delta-chain loop at p."""
+        return self.chain(p, p, delta)
+
+    def loop_candidates(self, x: int, delta: Fraction, n_max: int,
+                        budget: int) -> list:
+        """Delta-loops at x as point lists: the shortest chain loop, then
+        detours x -> q -> x through every other point."""
+        out = []
+        loop = self.chain(x, x, delta, max_len=n_max)
+        if loop is not None:
+            out.append(loop)
+        count = 0
+        for q in range(self.n):
+            if q == x:
+                continue
+            count += 1
+            if count > budget:
+                raise BudgetExceeded("loop candidate search exceeded its budget")
+            first = self.chain(x, q, delta, max_len=n_max)
+            if first is None:
+                continue
+            back = self.chain(q, x, delta, max_len=n_max - (len(first) - 1))
+            if back is None:
+                continue
+            out.append(first + back[1:])
+        return out
+
+    def neighborhood(self, points: Sequence[int], delta: Fraction) -> list:
+        """Net points within delta of the set, ascending."""
+        near = set()
+        for x in points:
+            row = self.row(x)
+            near.update(q for q in range(self.n) if row[q] <= delta)
+        return sorted(near)
+
+    # -- chain classes ----------------------------------------------------------
+
+    def chain_net(self, depth: Optional[int]) -> "NetSystem":
+        """The net the delta-chain graph is built on: this one."""
+        return self
+
+    def node_of(self, p: int) -> int:
+        return p
+
+    def point_of(self, node: int) -> int:
+        return node
+
+    def restrict_to(self, nodes) -> frozenset:
+        """The restriction of shadowability searches to the given nodes."""
+        return frozenset(nodes)
+
+    # -- measures and entropy -------------------------------------------------------
+
+    def test_centers(self, depth: int) -> list:
+        return list(range(self.n))
+
+    def sample_point(self, rng) -> int:
+        return rng.randrange(self.n)
+
+    def nearby_point(self, x: int, eps: Fraction, rng) -> int:
+        """A point at distance < eps from x (strict)."""
+        row = self.row(x)
+        return rng.choice([q for q in range(self.n) if row[q] < eps])
+
+    def separated_count(self, n: int, eps: Fraction) -> None:
+        """No counting argument: separated sets come from a clique search."""
+        return None
+
+    def dynamical_ball(self, x: int, e: Fraction, horizon: int,
+                       depth: Optional[int]) -> tuple:
+        """(members, count, universe, stamps) of the finite-horizon dynamical
+        ball: members q with d(f^i(x), f^i(q)) <= e for |i| <= horizon
+        (forward window only when the map is not invertible)."""
+        lo = -horizon if self.invertible else 0
+        members = []
+        for q in range(self.n):
+            ok = True
+            for i in range(lo, horizon + 1):
+                if self.distance(self.iterate(x, i), self.iterate(q, i)) > e:
+                    ok = False
+                    break
+            if ok:
+                members.append(q)
+        return tuple(members), len(members), "net", {"window": (lo, horizon)}
+
 
 System = Union[SymbolicSystem, NetSystem]
 SystemPoint = Union[int, SymbolicPoint]
 
 
-def check_point(system: System, p: SystemPoint) -> None:
-    """Raise if the point's tag does not match the system kind."""
-    if system.kind == "net":
-        if not isinstance(p, int) or not 0 <= p < system.n:
-            raise ValueError(f"{p!r} is not a point index of the net system")
-    else:
-        if not isinstance(p, SymbolicPoint):
-            raise ValueError(f"{p!r} is not a symbolic point")
-        if not system.admissible(p):
-            raise ValueError("point is not admissible for this system")
-
-
 def apply(system: System, p: SystemPoint, k: int) -> SystemPoint:
     """Exact k-fold iterate of the system map (k < 0 only when invertible)."""
-    if isinstance(system, SymbolicSystem):
-        return p.shift(k)
     return system.iterate(p, k)
-
-
-def distance(system: System, a: SystemPoint, b: SystemPoint) -> Fraction:
-    return system.distance(a, b)
 
 
 # -- common net constructions ----------------------------------------------
@@ -710,7 +1082,3 @@ def circle_net(size: int, step_fn: Callable[[int], int],
     return NetSystem(labels, dist, [step_fn(i) % size for i in range(size)],
                      resolution=Fraction(1, 2 * size), invertible=invertible,
                      metric_check=metric_check)
-
-
-def product_max_distance(dists: Iterable[Fraction]) -> Fraction:
-    return max(dists)

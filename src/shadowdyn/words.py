@@ -6,7 +6,7 @@ complexity, minimality via uniform recurrence at tested depths).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 class SubstitutionLanguage:
@@ -64,23 +64,6 @@ class SubstitutionLanguage:
 
     def complexity(self, length: int) -> int:
         return len(self.factors(length))
-
-    def is_factor(self, word: Sequence[int]) -> bool:
-        word = tuple(word)
-        return word in self.factors(len(word))
-
-    def alphabet(self) -> tuple:
-        return tuple(sorted(self.rules))
-
-    def right_extensions(self, word: Sequence[int]) -> tuple:
-        word = tuple(word)
-        longer = self.factors(len(word) + 1)
-        return tuple(sorted({w[-1] for w in longer if w[:-1] == word}))
-
-    def left_extensions(self, word: Sequence[int]) -> tuple:
-        word = tuple(word)
-        longer = self.factors(len(word) + 1)
-        return tuple(sorted({w[0] for w in longer if w[1:] == word}))
 
 
 @dataclass

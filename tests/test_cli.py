@@ -131,3 +131,19 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "construct" in proc.stdout
+
+
+@pytest.mark.parametrize("system, point", [
+    ("fullshift:2", '{"period": [-1]}'),   # negative symbol
+    ("goldenmean", "[1]"),                 # not a point document
+])
+def test_malformed_point_exit_code(system, point):
+    assert run_cli("shadow", "--system", system, "--eps", "1/4",
+                   "--delta", "1/16", "--point", point) == EXIT_SCHEMA
+
+
+def test_malformed_component_point_exit_code(tmp_path):
+    comp = tmp_path / "components.json"
+    comp.write_text(json.dumps({"components": [[{"period": 5}, "1"]]}))
+    assert run_cli("approx", "--system", "fullshift:2", "--eps", "1/5",
+                   "--components", str(comp)) == EXIT_SCHEMA

@@ -1,0 +1,68 @@
+"""Layout checks on the package source: the algorithm modules use the
+system protocol instead of testing the kind of a system or point, no module
+imports a name it never uses, and the short demos run."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "shadowdyn"
+
+PROTOCOL_MODULES = ("shadowing", "shadow_search", "chain", "entropy", "measures",
+                    "horseshoe", "approx", "builders")
+KIND_TYPES = {"SymbolicSystem", "NetSystem", "SymbolicPoint", "CylinderNet"}
+
+# Demos 02 and 05 take long enough to stay out of the default run.
+QUICK_DEMOS = ("01_systems_and_pseudo_orbits", "03_horseshoe_certificates",
+               "04_entropy_and_weak_star_metric", "06_layered_and_extension_spaces")
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("module", PROTOCOL_MODULES)
+def test_no_kind_tests_in_algorithm_modules(module):
+    found = []
+    for node in ast.walk(_parse(SRC / f"{module}.py")):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node.args[1]) if isinstance(n, ast.Attribute)}
+            if names & KIND_TYPES:
+                found.append(node.lineno)
+    assert not found, f"{module}.py tests a system or point kind on lines {found}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = _parse(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    unused = sorted(set(imported) - used)
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("demo", QUICK_DEMOS)
+def test_demo_runs(demo):
+    paths = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr

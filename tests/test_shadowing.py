@@ -252,3 +252,12 @@ def test_h_class_two_sided_full_shift_and_singleton():
     half = net.n // 2
     rep2 = h_class_two_sided_shadowing(net, half, F(1, 9), F(1, 100), horizon=4)
     assert rep2.all_shadowable
+
+
+def test_uniform_delta_reports_keyed_by_symbolic_point():
+    sigma2 = SymbolicSystem.full_shift(2)
+    x = sigma2.fixed_point(0)
+    delta, reports = uniform_delta_for_set(sigma2, [x], F(1, 4), horizon=4)
+    assert delta > 0
+    # an equal point with another representation finds the same report
+    assert reports[sigma2.point((0, 0), word=(0,), offset=5)].shadowable

@@ -271,3 +271,14 @@ def test_invertibility_verified():
         labels = [0, 1]
         dist = [[F(0), F(1, 2)], [F(1, 2), F(0)]]
         NetSystem(labels, dist, [0, 0], resolution=F(1, 4), invertible=True)
+
+
+def test_out_of_range_symbols_are_not_admissible():
+    # a negative symbol would index the transition matrix from the end
+    sigma2 = SymbolicSystem.full_shift(2)
+    assert not sigma2.admissible(pt((-1,)))
+    assert not sigma2.admissible(pt((0, -1)))
+    assert not sigma2.admissible(pt((0,), word=(-1,)))
+    assert not sigma2.admissible(pt((0, 2)))
+    with pytest.raises(ValueError):
+        sigma2.point((-1,))
