@@ -13,16 +13,19 @@ claim checked against these objects carries the truncation stamps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .shadow_search import find_shadow
 from .shadowing import has_shadowing_at_resolution, is_positively_shadowable_at
 from .systems import (
     NetSystem,
     SymbolicPoint,
-    circle_distance,
+    circle_arcs,
     circle_net,
     symbolic_distance,
 )
@@ -132,14 +135,15 @@ def dense_shadowable_example(levels: int, base_size: int = 120) -> LayeredSpace:
             i = int(theta * n)
             step_map.append(layers[n][(i + 1) % n])
 
-    def dist(a: int, b: int) -> Fraction:
-        ha, ta = labels[a]
-        hb, tb = labels[b]
-        return max(abs(ha - hb), circle_distance(ta, tb))
-
+    # max(height gap, arc) with heights and angles as integers over D, a
+    # common multiple of all their denominators
+    D = math.lcm(base_size, *range(1, levels + 1))
+    heights_d = np.array([int(h * D) for h, _ in labels])
+    angles_d = np.array([int(theta * D) for _, theta in labels])
+    dist = np.maximum(np.abs(heights_d[:, None] - heights_d), circle_arcs(angles_d, D))
     net = NetSystem(labels, dist, step_map,
                     resolution=F(1, 2 * base_size * levels),
-                    invertible=True, metric_check="full")
+                    invertible=True, metric_check="full", denominator=D)
 
     gaps = {}
     for n, members in layers.items():

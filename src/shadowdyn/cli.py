@@ -175,9 +175,7 @@ def cmd_dstar(args) -> int:
 
 def cmd_approx(args) -> int:
     system = _system_arg(args.system)
-    spec = sio.load(args.components)
-    components = [(sio.point_from_json(p, system), sio.parse_frac(w))
-                  for p, w in spec["components"]]
+    components = sio.components_from_json(sio.load(args.components), system)
     res = approximate_by_positive_entropy_ergodic(system, components, args.eps,
                                                   word_length=args.words)
     doc = {"epsilon": sio.frac_str(res.epsilon),

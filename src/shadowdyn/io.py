@@ -34,7 +34,10 @@ def frac_str(x) -> str:
 
 
 def parse_frac(s) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except (TypeError, ValueError, ZeroDivisionError) as err:
+        raise SchemaError(f"{s!r} is not an exact rational") from err
 
 
 def point_to_json(p) -> Union[int, dict]:
@@ -80,16 +83,31 @@ def system_to_json(system) -> dict:
             "invertible": system.invertible}
 
 
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(_is_int(x) for x in v)
+
+
 def system_from_json(doc) -> Union[SymbolicSystem, NetSystem]:
-    if doc.get("schema") != SCHEMA_SYSTEM:
+    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_SYSTEM:
         raise SchemaError("not a system document")
-    if doc["kind"] == "symbolic":
-        return SymbolicSystem(doc["alphabet_size"], doc["transitions"])
-    if doc["kind"] != "net":
-        raise SchemaError(f"unknown system kind {doc['kind']!r}")
-    rows = [[parse_frac(v) for v in row] for row in doc["metric"]]
-    return NetSystem(doc["labels"], rows, doc["map"],
-                     resolution=parse_frac(doc["resolution"]),
+    kind = doc.get("kind")
+    if kind == "symbolic":
+        size, transitions = doc.get("alphabet_size"), doc.get("transitions")
+        if not (_is_int(size) and isinstance(transitions, list)
+                and all(_is_int_list(row) for row in transitions)):
+            raise SchemaError("a symbolic system needs an integer 'alphabet_size' "
+                              "and an integer matrix 'transitions'")
+        return SymbolicSystem(size, transitions)
+    if kind != "net":
+        raise SchemaError(f"unknown system kind {kind!r}")
+    labels, metric, step_map = doc.get("labels"), doc.get("metric"), doc.get("map")
+    if not (isinstance(labels, list) and _is_int_list(step_map)
+            and isinstance(metric, list) and all(isinstance(row, list) for row in metric)):
+        raise SchemaError("a net system needs lists 'labels' and 'metric' rows "
+                          "and an integer list 'map'")
+    rows = [[parse_frac(v) for v in row] for row in metric]
+    return NetSystem(labels, rows, step_map,
+                     resolution=parse_frac(doc.get("resolution")),
                      invertible=doc.get("invertible", False))
 
 
@@ -117,6 +135,16 @@ def measure_from_json(doc, system) -> EmpiricalMeasure:
         raise SchemaError("not a measure document")
     return EmpiricalMeasure([(point_from_json(p, system), parse_frac(w))
                              for p, w in doc["atoms"]])
+
+
+def components_from_json(doc, system) -> list:
+    """(point, weight) pairs from {"components": [[point, weight], ...]}."""
+    entries = doc.get("components") if isinstance(doc, dict) else None
+    if not (isinstance(entries, list)
+            and all(isinstance(e, list) and len(e) == 2 for e in entries)):
+        raise SchemaError("a components document needs a list 'components' "
+                          "of [point, weight] pairs")
+    return [(point_from_json(p, system), parse_frac(w)) for p, w in entries]
 
 
 def _payload_hash(payload: dict) -> str:

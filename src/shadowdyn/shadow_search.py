@@ -108,15 +108,18 @@ def net_shadowability_dfs(system: NetSystem, starts: Optional[Sequence[int]], ep
     """Lexicographically first delta-pseudo-orbit from the starts (all nodes,
     or all allowed nodes, when None) admitting no epsilon-shadow.
 
-    Tracks the surviving shadow positions along each path; a path fails
-    exactly when that set empties.  Safe (point, candidate-set) states are
-    memoized, across the starts, with the depth they were verified to;
-    supersets of safe sets are safe.
+    Tracks the surviving shadow positions along each path, as an int bitmask
+    (bit w: the shadow may sit at w); a path fails exactly when that set
+    empties.  Safe (point, candidate-set) states are memoized, across the
+    starts, with the depth they were verified to; supersets of safe sets
+    are safe.
     """
     epsilon = Fraction(epsilon)
     delta = Fraction(delta)
     if starts is None:
         starts = range(system.n) if allowed_nodes is None else sorted(allowed_nodes)
+    balls = system.ball_masks(epsilon)
+    fmap = system.map
     memo: dict = {}
 
     def succ(p: int):
@@ -125,28 +128,36 @@ def net_shadowability_dfs(system: NetSystem, starts: Optional[Sequence[int]], ep
             return out
         return [q for q in out if q in allowed_nodes]
 
-    def is_safe(p: int, tset: frozenset, remaining: int) -> bool:
+    def image(tset: int) -> int:
+        out = 0
+        while tset:
+            low = tset & -tset
+            out |= 1 << fmap[low.bit_length() - 1]
+            tset ^= low
+        return out
+
+    def is_safe(p: int, tset: int, remaining: int) -> bool:
         for s, r in memo.get(p, ()):
-            if r >= remaining and s <= tset:
+            if r >= remaining and not s & ~tset:
                 return True
         return False
 
-    def mark_safe(p: int, tset: frozenset, remaining: int):
+    def mark_safe(p: int, tset: int, remaining: int):
         lst = memo.setdefault(p, [])
-        lst[:] = [(s, r) for s, r in lst if not (s >= tset and r <= remaining)]
+        lst[:] = [(s, r) for s, r in lst if tset & ~s or r > remaining]
         lst.append((tset, remaining))
 
     path: list = []
 
-    def dfs(p: int, tset: frozenset, remaining: int) -> Optional[list]:
+    def dfs(p: int, tset: int, remaining: int) -> Optional[list]:
         if remaining == 0:
             return None
         if is_safe(p, tset, remaining):
             return None
         stats.tick()
+        advanced = image(tset)
         for q in succ(p):
-            advanced = frozenset(system.map[w] for w in tset)
-            filtered = advanced & system.ball(q, epsilon)
+            filtered = advanced & balls[q]
             path.append(q)
             if not filtered:
                 return list(path)
@@ -158,11 +169,11 @@ def net_shadowability_dfs(system: NetSystem, starts: Optional[Sequence[int]], ep
         return None
 
     for start in starts:
-        t0 = system.ball(start, epsilon)
+        t0 = balls[start]
         if not t0:
             return [start]  # cannot happen: start shadows itself
         path = [start]
-        bad = dfs(start, frozenset(t0), horizon)
+        bad = dfs(start, t0, horizon)
         if bad is not None:
             return bad
     return None

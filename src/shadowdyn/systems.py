@@ -7,8 +7,9 @@ Two kinds of systems are supported:
 * net systems: a finite indexed point set with an exact rational metric and
   a sampled self-map.
 
-All distances are `fractions.Fraction` values, so comparisons against
-tolerance parameters are deterministic and reproducible.
+All distances are exact `fractions.Fraction` values (a net holds them as
+integers over one common denominator), so comparisons against tolerance
+parameters are deterministic and reproducible.
 
 The system protocol.  Everything that differs between a shift and a net is
 a method of :class:`SymbolicSystem` and :class:`NetSystem` (and of the
@@ -693,6 +694,68 @@ class SymbolicSystem:
                 {"forced_window": (lo, hi)})
 
 
+class _Lazy(dict):
+    """A dict that fills a missing key with ``build(key)`` on first lookup."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build: Callable):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+class _Tables(_Lazy):
+    """Tables keyed by a threshold, each built on first use.  ``table(key)``
+    matches the last key by identity first, because hashing a Fraction
+    costs more than the lookup it keys."""
+
+    __slots__ = ("_last",)
+
+    def __init__(self, build: Callable):
+        super().__init__(build)
+        self._last = (_Tables, None)  # a sentinel key that no caller passes
+
+    def table(self, key):
+        last_key, last = self._last
+        if key is not last_key:
+            last = self[key]
+            self._last = (key, last)
+        return last
+
+
+def _mask(flags: np.ndarray) -> int:
+    """The int bitmask with bit q set where ``flags[q]`` is true."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _members(mask: int) -> list:
+    """The set bits of an int bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _int_matrix(nums) -> np.ndarray:
+    """Integer distances in the narrowest signed type that holds the sum of
+    any two of them (the triangle check adds pairs), or as Python ints in
+    an object array when 64 bits are too few."""
+    mat = np.asarray(nums)
+    if mat.dtype.kind not in "iuO":
+        raise ValueError("integer distances required with a denominator")
+    bound = 2 * max(-int(mat.min(initial=0)), int(mat.max(initial=0)))
+    for dtype in (np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return mat.astype(dtype)
+    return mat.astype(object)
+
+
 @dataclass
 class MetricReport:
     """Diagnostic result of a metric table validation."""
@@ -715,9 +778,20 @@ class MetricReport:
 class NetSystem:
     """A finite epsilon-net with an exact metric and a sampled self-map.
 
-    ``dist`` may be a full matrix of Fractions or a callable
-    (i, j) -> Fraction; rows are cached.  ``resolution`` records the mesh the
-    net guarantees, so downstream claims can be stamped with it.
+    ``dist`` is a full matrix of rationals or a callable (i, j) -> rational;
+    with ``denominator`` D given, it is instead an integer matrix of
+    numerators over D.  Either way the net holds its metric once, as the
+    integers d(i, j) * D over the least common denominator D of the
+    distances, in the narrowest NumPy integer type that also holds the sum
+    of two distances (an object array of Python ints beyond 64 bits).
+
+    A threshold test d <= eps is then the exact integer test
+    d * D <= floor(eps * D).  ``ball_masks(eps)`` holds the closed eps-balls
+    as int bitmasks, one per row, built on first use and cached per eps;
+    ``ball``, ``successors``, ``closeness``, ``distance_le`` and
+    ``neighborhood`` read them.  ``row`` and ``distance`` return exact
+    Fractions.  ``resolution`` records the mesh the net guarantees, so
+    downstream claims can be stamped with it.
     """
 
     kind = "net"
@@ -726,7 +800,7 @@ class NetSystem:
 
     def __init__(self, labels: Sequence, dist, step_map: Sequence[int],
                  resolution: Fraction, invertible: bool = False,
-                 metric_check: str = "full"):
+                 metric_check: str = "full", denominator: Optional[int] = None):
         self.labels = list(labels)
         self.n = len(self.labels)
         if self.n == 0:
@@ -739,15 +813,24 @@ class NetSystem:
             raise ValueError("map must be a total function on point indices")
         self.map = tuple(step_map)
 
-        if callable(dist):
-            self._dist_fn = dist
-            self._rows: dict[int, tuple] = {}
-        else:
-            rows = [tuple(Fraction(v) for v in row) for row in dist]
+        if denominator is None:
+            if callable(dist):
+                dist = [[dist(i, j) for j in range(self.n)] for i in range(self.n)]
+            rows = [[Fraction(v) for v in row] for row in dist]
             if len(rows) != self.n or any(len(r) != self.n for r in rows):
                 raise ValueError("distance matrix shape mismatch")
-            self._dist_fn = None
-            self._rows = {i: rows[i] for i in range(self.n)}
+            denominator = math.lcm(*{v.denominator for row in rows for v in row})
+            dist = [[v.numerator * (denominator // v.denominator) for v in row]
+                    for row in rows]
+        self.denominator = int(denominator)
+        if self.denominator < 1:
+            raise ValueError("denominator must be positive")
+        self._imat = _int_matrix(dist)
+        if self._imat.shape != (self.n, self.n):
+            raise ValueError("distance matrix shape mismatch")
+        D = self.denominator
+        self._fractions = _Lazy(lambda v: Fraction(v, D))
+        self._rows = _Lazy(self._fraction_row)
 
         self.inverse: Optional[tuple] = None
         self.invertible = bool(invertible)
@@ -759,7 +842,9 @@ class NetSystem:
                 inv[j] = i
             self.inverse = tuple(inv)
 
-        self._succ_cache: dict[Fraction, list] = {}
+        self._ball_cache = _Tables(self._ball_rows)
+        self._succ_cache = _Tables(lambda delta: [None] * self.n)
+        self._pred_cache = _Tables(self._predecessors)
         self.metric_report: Optional[MetricReport] = None
         if metric_check != "skip":
             self.metric_report = self.validate_metric(mode=metric_check)
@@ -768,86 +853,73 @@ class NetSystem:
 
     # -- metric ---------------------------------------------------------------
 
+    def _fraction_row(self, i: int) -> tuple:
+        fractions = self._fractions
+        return tuple([fractions[v] for v in self._imat[i].tolist()])
+
     def row(self, i: int) -> tuple:
-        r = self._rows.get(i)
-        if r is None:
-            r = tuple(self._dist_fn(i, j) for j in range(self.n))
-            self._rows[i] = r
-        return r
+        return self._rows[i]
 
     def distance(self, i: int, j: int) -> Fraction:
-        return self.row(i)[j]
+        return self._fractions[self._imat.item(i, j)]
+
+    def _threshold(self, eps, strict: bool = False) -> int:
+        """The largest integer distance t with t / D <= eps (< eps when
+        strict), so that d <= eps iff d * D <= t."""
+        eps = Fraction(eps)
+        scaled = eps.numerator * self.denominator
+        t = scaled // eps.denominator
+        if strict and t * eps.denominator == scaled:
+            t -= 1
+        return t
+
+    def _ball_rows(self, eps) -> dict:
+        t, mat = self._threshold(eps), self._imat
+        return _Lazy(lambda i: _mask(mat[i] <= t))
+
+    def ball_masks(self, eps) -> dict:
+        """Closed eps-balls as int bitmasks: bit q of entry i is set iff
+        d(i, q) <= eps.  A row is built on its first lookup and kept."""
+        return self._ball_cache.table(eps)
 
     def distance_le(self, i: int, j: int, eps: Fraction) -> bool:
-        return self.row(i)[j] <= eps
+        return self.ball_masks(eps)[i] >> j & 1 == 1
 
     def diameter_bound(self) -> Fraction:
-        return max(max(self.row(i)) for i in range(self.n))
-
-    def _int_matrix(self) -> Optional[tuple[np.ndarray, int]]:
-        denom = 1
-        for i in range(self.n):
-            for v in self.row(i):
-                denom = denom * v.denominator // math.gcd(denom, v.denominator)
-                if denom > 1 << 40:
-                    return None
-        mat = np.zeros((self.n, self.n), dtype=np.int64)
-        for i in range(self.n):
-            r = self.row(i)
-            for j in range(self.n):
-                mat[i, j] = r[j].numerator * (denom // r[j].denominator)
-        if mat.max(initial=0) > 1 << 61:
-            return None
-        return mat, denom
+        return self._fractions[int(self._imat.max())]
 
     def validate_metric(self, mode: str = "full") -> MetricReport:
         """Check symmetry, the zero diagonal, identity of indiscernibles and
-        the triangle inequality.  ``mode='sample'`` checks a deterministic
-        subsample of triples (for large nets); pairs are always all checked."""
+        the triangle inequality on the integer matrix.  ``mode='sample'``
+        checks a deterministic subsample of triples (for large nets), as
+        does a full check of more than 512 points whose integers exceed 64
+        bits; pairs are always all checked."""
         rep = MetricReport(ok=True, mode=mode)
-        for i in range(self.n):
-            r = self.row(i)
-            if r[i] != 0:
-                rep.diagonal_failures.append(i)
-            for j in range(i + 1, self.n):
-                if r[j] != self.row(j)[i]:
-                    rep.symmetry_failures.append((i, j))
-                if r[j] == 0:
-                    rep.indiscernible_failures.append((i, j))
-        packed = self._int_matrix() if mode == "full" else None
-        if packed is not None:
-            mat, _ = packed
-            for k in range(self.n):
-                lhs = mat
-                rhs = mat[:, k:k + 1] + mat[k:k + 1, :]
-                bad = np.argwhere(lhs > rhs)
-                for i, j in bad[:8]:
-                    rep.triangle_failures.append((int(i), int(j), k))
-                rep.checked_triples += self.n * self.n
-        elif mode == "full" and self.n <= 512:
-            for i in range(self.n):
-                ri = self.row(i)
-                for k in range(self.n):
-                    rk = self.row(k)
-                    dik = ri[k]
-                    for j in range(self.n):
-                        if ri[j] > dik + rk[j]:
-                            rep.triangle_failures.append((i, j, k))
-                    rep.checked_triples += self.n
+        mat, n = self._imat, self.n
+        diagonal = np.diagonal(mat) != 0
+        if diagonal.any():
+            rep.diagonal_failures = np.flatnonzero(diagonal).tolist()
+        for failures, flags in ((rep.symmetry_failures, mat != mat.T),
+                                (rep.indiscernible_failures, mat == 0)):
+            upper = np.triu(flags, 1)
+            if upper.any():
+                failures.extend(map(tuple, np.argwhere(upper).tolist()))
+        if mode == "full" and (mat.dtype != object or n <= 512):
+            for k in range(n):
+                bad = mat > mat[:, k:k + 1] + mat[k:k + 1, :]
+                if bad.any():
+                    rep.triangle_failures.extend(
+                        (i, j, k) for i, j in np.argwhere(bad)[:8].tolist())
+            rep.checked_triples = n ** 3
         else:
             rep.mode = "sampled"
-            stride = max(1, self.n ** 3 // _SAMPLE_TRIPLES)
-            count = 0
-            idx = 0
-            total = self.n ** 3
-            while idx < total:
-                k, rem = divmod(idx, self.n * self.n)
-                i, j = divmod(rem, self.n)
-                if self.distance(i, j) > self.distance(i, k) + self.distance(k, j):
-                    rep.triangle_failures.append((i, j, k))
-                count += 1
-                idx += stride
-            rep.checked_triples = count
+            idx = np.arange(0, n ** 3, max(1, n ** 3 // _SAMPLE_TRIPLES))
+            k, rem = np.divmod(idx, n * n)
+            i, j = np.divmod(rem, n)
+            bad = mat[i, j] > mat[i, k] + mat[k, j]
+            rep.triangle_failures = list(zip(i[bad].tolist(), j[bad].tolist(),
+                                             k[bad].tolist()))
+            rep.checked_triples = len(idx)
         rep.ok = not (rep.symmetry_failures or rep.diagonal_failures or
                       rep.indiscernible_failures or rep.triangle_failures)
         return rep
@@ -874,20 +946,14 @@ class NetSystem:
 
     def successors(self, i: int, delta: Fraction) -> tuple:
         """Indices q with d(f(i), q) <= delta, ascending."""
-        key = Fraction(delta)
-        table = self._succ_cache.get(key)
-        if table is None:
-            table = [None] * self.n
-            self._succ_cache[key] = table
-        if table[i] is None:
-            fi = self.map[i]
-            r = self.row(fi)
-            table[i] = tuple(q for q in range(self.n) if r[q] <= key)
-        return table[i]
+        table = self._succ_cache.table(delta)
+        succ = table[i]
+        if succ is None:
+            succ = table[i] = tuple(_members(self.ball_masks(delta)[self.map[i]]))
+        return succ
 
     def ball(self, i: int, eps: Fraction) -> frozenset:
-        r = self.row(i)
-        return frozenset(q for q in range(self.n) if r[q] <= eps)
+        return frozenset(_members(self.ball_masks(eps)[i]))
 
     def period(self, p: int) -> Optional[int]:
         """Steps until the sampled orbit of p returns to p; None when p is
@@ -901,8 +967,8 @@ class NetSystem:
 
     def closeness(self, eps: Fraction) -> Callable:
         """The test d(i, j) <= eps."""
-        row = self.row
-        return lambda i, j: row(i)[j] <= eps
+        masks = self.ball_masks(eps)
+        return lambda i, j: masks[i] >> j & 1 == 1
 
     # -- shadows, chains and loops ---------------------------------------------
 
@@ -919,10 +985,7 @@ class NetSystem:
         a == b the chain makes at least one step.
         """
         # backward BFS from b: dist_to[q] = fewest steps from q to b
-        preds: list[list[int]] = [[] for _ in range(self.n)]
-        for p in range(self.n):
-            for q in self.successors(p, delta):
-                preds[q].append(p)
+        preds = self._pred_cache.table(delta)
         INF = -1
         dist_to = [INF] * self.n
         dist_to[b] = 0
@@ -964,6 +1027,13 @@ class NetSystem:
         assert cur == b
         return path
 
+    def _predecessors(self, delta: Fraction) -> list:
+        preds: list[list[int]] = [[] for _ in range(self.n)]
+        for p in range(self.n):
+            for q in self.successors(p, delta):
+                preds[q].append(p)
+        return preds
+
     def dwell_loop(self, p: int, delta: Fraction) -> Optional[list]:
         """The shortest delta-chain loop at p."""
         return self.chain(p, p, delta)
@@ -994,11 +1064,11 @@ class NetSystem:
 
     def neighborhood(self, points: Sequence[int], delta: Fraction) -> list:
         """Net points within delta of the set, ascending."""
-        near = set()
+        masks = self.ball_masks(delta)
+        near = 0
         for x in points:
-            row = self.row(x)
-            near.update(q for q in range(self.n) if row[q] <= delta)
-        return sorted(near)
+            near |= masks[x]
+        return _members(near)
 
     # -- chain classes ----------------------------------------------------------
 
@@ -1026,8 +1096,8 @@ class NetSystem:
 
     def nearby_point(self, x: int, eps: Fraction, rng) -> int:
         """A point at distance < eps from x (strict)."""
-        row = self.row(x)
-        return rng.choice([q for q in range(self.n) if row[q] < eps])
+        near = self._imat[x] <= self._threshold(eps, strict=True)
+        return rng.choice(np.flatnonzero(near).tolist())
 
     def separated_count(self, n: int, eps: Fraction) -> None:
         """No counting argument: separated sets come from a clique search."""
@@ -1039,16 +1109,16 @@ class NetSystem:
         ball: members q with d(f^i(x), f^i(q)) <= e for |i| <= horizon
         (forward window only when the map is not invertible)."""
         lo = -horizon if self.invertible else 0
-        members = []
-        for q in range(self.n):
-            ok = True
-            for i in range(lo, horizon + 1):
-                if self.distance(self.iterate(x, i), self.iterate(q, i)) > e:
-                    ok = False
-                    break
-            if ok:
-                members.append(q)
-        return tuple(members), len(members), "net", {"window": (lo, horizon)}
+        t, mat = self._threshold(e), self._imat
+        inside = mat[x] <= t
+        for maps in ((self.map, self.inverse) if self.invertible else (self.map,)):
+            step = np.asarray(maps)
+            xi, images = x, np.arange(self.n)
+            for _ in range(horizon):
+                xi, images = maps[xi], step[images]
+                inside &= mat[xi, images] <= t
+        members = tuple(np.flatnonzero(inside).tolist())
+        return members, len(members), "net", {"window": (lo, horizon)}
 
 
 System = Union[SymbolicSystem, NetSystem]
@@ -1063,10 +1133,11 @@ def apply(system: System, p: SystemPoint, k: int) -> SystemPoint:
 # -- common net constructions ----------------------------------------------
 
 
-def circle_distance(a: Fraction, b: Fraction) -> Fraction:
-    """Arc-length distance on R/Z for rational angles."""
-    d = abs(Fraction(a) - Fraction(b)) % 1
-    return min(d, 1 - d)
+def circle_arcs(angles: np.ndarray, denominator: int) -> np.ndarray:
+    """Arc-length distances on R/Z between the angles a_i / D, as integer
+    numerators over D: min(k, D - k) with k = (a_i - a_j) mod D."""
+    k = (angles[:, None] - angles) % denominator
+    return np.minimum(k, denominator - k)
 
 
 def circle_net(size: int, step_fn: Callable[[int], int],
@@ -1075,10 +1146,7 @@ def circle_net(size: int, step_fn: Callable[[int], int],
     if size < 3:
         raise ValueError("need at least 3 net points")
     labels = [Fraction(i, size) for i in range(size)]
-
-    def dist(i: int, j: int) -> Fraction:
-        return circle_distance(labels[i], labels[j])
-
-    return NetSystem(labels, dist, [step_fn(i) % size for i in range(size)],
+    return NetSystem(labels, circle_arcs(np.arange(size), size),
+                     [step_fn(i) % size for i in range(size)],
                      resolution=Fraction(1, 2 * size), invertible=invertible,
-                     metric_check=metric_check)
+                     metric_check=metric_check, denominator=size)

@@ -147,3 +147,26 @@ def test_malformed_component_point_exit_code(tmp_path):
     comp.write_text(json.dumps({"components": [[{"period": 5}, "1"]]}))
     assert run_cli("approx", "--system", "fullshift:2", "--eps", "1/5",
                    "--components", str(comp)) == EXIT_SCHEMA
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],                                                # not an object
+    {"schema": "shadowdyn/system.v1", "kind": "symbolic",  # size as a string
+     "alphabet_size": "2", "transitions": [[1, 1], [1, 1]]},
+])
+def test_malformed_system_exit_code(tmp_path, doc):
+    sysfile = tmp_path / "f.json"
+    sysfile.write_text(json.dumps(doc))
+    assert run_cli("chain", "--system", str(sysfile), "--delta", "1/8") == EXIT_SCHEMA
+
+
+@pytest.mark.parametrize("spec", [
+    {"components": 5},                                     # not a list
+    {"components": [5]},                                   # not a pair
+    {"components": [[{"period": [0]}, None]]},             # weight not a fraction
+])
+def test_malformed_components_exit_code(tmp_path, spec):
+    comp = tmp_path / "components.json"
+    comp.write_text(json.dumps(spec))
+    assert run_cli("approx", "--system", "fullshift:2", "--eps", "1/5",
+                   "--components", str(comp)) == EXIT_SCHEMA

@@ -1,0 +1,198 @@
+"""The integer net kernel against direct Fraction comparisons.
+
+Threshold tests (balls, successors, closeness, distance_le, neighborhoods)
+are compared with d <= eps on independently computed Fraction distances,
+at thresholds on, between and off the metric's values; the bitmask
+shadowability DFS is compared with an exhaustive preorder enumeration of
+pseudo-orbits and an exhaustive Fraction shadow search.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shadowdyn.builders import dense_shadowable_example, fig1_circle
+from shadowdyn.finitize import CylinderNet
+from shadowdyn.shadow_search import SearchStats, find_shadow, net_shadowability_dfs
+from shadowdyn.shadowing import is_positively_shadowable_at
+from shadowdyn.systems import (
+    NetSystem,
+    SymbolicSystem,
+    circle_net,
+    symbolic_distance,
+)
+
+F = Fraction
+
+
+def circle_distance(a, b):
+    """Arc-length distance on R/Z between rational angles."""
+    d = abs(a - b) % 1
+    return min(d, 1 - d)
+
+
+def _circle():
+    net = circle_net(12, lambda i: (i + 5) % 12)
+    labels = net.labels
+    return net, lambda i, j: circle_distance(labels[i], labels[j])
+
+
+def _layered():
+    net = dense_shadowable_example(12).net
+    labels = net.labels
+
+    def dist(a, b):
+        (ha, ta), (hb, tb) = labels[a], labels[b]
+        return max(abs(ha - hb), circle_distance(ta, tb))
+
+    return net, dist
+
+
+def _cylinder():
+    net = CylinderNet(SymbolicSystem.golden_mean(), 2)
+    reps = net.reps
+    return net, lambda i, j: symbolic_distance(reps[i], reps[j])
+
+
+def _wide():
+    # numerators past 64 bits: the metric is held as Python ints
+    points = [F(0), F(1, 3 ** 45), F(1, 2), F(2, 3), F(1)]
+    table = [[abs(a - b) for b in points] for a in points]
+    net = NetSystem(points, table, [1, 2, 3, 4, 0], resolution=F(1, 3 ** 46))
+    return net, lambda i, j: table[i][j]
+
+
+def _thresholds(values, denominator, limit):
+    """Metric values, midpoints between neighbours, points off the 1/D
+    grid, zero and values at and beyond the diameter."""
+    values = sorted(values)
+    if len(values) > limit:
+        values = values[::len(values) // limit] + [values[-1]]
+    out = {F(0), values[-1], values[-1] + 1, 2 * values[-1]}
+    for a, b in zip(values, values[1:]):
+        out.update((a, (a + b) / 2, a + F(1, 7 * denominator)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("build, denominator, limit", [
+    (_circle, 12, 100), (_layered, 27720, 4), (_cylinder, 4, 100),
+    (_wide, 2 * 3 ** 45, 100)])
+def test_thresholds_agree_with_fraction_comparisons(build, denominator, limit):
+    net, dist = build()
+    assert net.denominator == denominator
+    table = [[dist(i, j) for j in range(net.n)] for i in range(net.n)]
+    assert all(net.row(i) == tuple(table[i]) for i in range(net.n))
+    values = {v for row in table for v in row}
+    for eps in _thresholds(values, denominator, limit):
+        close = net.closeness(eps)
+        balls = [[q for q in range(net.n) if table[i][q] <= eps] for i in range(net.n)]
+        for i, near in enumerate(balls):
+            assert net.ball(i, eps) == frozenset(near)
+            assert net.neighborhood([i], eps) == near
+            assert [q for q in range(net.n) if close(i, q)] == near
+            assert [q for q in range(net.n) if net.distance_le(i, q, eps)] == near
+            assert net.successors(i, eps) == tuple(balls[net.step(i)])
+        assert net.neighborhood([0, net.n - 1], eps) == sorted({*balls[0], *balls[-1]})
+
+
+@pytest.mark.parametrize("delta", [F(1, 24), F(1, 12)])
+def test_chains_are_shortest_and_lowest_index(delta):
+    # chain() reads predecessor lists cached per delta; every chain must
+    # still be the shortest one and, among those, the lexicographically
+    # least, as found by a layered search over Fraction comparisons
+    net = fig1_circle(24)
+    n = net.n
+    succ = [[q for q in range(n)
+             if circle_distance(net.labels[net.step(p)], net.labels[q]) <= delta]
+            for p in range(n)]
+    for a in range(n):
+        expected = {}
+        best = {a: [a]}
+        for _ in range(n):
+            layer = {}
+            for p in sorted(best, key=best.get):
+                for q in succ[p]:
+                    layer.setdefault(q, best[p] + [q])
+            best = layer
+            for b, path in best.items():
+                expected.setdefault(b, path)
+        for b in range(n):
+            assert net.chain(a, b, delta) == expected.get(b)
+
+
+# -- the bitmask DFS against an exhaustive enumeration ------------------------
+
+
+@st.composite
+def small_nets(draw):
+    """A net whose metric is a shortest-path metric of positive integer
+    edge weights, scaled by 1/D, with an arbitrary map."""
+    n = draw(st.integers(1, 5))
+    w = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w[i][j] = w[j][i] = draw(st.integers(1, 4))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                w[i][j] = min(w[i][j], w[i][k] + w[k][j])
+    scale = draw(st.sampled_from([1, 2, 3, 6]))
+    table = [[F(v, scale) for v in row] for row in w]
+    step = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return NetSystem(list(range(n)), table, step, resolution=F(1, 2 * scale)), table
+
+
+def _shadowed(table, step, path, eps):
+    """Whether some point z has d(f^i(z), x_i) <= eps along the path."""
+    for z in range(len(table)):
+        for x in path:
+            if table[z][x] > eps:
+                break
+            z = step[z]
+        else:
+            return True
+    return False
+
+
+def _first_unshadowed(table, step, start, eps, delta, horizon):
+    """First pseudo-orbit from start, in depth-first preorder over ascending
+    successors with at most ``horizon`` steps, that no point shadows."""
+    path = [start]
+
+    def walk():
+        if not _shadowed(table, step, path, eps):
+            return list(path)
+        if len(path) > horizon:
+            return None
+        for q in range(len(table)):
+            if table[step[path[-1]]][q] <= delta:
+                path.append(q)
+                bad = walk()
+                if bad is not None:
+                    return bad
+                path.pop()
+        return None
+
+    return walk()
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_nets(), st.fractions(0, 2, max_denominator=12),
+       st.fractions(0, 2, max_denominator=12), st.integers(1, 4))
+def test_bitmask_dfs_matches_exhaustive_search(net_table, eps, delta, horizon):
+    net, table = net_table
+    expected = [_first_unshadowed(table, net.map, s, eps, delta, horizon)
+                for s in range(net.n)]
+    for s in range(net.n):
+        bad = net_shadowability_dfs(net, [s], eps, delta, horizon, SearchStats())
+        assert bad == expected[s]
+        if bad is not None:
+            assert find_shadow(net, bad, eps) is None
+        rep = is_positively_shadowable_at(net, s, eps, delta, horizon=horizon)
+        assert rep.shadowable == (bad is None)
+        if bad is not None:
+            assert list(rep.counterexample.points) == bad
+    first = next((b for b in expected if b is not None), None)
+    assert net_shadowability_dfs(net, None, eps, delta, horizon, SearchStats()) == first
