@@ -203,8 +203,7 @@ def _separated_prefix_loops(system: SymbolicSystem, base: SymbolicPoint,
     dwell = orbit_segment(system, base, period)
     threshold = 4 * eps
     for width in (1, 2, 3):
-        for w in system.words(width):
-            q = system.periodic_closure(w, anchor=0)
+        for _, q in system.cylinders(0, width - 1):
             if q is None or q == base:
                 continue
             out = splice_chain(system, base, q, delta)

@@ -27,7 +27,9 @@ from .systems import (
     SymbolicPoint,
     circle_arcs,
     circle_net,
+    dyadic_radius,
     symbolic_distance,
+    word_ultrametric,
 )
 from .words import SubstitutionLanguage, screen_minimality
 
@@ -207,9 +209,7 @@ def cylinder_partition(lang: SubstitutionLanguage, level: int) -> CylinderPartit
     with 2^-m <= 1/level."""
     if level < 1:
         raise ValueError("level must be positive")
-    m = 0
-    while F(1, 1 << m) > F(1, level):
-        m += 1
+    m = dyadic_radius(F(1, level))
     width = 2 * m + 1
     cells = tuple(sorted(lang.factors(width)))
     longer = lang.factors(width + 1)
@@ -217,14 +217,8 @@ def cylinder_partition(lang: SubstitutionLanguage, level: int) -> CylinderPartit
     for w in cells:
         edges[w] = tuple(sorted(w2 for w2 in cells
                                 if w2[:-1] == w[1:] and (w + (w2[-1],)) in longer))
-    gap = None
-    for i, a in enumerate(cells):
-        for b in cells[i + 1:]:
-            first = next(j for j in range(m + 1)
-                         if a[m + j] != b[m + j] or a[m - j] != b[m - j])
-            d = F(1, 1 << first)
-            if gap is None or d < gap:
-                gap = d
+    dist = word_ultrametric(cells, m)
+    gap = F(int(dist[dist > 0].min()), 1 << m)
     return CylinderPartition(level, m, cells, gap / 4, edges)
 
 

@@ -22,10 +22,10 @@ from .approx import PipelineStageError, approximate_by_positive_entropy_ergodic
 from .builders import dense_shadowable_example, extension_builder, fig1_circle
 from .chain import build_chain_graph, decomposition
 from .entropy import entropy_estimate
-from .horseshoe import build_certificate, find_loop_family
+from .horseshoe import CertificateAborted, build_certificate, find_loop_family
 from .measures import TestFunctionFamily, dstar
 from .shadowing import has_shadowing_at_resolution, is_positively_shadowable_at
-from .systems import BudgetExceeded, NetSystem, SymbolicSystem
+from .systems import BudgetExceeded, SymbolicSystem
 from .words import SubstitutionLanguage
 
 EXIT_OK = 0
@@ -69,8 +69,6 @@ def _system_arg(value: str):
 
 
 def _point_arg(value: str, system):
-    if isinstance(system, NetSystem):
-        return int(value)
     return sio.point_from_json(json.loads(value), system)
 
 
@@ -138,7 +136,12 @@ def cmd_horseshoe(args) -> int:
     if fam is None:
         _emit({"result": "no loop family found"}, args.out)
         return EXIT_FAIL
-    cert = build_certificate(fam, word_length_max=args.words)
+    try:
+        cert = build_certificate(fam, word_length_max=args.words)
+    except CertificateAborted as err:
+        _emit({"result": "certificate aborted: word admits no shadow",
+               "word": list(err.word)}, args.out)
+        return EXIT_FAIL
     _emit(sio.certificate_to_json(cert), args.out)
     return EXIT_OK
 

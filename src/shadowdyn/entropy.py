@@ -43,10 +43,10 @@ class SeparatedSetResult:
 
 def is_separated(system, x, y, n: int, epsilon) -> bool:
     """Whether some iterate 0 <= i <= n puts x, y at distance > epsilon."""
-    epsilon = Fraction(epsilon)
+    close = system.closeness(Fraction(epsilon))
     a, b = x, y
     for _ in range(n + 1):
-        if system.distance(a, b) > epsilon:
+        if not close(a, b):
             return True
         a, b = system.step(a), system.step(b)
     return False
@@ -106,12 +106,11 @@ def max_clique(neighbors: Sequence[int], n: int) -> list:
     return sorted(best)
 
 
-def separated_set(system, candidates: Sequence, n: int, epsilon,
-                  exact: bool = True) -> SeparatedSetResult:
+def separated_set(system, candidates: Sequence, n: int, epsilon) -> SeparatedSetResult:
     """Largest pairwise (n, epsilon)-separated subset of the candidates.
 
-    Exact (clique search) up to ``CLIQUE_LIMIT`` candidates when requested;
-    greedy lower bound otherwise, flagged as such.
+    Exact (clique search) up to ``CLIQUE_LIMIT`` candidates; greedy lower
+    bound beyond, flagged as such.
     """
     epsilon = Fraction(epsilon)
     cands = list(candidates)
@@ -127,14 +126,12 @@ def separated_set(system, candidates: Sequence, n: int, epsilon,
             orb.append(system.step(orb[-1]))
         orbits.append(orb)
 
-    def sep(i: int, j: int) -> bool:
-        oi, oj = orbits[i], orbits[j]
-        for t in range(n + 1):
-            if system.distance(oi[t], oj[t]) > epsilon:
-                return True
-        return False
+    close = system.closeness(epsilon)
 
-    if exact and m <= CLIQUE_LIMIT:
+    def sep(i: int, j: int) -> bool:
+        return not all(map(close, orbits[i], orbits[j]))
+
+    if m <= CLIQUE_LIMIT:
         neighbors = [0] * m
         for i in range(m):
             for j in range(i + 1, m):
@@ -173,22 +170,17 @@ def max_separated_cylinders(system: SymbolicSystem, n: int, epsilon) -> Separate
     tp = separation_window(epsilon)
     if tp is None:
         # no pair of points is ever further apart than epsilon
-        single = system.periodic_closure(system.words(1)[0])
+        single = system.cylinders(0, 0)[0][1]
         return SeparatedSetResult(n, epsilon, 1, (single,), True,
                                   universe="whole system")
     width = n + 2 * tp + 1
     count = system.count_words(width)
     witness: tuple = ()
     if count <= MATERIALIZE_LIMIT:
-        pts = []
-        for w in system.words(width):
-            p = system.periodic_closure(w, anchor=-tp)
-            if p is None:
-                raise ValueError("cylinder word admits no periodic closure; "
-                                 "exact count needs an irreducible system")
-            pts.append(p)
-        witness = tuple(pts)
-        assert len(witness) == count
+        witness = tuple(p for _, p in system.cylinders(-tp, n + tp) if p is not None)
+        if len(witness) != count:
+            raise ValueError("cylinder word admits no periodic closure; "
+                             "exact count needs an irreducible system")
     return SeparatedSetResult(n, epsilon, count, witness, True,
                               universe="whole system")
 

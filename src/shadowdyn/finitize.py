@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .systems import BudgetExceeded, NetSystem, SymbolicPoint, SymbolicSystem
+from .systems import (BudgetExceeded, NetSystem, SymbolicPoint, SymbolicSystem,
+                      word_ultrametric)
 
 # Largest number of cylinder words a finitization may hold.
 MAX_POINTS = 20000
@@ -17,7 +18,8 @@ MAX_POINTS = 20000
 class CylinderNet(NetSystem):
     """Net of one periodic representative per admissible word on the window
     [-depth, depth].  Distances between distinct representatives are the
-    exact symbolic distances, which are determined by the words alone.
+    exact symbolic distances, which are determined by the words alone; the
+    net holds them as numerators over 2^depth (``word_ultrametric``).
 
     Net nodes stand for symbolic points: ``node_of`` and ``point_of``
     translate, and ``restrict_to`` keeps the symbolic shadowability scan
@@ -28,47 +30,21 @@ class CylinderNet(NetSystem):
             raise ValueError("depth must be >= 0")
         self.base = system
         self.depth = depth
-        width = 2 * depth + 1
-        if system.count_words(width) > MAX_POINTS:
-            raise BudgetExceeded(
-                f"{system.count_words(width)} cylinder words at depth {depth} "
-                f"exceed the budget of {MAX_POINTS}")
-        words = []
-        reps = []
-        for w in system.words(width):
-            rep = system.periodic_closure(w, anchor=-depth)
-            if rep is None:
-                continue  # word admits no representable closure (reducible SFT)
-            words.append(w)
-            reps.append(rep)
-        self.words_ = tuple(words)
-        self.reps = tuple(reps)
-        self.word_index = {w: i for i, w in enumerate(words)}
-
-        step_map = []
-        for i, w in enumerate(words):
-            nxt = w[1:] + (reps[i].coord(depth + 1),)
-            step_map.append(self.word_index[nxt])
-
-        def dist(i: int, j: int) -> Fraction:
-            if i == j:
-                return Fraction(0)
-            wi, wj = words[i], words[j]
-            for a in range(depth + 1):
-                if wi[depth + a] != wj[depth + a] or wi[depth - a] != wj[depth - a]:
-                    return Fraction(1, 1 << a)
-            raise AssertionError("distinct words must disagree inside the window")
-
-        super().__init__(words, dist, step_map,
-                         resolution=Fraction(1, 1 << (depth + 1)),
-                         invertible=False, metric_check="skip")
-        # the ultrametric identity makes the full triangle check redundant,
-        # but run it anyway on small nets
-        if self.n <= 512:
-            rep = self.validate_metric()
-            if not rep.ok:
-                raise AssertionError(rep.summary())
-            self.metric_report = rep
+        count = system.count_words(2 * depth + 1)
+        if count > MAX_POINTS:
+            raise BudgetExceeded(f"{count} cylinder words at depth {depth} "
+                                 f"exceed the budget of {MAX_POINTS}")
+        # a word with no representable closure (reducible SFT) gets no node
+        cells = [(w, q) for w, q in system.cylinders(-depth, depth) if q is not None]
+        self.words_ = tuple(w for w, _ in cells)
+        self.reps = tuple(q for _, q in cells)
+        self.word_index = {w: i for i, w in enumerate(self.words_)}
+        step_map = [self.word_index[w[1:] + (q.coord(depth + 1),)] for w, q in cells]
+        # the ultrametric needs no triangle check; small nets get one anyway
+        super().__init__(self.words_, word_ultrametric(self.words_, depth), step_map,
+                         resolution=Fraction(1, 1 << (depth + 1)), invertible=False,
+                         metric_check="full" if len(cells) <= 512 else "skip",
+                         denominator=1 << depth)
 
     def node_of(self, p: SymbolicPoint) -> int:
         """Net point whose cylinder contains p (same central window)."""

@@ -8,6 +8,7 @@ certificates a content hash, both checked on load.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 from typing import Union
@@ -22,6 +23,11 @@ SCHEMA_SYSTEM = "shadowdyn/system.v1"
 SCHEMA_ORBIT = "shadowdyn/pseudo-orbit.v1"
 SCHEMA_MEASURE = "shadowdyn/measure.v1"
 SCHEMA_CERT = "shadowdyn/horseshoe-certificate.v1"
+
+# Loop words a failed certificate check names as missing, shortest first.
+# Each word the check looks at is coded or named, so the document's size
+# bounds the scan.
+_MISSING_SHOWN = 8
 
 
 class SchemaError(ValueError):
@@ -52,19 +58,20 @@ def _is_int(v) -> bool:
 
 def point_from_json(doc, system):
     """A symbolic point from {"period", "word", "offset"} (integer lists and
-    an integer), or a net point index."""
+    an integer), or a net point index; either must be a point of the system."""
     if isinstance(doc, dict):
         period, word, offset = doc.get("period"), doc.get("word", []), doc.get("offset", 0)
         if not (isinstance(period, list) and isinstance(word, list) and _is_int(offset)
                 and all(_is_int(s) for s in period + word)):
             raise SchemaError("a symbolic point needs integer lists 'period' and "
                               "'word' and an integer 'offset'")
-        p = SymbolicPoint(period, word, offset)
-        if isinstance(system, SymbolicSystem) and not system.admissible(p):
-            raise SchemaError("point is not admissible for the system")
-        return p
-    if not _is_int(doc):
+        doc = SymbolicPoint(period, word, offset)
+    elif not _is_int(doc):
         raise SchemaError(f"{doc!r} is neither a symbolic point nor a point index")
+    try:
+        system.check_point(doc)
+    except ValueError as err:
+        raise SchemaError(str(err)) from err
     return doc
 
 
@@ -178,6 +185,8 @@ def certificate_from_json(doc, system) -> HorseshoeCertificate:
     body = {k: v for k, v in doc.items() if k != "sha256"}
     if doc.get("sha256") != _payload_hash(body):
         raise SchemaError("certificate payload hash mismatch")
+    if not _is_int(doc.get("word_length_max")):
+        raise SchemaError("'word_length_max' must be an integer")
     delta = parse_frac(doc["delta"])
     epsilon = parse_frac(doc["epsilon"])
     loops = tuple(validate([point_from_json(p, system) for p in lp], delta,
@@ -202,7 +211,8 @@ def certificate_from_json(doc, system) -> HorseshoeCertificate:
 def verify_certificate(doc, system) -> dict:
     """Re-check every stored invariant from the document and the system
     alone: loop validity, separation witnesses, the tracing clause for all
-    coded words, the semiconjugacy relation and the separation counts."""
+    coded words (every loop word up to ``word_length_max`` must be coded),
+    the semiconjugacy relation and the separation counts."""
     cert = certificate_from_json(doc, system)
     checks = {}
     details: dict = {}
@@ -213,9 +223,15 @@ def verify_certificate(doc, system) -> dict:
         if shadows(cert.family.system, witness.shadow_point, po,
                    cert.family.epsilon) is None:
             bad_words.append(list(word))
-    checks["tracing"] = not bad_words
+    words = (w for length in range(1, cert.word_length_max + 1)
+             for w in itertools.product(range(cert.family.k), repeat=length))
+    missing = [list(w) for w in itertools.islice(
+        (w for w in words if w not in cert.coded), _MISSING_SHOWN)]
+    checks["tracing"] = not bad_words and not missing
     if bad_words:
         details["tracing_failures"] = bad_words
+    if missing:
+        details["missing_words"] = missing
     checks["semiconjugacy"] = verify_semiconjugacy(cert).ok
     lengths = sorted({len(w) for w in cert.coded})
     counts_ok = True

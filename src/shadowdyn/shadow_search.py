@@ -181,26 +181,12 @@ def net_shadowability_dfs(system: NetSystem, starts: Optional[Sequence[int]], ep
 
 def symbolic_successor_candidates(system: SymbolicSystem, image: SymbolicPoint,
                                   s: int, window_radius: int) -> list:
-    """Admissible periodic representatives q with d(image, q) <= 2^-s,
-    enumerated by extending the forced central word within the window."""
-    lo, hi = -window_radius, window_radius
-    forced_lo, forced_hi = -(s - 1), s - 1
-    base = image.window(forced_lo, forced_hi) if s >= 1 else ()
-    words = [base]
-    for c in range(forced_hi + 1, hi + 1):
-        words = [w + (sym,) for w in words
-                 for sym in range(system.alphabet_size)
-                 if (not w or system.allowed(w[-1], sym))]
-    for c in range(forced_lo - 1, lo - 1, -1):
-        words = [(sym,) + w for w in words
-                 for sym in range(system.alphabet_size)
-                 if (not w or system.allowed(sym, w[0]))]
-    out = []
-    for w in sorted(words):
-        q = system.periodic_closure(w, anchor=lo)
-        if q is not None:
-            out.append(q)
-    return out
+    """Admissible periodic representatives q with d(image, q) <= 2^-s: the
+    closures of the cylinders on the window that agree with the image on
+    |j| <= s-1 (every cylinder when s = 0)."""
+    fixed = (-(s - 1), s - 1) if s >= 1 else None
+    return [q for _, q in system.cylinders(-window_radius, window_radius, image, fixed)
+            if q is not None]
 
 
 def symbolic_edge_good(system: SymbolicSystem, p: SymbolicPoint,
@@ -248,8 +234,7 @@ def symbolic_shadowability_scan(system: SymbolicSystem,
         # all edges are consistent, so every pseudo-orbit glues to a shadow
         return None
     if starts is None:
-        starts = [p for p in (system.periodic_closure(w, anchor=-window_radius)
-                              for w in system.words(2 * window_radius + 1))
+        starts = [p for _, p in system.cylinders(-window_radius, window_radius)
                   if p is not None]
 
     seen: dict = {}

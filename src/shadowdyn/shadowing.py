@@ -61,6 +61,7 @@ def is_positively_shadowable_at(system, x: SystemPoint, epsilon, delta,
     """Check every delta-pseudo-orbit through x (step count <= horizon) for
     an epsilon-shadow; the verdict is the lexicographically first failing
     pseudo-orbit if any."""
+    system.check_point(x)
     epsilon, delta = Fraction(epsilon), Fraction(delta)
     stats = SearchStats(budget=budget)
     bad = unshadowed_orbit(system, [x], epsilon, delta, horizon, stats, allowed_nodes)

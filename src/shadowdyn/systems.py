@@ -21,6 +21,9 @@ never test the kind of a system or point:
   ``period``;
 * shadow search: ``shadow_candidates`` (every net point, or the one glued
   word of a shift) and ``universe``, the stamp of the quantified universe;
+* cylinders (shifts only): ``cylinders(lo, hi, x, fixed)`` lists the
+  admissible words on a window, each with its periodic closure; every
+  symbolic verdict over ``cylinder-candidates`` takes its points from it;
 * chains and loops: ``chain(a, b, delta)`` (breadth-first on nets, spliced
   on shifts), ``dwell_loop``, ``loop_candidates``, ``neighborhood``;
 * chain classes: ``chain_net(depth)`` (the net itself, or the cylinder net
@@ -321,6 +324,25 @@ def distance_le(a: SymbolicPoint, b: SymbolicPoint, t: int) -> bool:
     return agree_on_window(a, b, -(t - 1), t - 1)
 
 
+def word_ultrametric(words: Sequence[tuple], radius: int) -> np.ndarray:
+    """The dyadic distances 2^-a between words on [-radius, radius] (a the
+    least |j| where two words disagree, 0 for equal words) as integer
+    numerators over 2^radius, settled one level a at a time."""
+    cols = np.asarray(words, dtype=np.int8).reshape(len(words), 2 * radius + 1)
+    n = len(cols)
+    # Python ints once 2^radius outgrows int64
+    out = np.zeros((n, n), dtype=np.int64 if radius < 63 else object)
+    open_pairs = np.ones((n, n), dtype=bool)
+    for a in range(radius + 1):
+        differ = cols[:, radius - a, None] != cols[None, :, radius - a]
+        differ |= cols[:, radius + a, None] != cols[None, :, radius + a]
+        first = open_pairs & differ
+        if first.any():
+            out[first] = 1 << (radius - a)
+        open_pairs &= ~differ
+    return out
+
+
 def glue_constraints(pts: Sequence[SymbolicPoint], rho: int) -> Optional[dict]:
     """Coordinate constraints forced on any shadow agreeing with each x_i on
     the window |j| <= rho.  None when two windows conflict (no shadow)."""
@@ -495,6 +517,28 @@ class SymbolicSystem:
         assert self.admissible(p)
         return p
 
+    def cylinders(self, lo: int, hi: int, x: Optional[SymbolicPoint] = None,
+                  fixed: Optional[tuple] = None) -> list:
+        """(word, closure) for each admissible word on [lo, hi], in
+        lexicographic order, with closure = ``periodic_closure(word,
+        anchor=lo)`` or None.  With ``fixed = (a, b)``, lo <= a <= b <= hi,
+        only the words agreeing with the point x on [a, b], grown outwards
+        from x's word there."""
+        if fixed is None:
+            words = self.words(hi - lo + 1)
+        else:
+            a, b = fixed
+            words = [x.window(a, b)]
+            if not self.word_admissible(words[0]):
+                return []
+            for _ in range(b, hi):
+                words = [w + (s,) for w in words for s in self._succ[w[-1]]]
+            for _ in range(lo, a):
+                # the new first symbol varies slowest, so the order stays lexicographic
+                words = [(s,) + w for s in range(self.alphabet_size) for w in words
+                         if self.transitions[s][w[0]]]
+        return [(w, self.periodic_closure(w, anchor=lo)) for w in words]
+
     # -- dynamics ------------------------------------------------------------
 
     def check_point(self, p) -> None:
@@ -598,10 +642,8 @@ class SymbolicSystem:
         dwell = self.dwell_loop(x, delta)
         if dwell is not None:
             out.append(dwell)
-        depth = 2
         count = 0
-        for w in self.words(2 * depth + 1):
-            q = self.periodic_closure(w, anchor=-depth)
+        for _, q in self.cylinders(-2, 2):
             if q is None or q == x:
                 continue
             count += 1
@@ -637,12 +679,7 @@ class SymbolicSystem:
 
     def test_centers(self, depth: int) -> list:
         """Periodic closures of the admissible words on [-depth, depth]."""
-        centers = []
-        for w in self.words(2 * depth + 1):
-            p = self.periodic_closure(w, anchor=-depth)
-            if p is not None:
-                centers.append(p)
-        return centers
+        return [p for _, p in self.cylinders(-depth, depth) if p is not None]
 
     def sample_point(self, rng) -> SymbolicPoint:
         while True:
@@ -680,17 +717,10 @@ class SymbolicSystem:
             return (), count, f"cylinders at depth {stamp_depth}", {"constraint": None}
         lo, hi = -horizon - (t - 1), horizon + (t - 1)
         stamp_depth = depth if depth is not None else hi
-        forced = {j: x.coord(j) for j in range(lo, hi + 1)}
-        members = []
-        count = 0
         width_lo, width_hi = min(lo, -stamp_depth), max(hi, stamp_depth)
-        for w in self.words(width_hi - width_lo + 1):
-            if all(w[j - width_lo] == s for j, s in forced.items()):
-                count += 1
-                p = self.periodic_closure(w, anchor=width_lo)
-                if p is not None and len(members) < 4096:
-                    members.append(p)
-        return (tuple(members), count, f"cylinders on [{width_lo}, {width_hi}]",
+        cells = self.cylinders(width_lo, width_hi, x, (lo, hi))
+        members = tuple(p for _, p in cells if p is not None)[:4096]
+        return (members, len(cells), f"cylinders on [{width_lo}, {width_hi}]",
                 {"forced_window": (lo, hi)})
 
 

@@ -170,3 +170,27 @@ def test_malformed_components_exit_code(tmp_path, spec):
     comp.write_text(json.dumps(spec))
     assert run_cli("approx", "--system", "fullshift:2", "--eps", "1/5",
                    "--components", str(comp)) == EXIT_SCHEMA
+
+
+@pytest.fixture(scope="module")
+def fig1_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fig1") / "f36.json"
+    run_cli("construct", "fig1", "--net", "36", "--out", str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, flag, point", [
+    ("shadow", "--point", "-1"),       # negative index of a 36-point net
+    ("shadow", "--point", "500"),      # past the last point
+    ("horseshoe", "--base", "-3"),
+])
+def test_missing_net_point_exit_code(fig1_file, command, flag, point):
+    assert run_cli(command, "--system", fig1_file, flag, point, "--eps", "1/36",
+                   "--delta", "1/72") == EXIT_SCHEMA
+
+
+def test_horseshoe_aborted_certificate_is_a_verdict(fig1_file, capsys):
+    code = run_cli("horseshoe", "--system", fig1_file, "--base", "0",
+                   "--eps", "1/36", "--delta", "1/6", "--n-max", "20", "--words", "3")
+    assert code == EXIT_FAIL
+    assert json.loads(capsys.readouterr().out)["word"] == [1]

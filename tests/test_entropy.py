@@ -77,7 +77,7 @@ def test_separated_set_clique_agrees_with_cylinder_count():
     n = 3
     res_fast = max_separated_cylinders(sigma2, n, F(3, 4))
     cands = list(res_fast.witness)
-    res_clique = separated_set(sigma2, cands, n, F(3, 4), exact=True)
+    res_clique = separated_set(sigma2, cands, n, F(3, 4))
     assert res_clique.exact
     assert res_clique.cardinality == res_fast.cardinality
     assert res_clique.reverify(sigma2)
@@ -86,7 +86,7 @@ def test_separated_set_clique_agrees_with_cylinder_count():
 def test_separated_set_on_net_matches_brute_force():
     net = circle_net(12, lambda i: (i + 1) % 12, invertible=True)
     n, eps = 2, F(1, 4)
-    res = separated_set(net, range(net.n), n, eps, exact=True)
+    res = separated_set(net, range(net.n), n, eps)
 
     # oracle: check all subsets of a small candidate pool
     best = 0

@@ -114,3 +114,29 @@ def test_dump_load_roundtrip(tmp_path, certificate):
     sio.dump(str(path), sio.certificate_to_json(cert))
     doc = sio.load(str(path))
     assert sio.verify_certificate(doc, sigma2)["ok"]
+
+
+def test_certificate_missing_words_fail_tracing(certificate):
+    sigma2, cert = certificate
+    doc = sio.certificate_to_json(cert)
+    assert sio.verify_certificate(doc, sigma2)["details"] == {}
+    # adversarial edit: claim words up to length 8 but keep the two of length 1
+    doc["word_length_max"] = 8
+    doc["coded"] = [e for e in doc["coded"] if len(e["word"]) == 1]
+    body = {k: v for k, v in doc.items() if k != "sha256"}
+    doc["sha256"] = sio._payload_hash(body)
+    report = sio.verify_certificate(doc, sigma2)
+    assert not report["ok"]
+    assert not report["checks"]["tracing"]
+    assert report["details"]["missing_words"] == [
+        [0, 0], [0, 1], [1, 0], [1, 1], [0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1]]
+
+
+def test_certificate_word_length_max_must_be_an_integer(certificate):
+    sigma2, cert = certificate
+    doc = sio.certificate_to_json(cert)
+    doc["word_length_max"] = "3"
+    body = {k: v for k, v in doc.items() if k != "sha256"}
+    doc["sha256"] = sio._payload_hash(body)
+    with pytest.raises(sio.SchemaError):
+        sio.certificate_from_json(doc, sigma2)

@@ -1,6 +1,7 @@
 """Layout checks on the package source: the algorithm modules use the
 system protocol instead of testing the kind of a system or point, no module
-imports a name it never uses, and the short demos run."""
+imports a name it never uses, the README's Layout table has one row per
+module, and the short demos run."""
 
 import ast
 import os
@@ -57,6 +58,14 @@ def test_no_unused_imports(path):
             used |= set(ast.literal_eval(node.value))
     unused = sorted(set(imported) - used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_readme_layout_has_one_row_per_module():
+    rows = [line.split("|")[1].strip() for line in
+            (ROOT / "README.md").read_text().splitlines()
+            if line.startswith("| `shadowdyn.")]
+    modules = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+    assert sorted(rows) == [f"`shadowdyn.{m}`" for m in modules]
 
 
 @pytest.mark.parametrize("demo", QUICK_DEMOS)
