@@ -213,8 +213,10 @@ class HorseshoeCertificate:
     def _pair_separated(self, wa: tuple, wb: tuple, bound: Fraction) -> bool:
         fam = self.family
         s = next(i for i in range(len(wa)) if wa[i] != wb[i])
-        witness = next(w for w in fam.witnesses
-                       if {w.loop_a, w.loop_b} == {wa[s], wb[s]})
+        witness = next((w for w in fam.witnesses
+                        if {w.loop_a, w.loop_b} == {wa[s], wb[s]}), None)
+        if witness is None:
+            return False
         time = s * fam.n + witness.index
         za = fam.system.iterate(self.coded[wa].shadow_point, time)
         zb = fam.system.iterate(self.coded[wb].shadow_point, time)

@@ -137,21 +137,25 @@ def measure_to_json(mu: EmpiricalMeasure) -> dict:
             "atoms": [[point_to_json(p), frac_str(w)] for p, w in mu.atoms]}
 
 
+def _point_weight_pairs(doc, key: str, what: str, system) -> list:
+    """(point, weight) pairs from {key: [[point, weight], ...]}."""
+    entries = doc.get(key) if isinstance(doc, dict) else None
+    if not (isinstance(entries, list)
+            and all(isinstance(e, list) and len(e) == 2 for e in entries)):
+        raise SchemaError(f"a {what} document needs a list '{key}' "
+                          "of [point, weight] pairs")
+    return [(point_from_json(p, system), parse_frac(w)) for p, w in entries]
+
+
 def measure_from_json(doc, system) -> EmpiricalMeasure:
-    if doc.get("schema") != SCHEMA_MEASURE:
+    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_MEASURE:
         raise SchemaError("not a measure document")
-    return EmpiricalMeasure([(point_from_json(p, system), parse_frac(w))
-                             for p, w in doc["atoms"]])
+    return EmpiricalMeasure(_point_weight_pairs(doc, "atoms", "measure", system))
 
 
 def components_from_json(doc, system) -> list:
     """(point, weight) pairs from {"components": [[point, weight], ...]}."""
-    entries = doc.get("components") if isinstance(doc, dict) else None
-    if not (isinstance(entries, list)
-            and all(isinstance(e, list) and len(e) == 2 for e in entries)):
-        raise SchemaError("a components document needs a list 'components' "
-                          "of [point, weight] pairs")
-    return [(point_from_json(p, system), parse_frac(w)) for p, w in entries]
+    return _point_weight_pairs(doc, "components", "components", system)
 
 
 def _payload_hash(payload: dict) -> str:
@@ -179,26 +183,60 @@ def certificate_to_json(cert: HorseshoeCertificate) -> dict:
     return payload
 
 
+def _is_index(v, n: int) -> bool:
+    return _is_int(v) and 0 <= v < n
+
+
 def certificate_from_json(doc, system) -> HorseshoeCertificate:
-    if doc.get("schema") != SCHEMA_CERT:
+    """The certificate a document holds.  Beyond the schema and the hash,
+    every index it carries is checked: at least one loop, a witness when
+    there are two or more, witness loops and indices inside the loops, and
+    coded words that are nonempty lists of loop indices."""
+    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_CERT:
         raise SchemaError("not a horseshoe certificate document")
     body = {k: v for k, v in doc.items() if k != "sha256"}
     if doc.get("sha256") != _payload_hash(body):
         raise SchemaError("certificate payload hash mismatch")
     if not _is_int(doc.get("word_length_max")):
         raise SchemaError("'word_length_max' must be an integer")
+    entropy = doc.get("entropy")
+    if not (isinstance(entropy, dict) and _is_int(entropy.get("log_arg"))
+            and _is_int(entropy.get("divisor"))):
+        raise SchemaError("'entropy' needs integers 'log_arg' and 'divisor'")
     delta = parse_frac(doc["delta"])
     epsilon = parse_frac(doc["epsilon"])
+    loops_doc = doc["loops"]
+    if not (isinstance(loops_doc, list) and loops_doc
+            and all(isinstance(lp, list) for lp in loops_doc)):
+        raise SchemaError("a certificate needs a nonempty list 'loops' of point lists")
     loops = tuple(validate([point_from_json(p, system) for p in lp], delta,
                            system, kind="loop")
-                  for lp in doc["loops"])
+                  for lp in loops_doc)
+    k = len(loops)
+    witnesses_doc = doc["witnesses"]
+    if not isinstance(witnesses_doc, list) or (k > 1 and not witnesses_doc):
+        raise SchemaError("a certificate of two or more loops needs a nonempty "
+                          "list 'witnesses'")
+    for w in witnesses_doc:
+        if not (isinstance(w, dict) and _is_index(w.get("a"), k)
+                and _is_index(w.get("b"), k)):
+            raise SchemaError(f"witness loops must be indices below {k}: {w!r}")
+        length = min(len(loops[w["a"]].points), len(loops[w["b"]].points))
+        if not _is_index(w.get("index"), length):
+            raise SchemaError(f"witness index must lie inside its loops: {w!r}")
     witnesses = tuple(SeparationWitness(w["a"], w["b"], w["index"],
                                         parse_frac(w["distance"]))
-                      for w in doc["witnesses"])
+                      for w in witnesses_doc)
     fam = LoopFamily(system, point_from_json(doc["base"], system), loops,
                      delta, epsilon, witnesses)
+    coded_doc = doc["coded"]
+    if not (isinstance(coded_doc, list)
+            and all(isinstance(e, dict) and isinstance(e.get("word"), list)
+                    and e["word"] and all(_is_index(s, k) for s in e["word"])
+                    for e in coded_doc)):
+        raise SchemaError(f"coded words must be nonempty lists of loop indices below {k}")
     coded = {}
-    for entry in doc["coded"]:
+    for entry in coded_doc:
         word = tuple(entry["word"])
         span = (0, len(word) * loops[0].step_count)
         coded[word] = ShadowWitness(point_from_json(entry["shadow"], system),

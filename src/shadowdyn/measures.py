@@ -5,10 +5,20 @@ with bounded-Lipschitz norm at most 1; the sum is truncated at J terms and
 every result carries the certified tail bound 2^(1-J).  The truncated value
 is a lower bound for the untruncated metric, so upper-bound inequalities
 checked on it are implied by the exact statements.
+
+The arithmetic is exact and integer.  A measure holds its weights as
+integer counts over one denominator (the lcm of its weights'
+denominators).  A test family keeps, per point, one row of distances to
+the centres its functions use, as integer numerators over the row's lcm
+denominator; all radii of a centre share that row.  ``dstar`` scales the
+rows of each measure to one common denominator, compares d < r by
+cross-multiplication, sums count x (r - d) as integers for each function
+and builds a single ``Fraction`` at the end, equal to the rational sum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
@@ -20,77 +30,106 @@ ZERO = Fraction(0)
 
 
 class EmpiricalMeasure:
-    """Finitely supported probability measure with exact rational weights."""
+    """Finitely supported probability measure with exact rational weights,
+    held as integer ``counts`` over one ``denominator`` (atom i weighs
+    counts[i] / denominator), sorted by point."""
 
-    __slots__ = ("atoms",)
+    __slots__ = ("points", "counts", "denominator", "_atoms")
 
     def __init__(self, atoms):
+        weights = [(p, Fraction(w)) for p, w in atoms]
+        den = math.lcm(*(w.denominator for _, w in weights))
+        self._merge([(p, w.numerator * (den // w.denominator)) for p, w in weights], den)
+
+    @classmethod
+    def _from_counts(cls, counted, denominator: int) -> "EmpiricalMeasure":
+        mu = cls.__new__(cls)
+        mu._merge(counted, denominator)
+        return mu
+
+    def _merge(self, counted, denominator: int) -> None:
+        """Merge (point, count) pairs over the denominator, check that the
+        counts are nonnegative and sum to it, and reduce to lowest terms."""
         merged: dict = {}
-        for point, weight in atoms:
-            w = Fraction(weight)
-            if w < 0:
+        for point, count in counted:
+            if count < 0:
                 raise ValueError("weights must be nonnegative")
-            if w == 0:
-                continue
-            merged[point] = merged.get(point, ZERO) + w
+            if count:
+                merged[point] = merged.get(point, 0) + count
         if not merged:
             raise ValueError("measure needs at least one atom")
         total = sum(merged.values())
-        if total != 1:
-            raise ValueError(f"weights sum to {total}, not 1")
+        if total != denominator:
+            raise ValueError(f"weights sum to {Fraction(total, denominator)}, not 1")
         # points of one system kind are totally ordered (shifts canonically)
-        self.atoms = tuple(sorted(merged.items(), key=itemgetter(0)))
+        items = sorted(merged.items(), key=itemgetter(0))
+        g = math.gcd(denominator, *merged.values())
+        self.points = tuple(p for p, _ in items)
+        self.counts = tuple(c // g for _, c in items)
+        self.denominator = denominator // g
+        self._atoms = None
+
+    @property
+    def atoms(self) -> tuple:
+        """(point, Fraction weight) pairs, sorted by point."""
+        if self._atoms is None:
+            den = self.denominator
+            self._atoms = tuple((p, Fraction(c, den))
+                                for p, c in zip(self.points, self.counts))
+        return self._atoms
 
     @classmethod
     def from_orbit(cls, system, x: SystemPoint, n: int) -> "EmpiricalMeasure":
         """Uniform weights 1/n on the first n orbit points (merged)."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        w = Fraction(1, n)
         pts = []
         cur = x
         for _ in range(n):
-            pts.append((cur, w))
+            pts.append((cur, 1))
             cur = system.step(cur)
-        return cls(pts)
+        return cls._from_counts(pts, n)
 
     @classmethod
     def point_mass(cls, x: SystemPoint) -> "EmpiricalMeasure":
-        return cls([(x, Fraction(1))])
+        return cls._from_counts([(x, 1)], 1)
 
     @classmethod
     def from_sequence(cls, points: Sequence[SystemPoint]) -> "EmpiricalMeasure":
-        w = Fraction(1, len(points))
-        return cls([(p, w) for p in points])
+        return cls._from_counts([(p, 1) for p in points], len(points))
 
     @classmethod
     def mix(cls, measures: Sequence["EmpiricalMeasure"],
             weights: Sequence[Fraction]) -> "EmpiricalMeasure":
         if len(measures) != len(weights):
             raise ValueError("one weight per measure")
+        weights = [Fraction(a) for a in weights]
+        den = math.lcm(*(a.denominator * mu.denominator
+                         for mu, a in zip(measures, weights)))
         atoms = []
         for mu, a in zip(measures, weights):
-            a = Fraction(a)
-            for p, w in mu.atoms:
-                atoms.append((p, a * w))
-        return cls(atoms)
+            scale = a.numerator * (den // (a.denominator * mu.denominator))
+            atoms.extend((p, scale * c) for p, c in zip(mu.points, mu.counts))
+        return cls._from_counts(atoms, den)
 
     def weight_of(self, point) -> Fraction:
-        for p, w in self.atoms:
+        for p, c in zip(self.points, self.counts):
             if p == point:
-                return w
+                return Fraction(c, self.denominator)
         return ZERO
 
     def __eq__(self, other):
         if not isinstance(other, EmpiricalMeasure):
             return NotImplemented
-        return dict(self.atoms) == dict(other.atoms)
+        return (self.denominator == other.denominator
+                and dict(zip(self.points, self.counts))
+                == dict(zip(other.points, other.counts)))
 
     def __hash__(self):
-        return hash(frozenset(self.atoms))
+        return hash((frozenset(zip(self.points, self.counts)), self.denominator))
 
     def __repr__(self):
-        return f"EmpiricalMeasure({len(self.atoms)} atoms)"
+        return f"EmpiricalMeasure({len(self.points)} atoms)"
 
 
 class TestFunctionFamily:
@@ -98,7 +137,8 @@ class TestFunctionFamily:
     enumeration of (center, dyadic radius) pairs, center-major.
 
     Each function has sup norm r/(1+r) and Lipschitz bound 1/(1+r), so the
-    bounded-Lipschitz norm is exactly 1.
+    bounded-Lipschitz norm is exactly 1.  With r = a/b and d = n/D,
+    phi(y) = max(0, a D - b n) / (D (a + b)).
     """
 
     __test__ = False  # not a pytest class despite the name
@@ -113,32 +153,69 @@ class TestFunctionFamily:
         if size > len(self.centers) * len(self.radii):
             raise ValueError("not enough (center, radius) pairs for the requested size")
         self.size = size
-        self._value_cache: dict = {}
+        # the centres the first `size` (center, radius) pairs reach
+        self._used = self.centers[:-(-size // len(self.radii))]
+        self._rows: dict = {}
 
     @classmethod
     def for_system(cls, system, size: int = 24, depth: int = 2,
                    radii: Optional[Sequence] = None) -> "TestFunctionFamily":
         return cls(system, system.test_centers(depth), radii=radii, size=size)
 
-    def pair(self, j: int) -> tuple:
-        """(center, radius) of the j-th function, 1-based."""
+    def _function(self, j: int) -> tuple:
+        """(center index, radius) of the j-th function, 1-based."""
         if not 1 <= j <= self.size:
             raise ValueError("function index out of range")
         c, r = divmod(j - 1, len(self.radii))
-        return self.centers[c], self.radii[r]
+        return c, self.radii[r]
+
+    def pair(self, j: int) -> tuple:
+        """(center, radius) of the j-th function, 1-based."""
+        c, r = self._function(j)
+        return self.centers[c], r
+
+    def _row(self, y) -> tuple:
+        """(numerators, denominator): the distances from y to the used
+        centres, in centre order, as integers over their lcm."""
+        row = self._rows.get(y)
+        if row is None:
+            ds = [self.system.distance(y, p) for p in self._used]
+            den = math.lcm(*(d.denominator for d in ds))
+            row = (tuple(d.numerator * (den // d.denominator) for d in ds), den)
+            self._rows[y] = row
+        return row
 
     def value(self, j: int, y) -> Fraction:
-        key = (j, y)
-        v = self._value_cache.get(key)
-        if v is None:
-            p, r = self.pair(j)
-            d = self.system.distance(y, p)
-            v = max(ZERO, r - d) / (1 + r)
-            self._value_cache[key] = v
-        return v
+        c, r = self._function(j)
+        nums, den = self._row(y)
+        return Fraction(max(0, r.numerator * den - r.denominator * nums[c]),
+                        den * (r.numerator + r.denominator))
+
+    def _scaled(self, mu: EmpiricalMeasure) -> tuple:
+        """(atoms, den): mu's atoms as (count, distance numerators over den),
+        den the lcm of their rows' denominators."""
+        rows = [self._row(p) for p in mu.points]
+        den = math.lcm(*(d for _, d in rows))
+        return [(count, [n * (den // d) for n in nums])
+                for count, (nums, d) in zip(mu.counts, rows)], den
+
+    @staticmethod
+    def _sum(atoms, den: int, c: int, r: Fraction) -> int:
+        """Sum of count x (r - d) over the atoms with d < r, times den and
+        the denominator of r (d the distance to centre c)."""
+        top, b = r.numerator * den, r.denominator
+        s = 0
+        for count, nums in atoms:
+            x = top - b * nums[c]
+            if x > 0:
+                s += count * x
+        return s
 
     def integral(self, j: int, mu: EmpiricalMeasure) -> Fraction:
-        return sum((w * self.value(j, p) for p, w in mu.atoms), ZERO)
+        c, r = self._function(j)
+        atoms, den = self._scaled(mu)
+        return Fraction(self._sum(atoms, den, c, r),
+                        mu.denominator * den * (r.numerator + r.denominator))
 
     def validate(self, sample_points: Sequence) -> bool:
         """sup|phi| + Lip(phi) <= 1 on all sampled pairs."""
@@ -182,12 +259,23 @@ def dstar(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
     Symmetric and zero exactly when all J integrals agree; the value is a
     lower bound for the untruncated metric.
     """
-    total = ZERO
-    weight = Fraction(1, 2)
-    for j in range(1, family.size + 1):
-        total += weight * abs(family.integral(j, mu) - family.integral(j, nu))
-        weight /= 2
-    return DStarResult(total, Fraction(2, 1 << family.size), family.size)
+    size = family.size
+    atoms_mu, den_mu = family._scaled(mu)
+    atoms_nu, den_nu = family._scaled(nu)
+    # integral(j, mu) = S_j(mu) / (s_mu (a + b)) for the j-th radius a/b
+    s_mu, s_nu = mu.denominator * den_mu, nu.denominator * den_nu
+    k = math.lcm(*(r.numerator + r.denominator for r in family.radii))
+    radii = family.radii
+    total = 0
+    for j in range(size):
+        c, i = divmod(j, len(radii))
+        r = radii[i]
+        diff = (family._sum(atoms_mu, den_mu, c, r) * s_nu
+                - family._sum(atoms_nu, den_nu, c, r) * s_mu)
+        # 2^-(j+1) |diff| / (s_mu s_nu (a + b)) over the common denominator
+        total += abs(diff) * (k // (r.numerator + r.denominator)) << (size - 1 - j)
+    return DStarResult(Fraction(total, (k * s_mu * s_nu) << size),
+                       Fraction(2, 1 << size), size)
 
 
 # -- measure approximation lemma suite ---------------------------------------

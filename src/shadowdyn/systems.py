@@ -68,14 +68,12 @@ def dyadic_radius(eps: Fraction) -> int:
     Agreement of two sequences on all coordinates |j| <= t-1 is equivalent
     to their distance being <= eps.  Requires eps > 0.
     """
-    if eps <= 0:
+    p, q = eps.numerator, eps.denominator
+    if p <= 0:
         raise ValueError("eps must be positive")
-    t = 0
-    value = ONE
-    while value > eps:
-        t += 1
-        value /= 2
-    return t
+    # p 2^t and q have the same bit length at t = len(q) - len(p)
+    t = max(0, q.bit_length() - p.bit_length())
+    return t if p << t >= q else t + 1
 
 
 @lru_cache(maxsize=65536)

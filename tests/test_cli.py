@@ -194,3 +194,76 @@ def test_horseshoe_aborted_certificate_is_a_verdict(fig1_file, capsys):
                    "--eps", "1/36", "--delta", "1/6", "--n-max", "20", "--words", "3")
     assert code == EXIT_FAIL
     assert json.loads(capsys.readouterr().out)["word"] == [1]
+
+
+@pytest.mark.parametrize("doc", [
+    [1],                                                   # not an object
+    {"schema": "shadowdyn/measure.v1", "atoms": 5},        # atoms not a list
+    {"schema": "shadowdyn/measure.v1", "atoms": [[{"period": [0]}]]},  # not a pair
+])
+def test_malformed_measure_exit_code(tmp_path, doc):
+    sigma2 = SymbolicSystem.full_shift(2)
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(sio.measure_to_json(
+        EmpiricalMeasure.point_mass(sigma2.fixed_point(0)))))
+    bad.write_text(json.dumps(doc))
+    assert run_cli("dstar", "--system", "fullshift:2", "--mu", str(good),
+                   "--nu", str(bad)) == EXIT_SCHEMA
+
+
+@pytest.fixture(scope="module")
+def certificate_doc():
+    from shadowdyn.horseshoe import build_certificate, make_family
+    from shadowdyn.pseudo_orbits import concatenate, splice_chain, validate
+
+    sigma2 = SymbolicSystem.full_shift(2)
+    x = sigma2.fixed_point(0)
+    q = sigma2.point((0,), word=(1,), offset=0)
+    delta = F(1, 32)
+    excursion = concatenate(splice_chain(sigma2, x, q, delta),
+                            splice_chain(sigma2, q, x, delta))
+    dwell = validate([x] * (excursion.step_count + 1), delta, sigma2)
+    fam = make_family(sigma2, x, [dwell, excursion], F(1, 5), delta)
+    return sio.certificate_to_json(build_certificate(fam, word_length_max=2))
+
+
+def _set_coded_word(doc, word):
+    doc["coded"][0]["word"] = word
+
+
+def _set_witness_index(doc, index):
+    doc["witnesses"][0]["index"] = index
+
+
+def _rehashed(doc, tamper):
+    doc = json.loads(json.dumps(doc))
+    tamper(doc)
+    doc["sha256"] = sio._payload_hash({k: v for k, v in doc.items() if k != "sha256"})
+    return doc
+
+
+@pytest.mark.parametrize("tamper", [
+    pytest.param(lambda doc: _set_coded_word(doc, [5]), id="word-index-5"),
+    pytest.param(lambda doc: _set_coded_word(doc, ["x"]), id="word-symbol-str"),
+    pytest.param(lambda doc: _set_coded_word(doc, []), id="word-empty"),
+    pytest.param(lambda doc: _set_witness_index(doc, 10 ** 6), id="witness-index-1e6"),
+    pytest.param(lambda doc: doc.update(witnesses=[]), id="no-witnesses"),
+    pytest.param(lambda doc: doc.update(loops=[]), id="no-loops"),
+    pytest.param(lambda doc: doc["witnesses"][0].update(a=7), id="witness-loop-7"),
+    pytest.param(lambda doc: doc.update(entropy=None), id="entropy-null"),
+])
+def test_malformed_certificate_exit_code(tmp_path, certificate_doc, tamper):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(certificate_doc))
+    assert run_cli("verify", str(path), "--system", "fullshift:2") == EXIT_OK
+    path.write_text(json.dumps(_rehashed(certificate_doc, tamper)))
+    assert run_cli("verify", str(path), "--system", "fullshift:2") == EXIT_SCHEMA
+
+
+def test_certificate_pair_without_witness_fails_verify(tmp_path, certificate_doc):
+    # a well-formed witness of loop 0 against itself leaves the pair {0, 1}
+    # without one: the family and the separation counts fail, nothing crashes
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_rehashed(
+        certificate_doc, lambda doc: doc["witnesses"][0].update(b=0))))
+    assert run_cli("verify", str(path), "--system", "fullshift:2") == EXIT_FAIL

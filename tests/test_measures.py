@@ -1,8 +1,13 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shadowdyn.builders import fig1_circle
 from shadowdyn.measures import (
     BlockConcatenation,
     EmpiricalMeasure,
@@ -94,6 +99,109 @@ def test_measure_approx_suite_on_net():
     fam = TestFunctionFamily.for_system(net, size=24)
     report = verify_measure_approx(net, fam, trials=40, seed=5)
     assert report.ok, report.violations[:3]
+
+
+# -- differential oracle: the rational kernel the integer one replaced --------
+
+
+def reference_value(family, j, y):
+    p, r = family.pair(j)
+    d = family.system.distance(y, p)
+    return max(F(0), r - d) / (1 + r)
+
+
+def reference_integral(family, j, mu):
+    return sum((w * reference_value(family, j, p) for p, w in mu.atoms), F(0))
+
+
+def reference_dstar(mu, nu, family):
+    total = F(0)
+    weight = F(1, 2)
+    for j in range(1, family.size + 1):
+        total += weight * abs(reference_integral(family, j, mu)
+                              - reference_integral(family, j, nu))
+        weight /= 2
+    return total
+
+
+def reference_atoms(pairs):
+    """Weights merged per point as Fractions, sorted by point."""
+    merged = {}
+    for p, w in pairs:
+        merged[p] = merged.get(p, F(0)) + F(w)
+    return tuple(sorted(((p, w) for p, w in merged.items() if w), key=lambda a: a[0]))
+
+
+ORACLE_SYSTEMS = {
+    "fullshift:2": SymbolicSystem.full_shift(2),
+    "fullshift:3": SymbolicSystem.full_shift(3),
+    "goldenmean": SymbolicSystem.golden_mean(),
+    "fig1:36": fig1_circle(36),
+}
+
+
+def random_measure(system, rng):
+    """An orbit, point-mass or mixed measure, with its reference atoms."""
+    kind = rng.choice(("orbit", "point", "mix"))
+    if kind == "point":
+        x = system.sample_point(rng)
+        return EmpiricalMeasure.point_mass(x), ((x, F(1)),)
+    if kind == "orbit":
+        x, n = system.sample_point(rng), rng.randint(1, 12)
+        pts = [x]
+        for _ in range(n - 1):
+            pts.append(system.step(pts[-1]))
+        return (EmpiricalMeasure.from_orbit(system, x, n),
+                reference_atoms((p, F(1, n)) for p in pts))
+    parts = [random_measure(system, rng)[0] for _ in range(rng.randint(1, 3))]
+    raw = [rng.randint(0, 6) for _ in parts]
+    raw[0] += 1
+    weights = [F(r, sum(raw)) for r in raw]
+    return (EmpiricalMeasure.mix(parts, weights),
+            reference_atoms((p, a * w) for mu, a in zip(parts, weights)
+                            for p, w in mu.atoms))
+
+
+@given(name=st.sampled_from(sorted(ORACLE_SYSTEMS)),
+       radii=st.sampled_from([None, (F(1, 3), F(1, 5))]),
+       size=st.integers(1, 24), seed=st.integers(0, 2 ** 32))
+@settings(max_examples=120, deadline=None)
+def test_integer_kernel_matches_rational_reference(name, radii, size, seed):
+    system = ORACLE_SYSTEMS[name]
+    rng = random.Random(seed)
+    family = TestFunctionFamily.for_system(system, size=size, radii=radii)
+    (mu, mu_ref), (nu, nu_ref) = random_measure(system, rng), random_measure(system, rng)
+    assert mu.atoms == mu_ref and nu.atoms == nu_ref
+    assert dstar(mu, nu, family).value == reference_dstar(mu, nu, family)
+    for j in range(1, size + 1):
+        assert family.integral(j, mu) == reference_integral(family, j, mu)
+        for p in mu.points:
+            assert family.value(j, p) == reference_value(family, j, p)
+
+
+class RecordingSystem:
+    """A system whose distance calls record the second point (the centre)."""
+
+    def __init__(self, system):
+        self.system = system
+        self.centres = set()
+
+    def distance(self, a, b):
+        self.centres.add(b)
+        return self.system.distance(a, b)
+
+
+@pytest.mark.parametrize("size, radii", [(24, None), (7, None), (24, (F(1, 3), F(1, 5)))])
+def test_family_reads_only_the_centres_it_uses(size, radii):
+    sigma3 = SymbolicSystem.full_shift(3)
+    system = RecordingSystem(sigma3)
+    centres = sigma3.test_centers(2)
+    family = TestFunctionFamily(system, centres, radii=radii, size=size)
+    mu = EmpiricalMeasure.from_orbit(sigma3, sigma3.point((0, 1, 2)), 5)
+    nu = EmpiricalMeasure.from_orbit(sigma3, sigma3.point((1, 1, 0)), 4)
+    assert dstar(mu, nu, family).value == reference_dstar(mu, nu, family)
+    used = math.ceil(size / len(family.radii))
+    assert len(centres) == 243 and system.centres == set(centres[:used])
 
 
 # -- block concatenation lemma -------------------------------------------------

@@ -153,6 +153,25 @@ def test_dyadic_radius():
     assert dyadic_radius(F(1, 5)) == 3
     with pytest.raises(ValueError):
         dyadic_radius(F(0))
+    with pytest.raises(ValueError):
+        dyadic_radius(F(-1, 4))
+
+
+def loop_dyadic_radius(eps):
+    """The definition: halve from 1 until 2^-t <= eps."""
+    t, value = 0, F(1)
+    while value > eps:
+        t, value = t + 1, value / 2
+    return t
+
+
+@given(st.one_of(
+    st.builds(F, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6)),   # mostly not dyadic
+    st.builds(lambda m, k: F(m, 1 << k), st.integers(1, 2 ** 12), st.integers(0, 60)),
+))
+@settings(max_examples=300)
+def test_dyadic_radius_matches_halving_loop(eps):
+    assert dyadic_radius(eps) == loop_dyadic_radius(eps)
 
 
 # -- symbolic systems ------------------------------------------------------------
