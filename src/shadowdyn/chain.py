@@ -101,15 +101,7 @@ def strongly_connected_components(succ: Sequence[Sequence[int]]) -> list:
 def chain_recurrent_set(graph: ChainGraph) -> frozenset:
     """Nodes on directed cycles; singleton components count only with a
     self-loop."""
-    recurrent = set()
-    for comp in strongly_connected_components(graph.succ):
-        if len(comp) > 1:
-            recurrent.update(comp)
-        else:
-            v = comp[0]
-            if v in graph.succ[v]:
-                recurrent.add(v)
-    return frozenset(recurrent)
+    return decomposition(graph).recurrent_nodes
 
 
 def decomposition(graph: ChainGraph) -> ChainClassDecomposition:

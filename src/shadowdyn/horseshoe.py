@@ -227,18 +227,13 @@ def build_certificate(family: LoopFamily, word_length_max: int) -> HorseshoeCert
     """Shadow every loop word with |w| <= word_length_max at the family's
     epsilon.  Aborts with the offending word when some concatenation admits
     no shadow (a falsification at this resolution)."""
-    fam = family
-    coded = {}
+    cert = HorseshoeCertificate(family, word_length_max, {})
     for length in range(1, word_length_max + 1):
-        for word in itertools.product(range(fam.k), repeat=length):
-            po = None
-            for s in word:
-                po = fam.loops[s] if po is None else concatenate(po, fam.loops[s])
-            witness = find_shadow(fam.system, po, fam.epsilon)
+        for word in itertools.product(range(family.k), repeat=length):
+            witness = find_shadow(family.system, cert.word_orbit(word), family.epsilon)
             if witness is None:
                 raise CertificateAborted(word)
-            coded[word] = witness
-    cert = HorseshoeCertificate(fam, word_length_max, coded)
+            cert.coded[word] = witness
     return cert
 
 

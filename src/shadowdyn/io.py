@@ -126,10 +126,12 @@ def orbit_to_json(po: PseudoOrbit) -> dict:
 
 
 def orbit_from_json(doc, system) -> PseudoOrbit:
-    if doc.get("schema") != SCHEMA_ORBIT:
+    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_ORBIT:
         raise SchemaError("not a pseudo-orbit document")
+    if not isinstance(doc.get("points"), list):
+        raise SchemaError("a pseudo-orbit document needs a list 'points'")
     pts = [point_from_json(p, system) for p in doc["points"]]
-    return validate(pts, parse_frac(doc["delta"]), system, kind=doc.get("kind"))
+    return validate(pts, parse_frac(doc.get("delta")), system, kind=doc.get("kind"))
 
 
 def measure_to_json(mu: EmpiricalMeasure) -> dict:

@@ -24,7 +24,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .systems import SystemPoint
+from .pseudo_orbits import splice_chain
+from .systems import SystemPoint, dyadic_radius
 
 ZERO = Fraction(0)
 
@@ -424,9 +425,6 @@ def build_periodic_block_concatenation(system, periodic_points: Sequence,
     visited for n steps each, in order, connected by spliced eps-chains
     (with the chain endpoints dropped); the traced sequence X replaces every
     point by the periodic closure of a central window, staying within eps."""
-    from .pseudo_orbits import splice_chain
-    from .systems import dyadic_radius
-
     eps = Fraction(eps)
     pts = list(periodic_points)
     k = len(pts)

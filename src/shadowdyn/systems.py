@@ -31,9 +31,14 @@ never test the kind of a system or point:
 * measures and entropy: ``test_centers``, ``sample_point``,
   ``nearby_point``, ``separated_count`` and ``dynamical_ball``.
 
-Symbolic points order by their canonical form, which fixes the atom order
-of empirical measures.  The method results are plain points and point
-lists; validation into pseudo-orbits stays in ``pseudo_orbits``.
+Symbolic points are immutable: a shift is a view that shares its parent's
+word and period tuples and moves only the offset.  Symbols are checked
+where points enter (``point``, ``check_point`` and the ``io`` loaders run
+``admissible``) and by ``distance``, which compares each point's recorded
+largest symbol with the alphabet in O(1).  Symbolic points order by their
+canonical form, which fixes the atom order of empirical measures.  The
+method results are plain points and point lists; validation into
+pseudo-orbits stays in ``pseudo_orbits``.
 """
 
 from __future__ import annotations
@@ -129,13 +134,17 @@ class SymbolicPoint:
 
     Equality of two representations (as sequences) is decidable and is what
     ``==`` implements; hashing is consistent with it.
+
+    Points are immutable.  The constructor converts its inputs once and
+    records the largest symbol ``top_symbol``; ``shift`` returns a view that
+    shares the word and period tuples and only moves the offset.
     """
 
-    __slots__ = ("offset", "word", "period", "alphabet_size",
+    __slots__ = ("offset", "word", "period", "top_symbol",
                  "_canon", "_packed", "_hash")
 
     def __init__(self, period: Sequence[int], word: Sequence[int] = (),
-                 offset: int = 0, alphabet_size: Optional[int] = None):
+                 offset: int = 0):
         period = tuple(int(s) for s in period)
         word = tuple(int(s) for s in word)
         if not period:
@@ -143,14 +152,8 @@ class SymbolicPoint:
         self.period = period
         self.word = word
         self.offset = int(offset)
-        if alphabet_size is not None:
-            top = max(max(period), max(word, default=0))
-            if top >= alphabet_size:
-                raise ValueError("symbols must be smaller than the alphabet size")
-        self.alphabet_size = alphabet_size
-        self._canon = None
-        self._packed = None
-        self._hash = None
+        self.top_symbol = max(max(period), max(word, default=0))
+        self._canon = self._packed = self._hash = None
 
     # -- coordinate access ------------------------------------------------
 
@@ -168,12 +171,13 @@ class SymbolicPoint:
         return tuple(self.coord(j) for j in range(lo, hi + 1))
 
     def shift(self, k: int = 1) -> "SymbolicPoint":
-        """The sequence y with y_j = x_{j+k} (k-fold left shift)."""
-        return SymbolicPoint(self.period, self.word, self.offset - k,
-                             self.alphabet_size)
-
-    def max_symbol(self) -> int:
-        return max(max(self.period), max(self.word, default=0))
+        """The sequence y with y_j = x_{j+k} (k-fold left shift), as a view
+        on this point's tuples: no conversion and no scan."""
+        view = object.__new__(SymbolicPoint)
+        view.period, view.word, view.offset = self.period, self.word, self.offset - k
+        view.top_symbol = self.top_symbol
+        view._canon = view._packed = view._hash = None
+        return view
 
     # -- canonical form ----------------------------------------------------
 
@@ -296,9 +300,6 @@ def symbolic_distance(a: SymbolicPoint, b: SymbolicPoint) -> Fraction:
     Equal sequences (decided from the representations) give 0;
     disagreements at any depth are located exactly.
     """
-    if (a.alphabet_size is not None and b.alphabet_size is not None
-            and a.alphabet_size != b.alphabet_size):
-        raise ValueError("alphabet mismatch")
     i = first_disagreement(a, b)
     if i is None:
         return ZERO
@@ -355,14 +356,6 @@ def glue_constraints(pts: Sequence[SymbolicPoint], rho: int) -> Optional[dict]:
             elif old != s:
                 return None
     return constraints
-
-
-def _shift_orbit(p: SymbolicPoint, steps: int) -> list:
-    """The points p, f(p), ..., f^steps(p)."""
-    pts = [p]
-    for _ in range(steps):
-        pts.append(pts[-1].shift(1))
-    return pts
 
 
 class SymbolicSystem:
@@ -438,15 +431,17 @@ class SymbolicSystem:
         return True
 
     def point(self, period: Sequence[int], word: Sequence[int] = (), offset: int = 0) -> SymbolicPoint:
-        p = SymbolicPoint(period, word, offset, self.alphabet_size)
+        p = SymbolicPoint(period, word, offset)
         if not self.admissible(p):
             raise ValueError("point is not admissible for this system")
         return p
 
     def fixed_point(self, symbol: int) -> SymbolicPoint:
+        if not 0 <= symbol < self.alphabet_size:
+            raise ValueError(f"symbol {symbol} is not in the alphabet")
         if not self.transitions[symbol][symbol]:
             raise ValueError(f"symbol {symbol} has no self-transition")
-        return SymbolicPoint((symbol,), alphabet_size=self.alphabet_size)
+        return SymbolicPoint((symbol,))
 
     # -- words and closures --------------------------------------------------
 
@@ -471,8 +466,6 @@ class SymbolicSystem:
         """Shortest admissible word (a, ..., b) with >= min_steps transitions.
 
         Ties go to the lowest symbols (BFS expands successors ascending)."""
-        from collections import deque
-
         start = (a, 0)
         prev: dict = {start: None}
         queue = deque([start])
@@ -555,7 +548,7 @@ class SymbolicSystem:
         return p.least_period()
 
     def distance(self, a: SymbolicPoint, b: SymbolicPoint) -> Fraction:
-        if a.max_symbol() >= self.alphabet_size or b.max_symbol() >= self.alphabet_size:
+        if max(a.top_symbol, b.top_symbol) >= self.alphabet_size:
             raise ValueError("alphabet mismatch")
         return symbolic_distance(a, b)
 
@@ -629,7 +622,7 @@ class SymbolicSystem:
     def dwell_loop(self, p: SymbolicPoint, delta: Fraction) -> Optional[list]:
         """The periodic orbit of p, closed at p; None when p is not periodic."""
         period = p.least_period()
-        return None if period is None else _shift_orbit(p, period)
+        return None if period is None else [p] + [p.shift(i) for i in range(1, period + 1)]
 
     def loop_candidates(self, x: SymbolicPoint, delta: Fraction, n_max: int,
                         budget: int) -> list:

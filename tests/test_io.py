@@ -45,6 +45,31 @@ def test_schema_rejected():
         sio.orbit_from_json({"schema": "bogus"}, SymbolicSystem.full_shift(2))
 
 
+def test_orbit_document_not_a_dict_rejected():
+    with pytest.raises(sio.SchemaError):
+        sio.orbit_from_json([1], SymbolicSystem.full_shift(2))
+
+
+def test_orbit_document_points_not_a_list_rejected():
+    doc = {"schema": sio.SCHEMA_ORBIT, "points": 5, "delta": "1/4"}
+    with pytest.raises(sio.SchemaError):
+        sio.orbit_from_json(doc, SymbolicSystem.full_shift(2))
+
+
+def test_orbit_document_without_points_rejected():
+    doc = {"schema": sio.SCHEMA_ORBIT, "delta": "1/4"}
+    with pytest.raises(sio.SchemaError):
+        sio.orbit_from_json(doc, SymbolicSystem.full_shift(2))
+
+
+def test_orbit_document_without_delta_rejected():
+    sigma2 = SymbolicSystem.full_shift(2)
+    doc = sio.orbit_to_json(validate([sigma2.fixed_point(0)] * 2, F(1, 4), sigma2))
+    del doc["delta"]
+    with pytest.raises(sio.SchemaError):
+        sio.orbit_from_json(doc, sigma2)
+
+
 def test_orbit_roundtrip():
     sigma2 = SymbolicSystem.full_shift(2)
     x = sigma2.fixed_point(0)

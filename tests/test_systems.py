@@ -233,6 +233,47 @@ def test_iterate_composes(j, k):
     assert apply(sigma2, apply(sigma2, p, j), k) == apply(sigma2, p, j + k)
 
 
+@given(symbolic_points(), st.lists(st.integers(-40, 40), min_size=1, max_size=4),
+       symbolic_points())
+@settings(max_examples=300)
+def test_shift_is_a_view_equal_to_a_fresh_point(p, ks, other):
+    # repeated shifts: each view is shifted again, down to the last one
+    view, total = p, 0
+    for k in ks:
+        view, total = view.shift(k), total + k
+    fresh = SymbolicPoint(p.period, p.word, p.offset - total)
+    assert view.word is p.word and view.period is p.period
+    assert view.offset == fresh.offset
+    assert view.top_symbol == fresh.top_symbol
+    assert view == fresh and hash(view) == hash(fresh)
+    assert view.canonical() == fresh.canonical()
+    assert view._pack() == fresh._pack()
+    assert view.window(-30, 30) == fresh.window(-30, 30)
+    assert symbolic_distance(view, other) == symbolic_distance(fresh, other)
+
+
+def test_distance_rejects_out_of_alphabet_points_and_their_shifts():
+    sigma2 = SymbolicSystem.full_shift(2)
+    x = SymbolicSystem.full_shift(3).point((0, 1), word=(2,), offset=5)
+    y = sigma2.fixed_point(0)
+    assert sigma2.distance(y, y.shift(3)) == 0
+    for k in (0, 1, -7, 40):
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            sigma2.distance(x.shift(k), y)
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            sigma2.distance(y, x.shift(k))
+
+
+def test_fixed_point_range_checks_its_symbol():
+    sigma2 = SymbolicSystem.full_shift(2)
+    assert sigma2.fixed_point(1) == pt((1,))
+    for symbol in (-1, 2):
+        with pytest.raises(ValueError, match="not in the alphabet"):
+            sigma2.fixed_point(symbol)
+    with pytest.raises(ValueError, match="no self-transition"):
+        SymbolicSystem.golden_mean().fixed_point(1)
+
+
 # -- net systems ---------------------------------------------------------------
 
 
