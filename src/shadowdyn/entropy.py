@@ -10,7 +10,6 @@ with 2^-i > epsilon).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -55,15 +54,10 @@ def is_separated(system, x, y, n: int, epsilon) -> bool:
 def max_clique(neighbors: Sequence[int], n: int) -> list:
     """Exact maximum clique via greedy-coloring branch and bound.
 
-    ``neighbors[i]`` is a bitmask of vertices adjacent to i.
+    ``neighbors[i]`` is a bitmask of vertices adjacent to i.  The branches
+    live on an explicit stack, so a clique of any size leaves the
+    interpreter's recursion limit alone.
     """
-    best: list[int] = []
-
-    def bits(mask: int):
-        while mask:
-            b = mask & -mask
-            yield b.bit_length() - 1
-            mask ^= b
 
     def color_sort(cand: int):
         order = []
@@ -81,28 +75,32 @@ def max_clique(neighbors: Sequence[int], n: int) -> list:
                 bounds.append(color)
         return order, bounds
 
-    def expand(clique: list, cand: int):
-        nonlocal best
-        order, bounds = color_sort(cand)
-        for i in range(len(order) - 1, -1, -1):
-            if len(clique) + bounds[i] <= len(best):
-                return
-            v = order[i]
-            clique.append(v)
-            nxt = cand & neighbors[v]
-            if nxt:
-                expand(clique, nxt)
-            elif len(clique) > len(best):
-                best = list(clique)
-            clique.pop()
-            cand &= ~(1 << v)
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, n + 1000))
-    try:
-        expand([], (1 << n) - 1)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    best: list[int] = []
+    clique: list[int] = []
+    full = (1 << n) - 1
+    # one frame per vertex of the clique and one for the root: [order,
+    # colour bounds, next index (taken downwards), candidates left]
+    order, bounds = color_sort(full)
+    stack = [[order, bounds, len(order) - 1, full]]
+    while stack:
+        frame = stack[-1]
+        order, bounds, i, cand = frame
+        if i < 0 or len(clique) + bounds[i] <= len(best):
+            stack.pop()
+            if stack:
+                clique.pop()
+            continue
+        v = order[i]
+        frame[2], frame[3] = i - 1, cand & ~(1 << v)
+        clique.append(v)
+        nxt = cand & neighbors[v]
+        if nxt:
+            order, bounds = color_sort(nxt)
+            stack.append([order, bounds, len(order) - 1, nxt])
+            continue
+        if len(clique) > len(best):
+            best = list(clique)
+        clique.pop()
     return sorted(best)
 
 

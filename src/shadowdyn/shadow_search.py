@@ -197,11 +197,7 @@ def symbolic_edge_good(system: SymbolicSystem, p: SymbolicPoint,
     [-rho, rho-1]; for rho = 0 it is admissibility of the glued transition."""
     if rho == 0:
         return system.allowed(p.coord(0), q.coord(0))
-    img = p.shift(1)
-    for j in range(-rho, rho):
-        if img.coord(j) != q.coord(j):
-            return False
-    return True
+    return p.window(1 - rho, rho) == q.window(-rho, rho - 1)
 
 
 def symbolic_shadowability_scan(system: SymbolicSystem,

@@ -32,13 +32,19 @@ never test the kind of a system or point:
   ``nearby_point``, ``separated_count`` and ``dynamical_ball``.
 
 Symbolic points are immutable: a shift is a view that shares its parent's
-word and period tuples and moves only the offset.  Symbols are checked
-where points enter (``point``, ``check_point`` and the ``io`` loaders run
-``admissible``) and by ``distance``, which compares each point's recorded
-largest symbol with the alphabet in O(1).  Symbolic points order by their
-canonical form, which fixes the atom order of empirical measures.  The
-method results are plain points and point lists; validation into
-pseudo-orbits stays in ``pseudo_orbits``.
+word and period tuples and moves only the offset.  The parent and all its
+views also share one symbol tape: a ``bytes`` string holding the word with
+the period repeated on each side.  Windows, the packed comparison word
+(the coordinates -R..R, one byte each) and the glued word of a shadow
+search are slices of it, and the canonical form is found once per tape
+(one least rotation, Booth 1980) and derived for each view, whose phases
+and breakpoints move with the offset.  Symbols are checked where points
+enter (``point``, ``check_point`` and the ``io`` loaders run
+``admissible``) and by ``distance`` and ``closeness``, which compare each
+point's recorded least and largest symbol with the alphabet in O(1).
+Symbolic points order by their canonical form, which fixes the atom order
+of empirical measures.  The method results are plain points and point
+lists; validation into pseudo-orbits stays in ``pseudo_orbits``.
 """
 
 from __future__ import annotations
@@ -122,6 +128,73 @@ def _least_rotation(word: tuple) -> tuple[tuple, int]:
     return doubled[best_k:best_k + m], best_k
 
 
+class _Tape:
+    """The symbols of one representation, shared by it and all its shifts.
+
+    ``data`` is the central word with ``lead`` = 2R + m symbols of the
+    periodic tail on each side (R the pack radius, m the period length), one
+    byte per symbol: byte i is the coordinate i - lead + offset of the point
+    at ``offset``, so the packed window of every shift up to R + m past
+    either end of the word is one slice.  The bytes and the canonical form
+    of the representation at offset 0 are built on first use, so a point
+    whose symbols do not fit a byte can be built and tested for
+    admissibility, but not compared.
+    """
+
+    __slots__ = ("period", "word", "lead", "data", "canon")
+
+    def __init__(self, period: tuple, word: tuple):
+        self.period, self.word = period, word
+        self.lead = 2 * _PACK_RADIUS + len(period)
+        self.data = self.canon = None
+
+    def symbols(self) -> bytes:
+        if self.data is None:
+            tail = bytes(self.period) * -(-self.lead // len(self.period))
+            self.data = tail[-self.lead:] + bytes(self.word) + tail[:self.lead]
+        return self.data
+
+    def canonical(self) -> tuple:
+        """``SymbolicPoint.canonical`` of the representation at offset 0;
+        the least rotation and both scans run once per tape."""
+        if self.canon is not None:
+            return self.canon
+        data, lead, L = self.symbols(), self.lead, len(self.word)
+        root = _primitive_root(self.period)
+        d = len(root)
+        neck, kstar = _least_rotation(root)
+        per = bytes(self.period)
+        # a: the first coordinate in 0..L+d-1 off the left tail's pattern
+        n = L + d
+        a = _differences(data[lead:lead + n], _cycle(per, 0, n))
+        if a is None:
+            self.canon = ("per", neck, -kstar % d)
+            return self.canon
+        # b - 1: the last coordinate in -d-1..L-1 off the right tail's pattern
+        n = L + d + 1
+        last = _differences(data[lead - d - 1:lead + L], _cycle(per, -n, n))
+        assert last is not None, "inconsistent canonical scan"
+        b = last[1] - d
+        self.canon = ("ev", neck, -kstar % d, (-L - kstar) % d, a[0], b,
+                      tuple(data[lead + a[0]:lead + b]))
+        return self.canon
+
+
+def _cycle(block: bytes, start: int, n: int) -> bytes:
+    """n bytes of the endless repetition of block, from its index start."""
+    start %= len(block)
+    return (block * (n // len(block) + 2))[start:start + n]
+
+
+def _differences(u: bytes, v: bytes) -> Optional[tuple[int, int]]:
+    """(first, last) index at which two equal-length byte strings differ,
+    or None when they are equal."""
+    diff = int.from_bytes(u, "little") ^ int.from_bytes(v, "little")
+    if not diff:
+        return None
+    return ((diff & -diff).bit_length() - 1) >> 3, (diff.bit_length() - 1) >> 3
+
+
 class SymbolicPoint:
     """A bi-infinite, eventually periodic symbol sequence.
 
@@ -136,12 +209,15 @@ class SymbolicPoint:
     ``==`` implements; hashing is consistent with it.
 
     Points are immutable.  The constructor converts its inputs once and
-    records the largest symbol ``top_symbol``; ``shift`` returns a view that
-    shares the word and period tuples and only moves the offset.
+    records the least and the largest symbol (``low_symbol``,
+    ``top_symbol``); ``shift`` returns a view that shares the word and period
+    tuples and the symbol tape and only moves the offset.  Windows, the
+    packed comparison word and the canonical form are read off the shared
+    tape.
     """
 
-    __slots__ = ("offset", "word", "period", "top_symbol",
-                 "_canon", "_packed", "_hash")
+    __slots__ = ("offset", "word", "period", "top_symbol", "low_symbol",
+                 "_tape", "_canon", "_packed", "_hash")
 
     def __init__(self, period: Sequence[int], word: Sequence[int] = (),
                  offset: int = 0):
@@ -152,7 +228,9 @@ class SymbolicPoint:
         self.period = period
         self.word = word
         self.offset = int(offset)
-        self.top_symbol = max(max(period), max(word, default=0))
+        self.top_symbol = max(max(period), max(word, default=period[0]))
+        self.low_symbol = min(min(period), min(word, default=period[0]))
+        self._tape = _Tape(period, word)
         self._canon = self._packed = self._hash = None
 
     # -- coordinate access ------------------------------------------------
@@ -166,16 +244,34 @@ class SymbolicPoint:
             return self.period[(j - hi) % len(self.period)]
         return self.period[(j - lo) % len(self.period)]
 
+    def _symbols(self, lo: int, n: int) -> bytes:
+        """Coordinates lo..lo+n-1, one byte each, sliced from the tape."""
+        tape = self._tape
+        data = tape.symbols()
+        i = tape.lead - self.offset + lo
+        j = i + n
+        if 0 <= i and j <= len(data):
+            return data[i:j]
+        # beyond the tape each tail repeats its outermost m bytes
+        m, size = len(self.period), len(data)
+        out = _cycle(data[:m], i, min(j, 0) - i) if i < 0 else b""
+        out += data[max(i, 0):max(j, 0)]
+        if j > size:
+            start = max(i, size)
+            out += _cycle(data[size - m:], start - size, j - start)
+        return out
+
     def window(self, lo: int, hi: int) -> tuple:
         """Coordinates lo..hi inclusive."""
-        return tuple(self.coord(j) for j in range(lo, hi + 1))
+        return tuple(self._symbols(lo, hi - lo + 1))
 
     def shift(self, k: int = 1) -> "SymbolicPoint":
         """The sequence y with y_j = x_{j+k} (k-fold left shift), as a view
-        on this point's tuples: no conversion and no scan."""
+        on this point's tuples and tape: no conversion and no scan."""
         view = object.__new__(SymbolicPoint)
         view.period, view.word, view.offset = self.period, self.word, self.offset - k
-        view.top_symbol = self.top_symbol
+        view.top_symbol, view.low_symbol = self.top_symbol, self.low_symbol
+        view._tape = self._tape
         view._canon = view._packed = view._hash = None
         return view
 
@@ -188,35 +284,19 @@ class SymbolicPoint:
         all others to ("ev", necklace, phiL, phiR, a, b, middle) where the
         sequence equals the necklace pattern with phase phiL strictly left
         of a, the pattern with phase phiR from b on, and ``middle`` lists
-        the coordinates a..b-1.
+        the coordinates a..b-1.  Derived from the tape's form at offset 0:
+        moving the offset by k moves the phases by -k mod d and a, b by k.
         """
-        if self._canon is not None:
-            return self._canon
-        root = _primitive_root(self.period)
-        d = len(root)
-        neck, kstar = _least_rotation(root)
-        L = len(self.word)
-        off = self.offset
-        phi_l = (-off - kstar) % d
-        phi_r = (-off - L - kstar) % d
-
-        a = None
-        for j in range(off, off + L + d):
-            if self.coord(j) != neck[(j + phi_l) % d]:
-                a = j
-                break
-        if a is None:
-            self._canon = ("per", neck, phi_l)
-            return self._canon
-
-        b = None
-        for j in range(off + L - 1, off - d - 2, -1):
-            if self.coord(j) != neck[(j + phi_r) % d]:
-                b = j + 1
-                break
-        assert b is not None, "inconsistent canonical scan"
-        middle = tuple(self.coord(j) for j in range(a, b))
-        self._canon = ("ev", neck, phi_l, phi_r, a, b, middle)
+        if self._canon is None:
+            canon = self._tape.canonical()
+            off = self.offset
+            d = len(canon[1])
+            if canon[0] == "per":
+                self._canon = ("per", canon[1], (canon[2] - off) % d)
+            else:
+                _, neck, phi_l, phi_r, a, b, middle = canon
+                self._canon = ("ev", neck, (phi_l - off) % d, (phi_r - off) % d,
+                               a + off, b + off, middle)
         return self._canon
 
     def least_period(self) -> Optional[int]:
@@ -227,19 +307,11 @@ class SymbolicPoint:
         return len(canon[1])
 
     def _pack(self) -> int:
-        # Coordinates 0, -1, 1, -2, 2, ... at 3 bits each; groups are ordered
-        # by |j|, so the lowest differing group locates the least |j| that
-        # disagrees (symbols must fit 3 bits, enforced by system constructors).
+        # Coordinates -R..R (R = _PACK_RADIUS), one byte each in order of j:
+        # coordinate j sits at bits 8(j + R) .. 8(j + R) + 7.
         if self._packed is None:
-            acc = 0
-            shiftv = 0
-            for i in range(_PACK_RADIUS + 1):
-                acc |= (self.coord(i) & 0x7) << shiftv
-                shiftv += 3
-                if i:
-                    acc |= (self.coord(-i) & 0x7) << shiftv
-                    shiftv += 3
-            self._packed = acc
+            self._packed = int.from_bytes(
+                self._symbols(-_PACK_RADIUS, 2 * _PACK_RADIUS + 1), "little")
         return self._packed
 
     def _span(self) -> tuple[int, int, int]:
@@ -276,22 +348,35 @@ class SymbolicPoint:
         return f"SymbolicPoint(({p})* @ {self.offset})"
 
 
+# the packed bytes of the coordinates -R..-1
+_LEFT_OF_ZERO = (1 << 8 * _PACK_RADIUS) - 1
+
+
 def first_disagreement(a: SymbolicPoint, b: SymbolicPoint) -> Optional[int]:
     """Least |j| at which the sequences disagree, or None if equal."""
-    pa, pb = a._pack(), b._pack()
-    diff = pa ^ pb
+    diff = a._pack() ^ b._pack()
     if diff:
-        group = (diff & -diff).bit_length() - 1
-        group //= 3
-        return (group + 1) // 2
+        if diff >> 8 * _PACK_RADIUS & 0xFF:
+            return 0
+        # the lowest differing byte right of 0 and the highest left of 0
+        right = diff >> 8 * (_PACK_RADIUS + 1)
+        left = diff & _LEFT_OF_ZERO
+        i = ((right & -right).bit_length() + 7) >> 3 if right else _PACK_RADIUS + 1
+        if left:
+            i = min(i, _PACK_RADIUS - ((left.bit_length() - 1) >> 3))
+        return i
     la, ra, da = a._span()
     lb, rb, db = b._span()
     lam = math.lcm(da, db)
     bound = max(abs(la), abs(ra), abs(lb), abs(rb), _PACK_RADIUS) + lam + 1
-    for i in range(_PACK_RADIUS + 1, bound + 1):
-        if a.coord(i) != b.coord(i) or a.coord(-i) != b.coord(-i):
-            return i
-    return None
+    # the coordinates R+1..bound and -bound..-(R+1)
+    n = bound - _PACK_RADIUS
+    right = _differences(a._symbols(_PACK_RADIUS + 1, n), b._symbols(_PACK_RADIUS + 1, n))
+    left = _differences(a._symbols(-bound, n), b._symbols(-bound, n))
+    if right is None:
+        return None if left is None else bound - left[1]
+    i = _PACK_RADIUS + 1 + right[0]
+    return i if left is None else min(i, bound - left[1])
 
 
 def symbolic_distance(a: SymbolicPoint, b: SymbolicPoint) -> Fraction:
@@ -307,10 +392,7 @@ def symbolic_distance(a: SymbolicPoint, b: SymbolicPoint) -> Fraction:
 
 
 def agree_on_window(a: SymbolicPoint, b: SymbolicPoint, lo: int, hi: int) -> bool:
-    for j in range(lo, hi + 1):
-        if a.coord(j) != b.coord(j):
-            return False
-    return True
+    return a._symbols(lo, hi - lo + 1) == b._symbols(lo, hi - lo + 1)
 
 
 def distance_le(a: SymbolicPoint, b: SymbolicPoint, t: int) -> bool:
@@ -318,8 +400,9 @@ def distance_le(a: SymbolicPoint, b: SymbolicPoint, t: int) -> bool:
     if t <= 0:
         return True
     if t - 1 <= _PACK_RADIUS:
-        mask = (1 << (3 * (2 * t - 1))) - 1
-        return (a._pack() & mask) == (b._pack() & mask)
+        # the bytes of the coordinates -(t-1)..t-1
+        mask = ((1 << 8 * (2 * t - 1)) - 1) << 8 * (_PACK_RADIUS + 1 - t)
+        return not (a._pack() ^ b._pack()) & mask
     return agree_on_window(a, b, -(t - 1), t - 1)
 
 
@@ -342,20 +425,19 @@ def word_ultrametric(words: Sequence[tuple], radius: int) -> np.ndarray:
     return out
 
 
-def glue_constraints(pts: Sequence[SymbolicPoint], rho: int) -> Optional[dict]:
-    """Coordinate constraints forced on any shadow agreeing with each x_i on
-    the window |j| <= rho.  None when two windows conflict (no shadow)."""
-    constraints: dict[int, int] = {}
-    for i, x in enumerate(pts):
-        for j in range(-rho, rho + 1):
-            c = i + j
-            s = x.coord(j)
-            old = constraints.get(c)
-            if old is None:
-                constraints[c] = s
-            elif old != s:
-                return None
-    return constraints
+def glue_constraints(pts: Sequence[SymbolicPoint], rho: int) -> Optional[bytes]:
+    """The word on [-rho, len(pts) - 1 + rho] forced on any shadow agreeing
+    with each x_i on the window |j| <= rho (placed at i), one byte per
+    symbol.  None when two windows conflict (no shadow)."""
+    width = 2 * rho + 1
+    glued = bytearray(pts[0]._symbols(-rho, width))
+    for i in range(1, len(pts)):
+        w = pts[i]._symbols(-rho, width)
+        # the earlier windows fix every coordinate of this one but the last
+        if glued[i:] != w[:-1]:
+            return None
+        glued.append(w[-1])
+    return bytes(glued)
 
 
 class SymbolicSystem:
@@ -547,23 +629,39 @@ class SymbolicSystem:
     def period(self, p: SymbolicPoint) -> Optional[int]:
         return p.least_period()
 
-    def distance(self, a: SymbolicPoint, b: SymbolicPoint) -> Fraction:
-        if max(a.top_symbol, b.top_symbol) >= self.alphabet_size:
+    def _check_alphabet(self, a: SymbolicPoint, b: SymbolicPoint) -> None:
+        """Raise unless both points use only the symbols 0..k-1, from their
+        recorded least and largest symbols (O(1))."""
+        if (min(a.low_symbol, b.low_symbol) < 0
+                or max(a.top_symbol, b.top_symbol) >= self.alphabet_size):
             raise ValueError("alphabet mismatch")
+
+    def distance(self, a: SymbolicPoint, b: SymbolicPoint) -> Fraction:
+        self._check_alphabet(a, b)
         return symbolic_distance(a, b)
 
     def distance_le(self, a: SymbolicPoint, b: SymbolicPoint, eps: Fraction) -> bool:
+        self._check_alphabet(a, b)
         return distance_le(a, b, dyadic_radius(eps))
 
     def closeness(self, eps: Fraction) -> Callable:
         """The test d(a, b) <= eps: equality at 0, agreement on |j| <= t-1
-        (2^-t <= eps) below 1, always true from 1 on."""
+        (2^-t <= eps) below 1, always true from 1 on.  Like ``distance`` it
+        rejects points with symbols outside the alphabet."""
         if eps == 0:
-            return operator.eq
-        if eps >= 1:
-            return lambda a, b: True
-        t = dyadic_radius(eps)
-        return lambda a, b: distance_le(a, b, t)
+            near = operator.eq
+        elif eps >= 1:
+            near = lambda a, b: True
+        else:
+            t = dyadic_radius(eps)
+            near = lambda a, b: distance_le(a, b, t)
+        check = self._check_alphabet
+
+        def close(a, b):
+            check(a, b)
+            return near(a, b)
+
+        return close
 
     def diameter_bound(self) -> Fraction:
         return ONE
@@ -584,10 +682,9 @@ class SymbolicSystem:
             # only an orbit is 0-shadowed, by its start; from 1 on anything shadows
             return (pts[0],), False
         rho = dyadic_radius(eps) - 1
-        cons = glue_constraints(pts, rho)
-        if cons is None:
+        word = glue_constraints(pts, rho)
+        if word is None:
             return (), True
-        word = tuple(cons[c] for c in range(-rho, len(pts) + rho))
         z = self.periodic_closure(word, anchor=-rho)
         return ((z,) if z is not None else ()), True
 

@@ -1,8 +1,11 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowdyn.entropy import (
     entropy_estimate,
@@ -41,6 +44,42 @@ def test_max_clique_small_graphs():
     # triangle plus isolated vertex
     neighbors = [0b0110, 0b0101, 0b0011, 0b0000]
     assert max_clique(neighbors, 4) == [0, 1, 2]
+
+
+@given(st.integers(1, 10).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.booleans(), min_size=n * n, max_size=n * n))))
+@settings(max_examples=200)
+def test_max_clique_matches_exhaustive_search(case):
+    n, flags = case
+    neighbors = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if flags[i * n + j]:
+                neighbors[i] |= 1 << j
+                neighbors[j] |= 1 << i
+    clique = max_clique(neighbors, n)
+    assert all(neighbors[a] >> b & 1 for a, b in itertools.combinations(clique, 2))
+    best = max(len(c) for r in range(1, n + 1) for c in itertools.combinations(range(n), r)
+               if all(neighbors[a] >> b & 1 for a, b in itertools.combinations(c, 2)))
+    assert len(clique) == best
+
+
+def test_max_clique_deeper_than_the_recursion_limit(monkeypatch):
+    # a complete graph on 1,100 vertices minus one edge: the search goes
+    # 1,099 levels deep and must not touch the interpreter's recursion limit
+    n = 1100
+    neighbors = [((1 << n) - 1) & ~(1 << i) for i in range(n)]
+    neighbors[0] &= ~(1 << 1)
+    neighbors[1] &= ~1
+    limit = sys.getrecursionlimit()
+
+    def forbidden(value):
+        raise AssertionError("max_clique changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", forbidden)
+    clique = max_clique(neighbors, n)
+    assert clique in ([0] + list(range(2, n)), list(range(1, n)))
+    assert sys.getrecursionlimit() == limit
 
 
 def test_separation_window():

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowdyn.pseudo_orbits import orbit_segment, validate
 from shadowdyn.shadow_search import (
@@ -66,6 +68,24 @@ def test_golden_mean_gluing_matches_exhaustive_oracle(m):
                 found = True
                 break
         assert found
+
+
+@given(st.sampled_from(["fullshift:2", "goldenmean"]),
+       st.sampled_from([F(1, 2), F(1, 4), F(1, 8)]),
+       st.sampled_from([F(1), F(1, 2), F(1, 4), F(1, 8)]),
+       st.integers(1, 5), st.randoms(use_true_random=False))
+@settings(max_examples=120, deadline=None)
+def test_glued_find_shadow_matches_brute_force_over_cylinders(name, eps, delta, length, rng):
+    system = SymbolicSystem.full_shift(2) if name == "fullshift:2" else SymbolicSystem.golden_mean()
+    po = random_pseudo_orbit(system, system.sample_point(rng), delta, length, rng)
+    w = find_shadow(system, po, eps)
+    if w is not None:
+        assert shadows(system, w.shadow_point, po, eps) is not None
+    # the glue window: a shadow agrees with x_i on |j| <= rho around i
+    rho = dyadic_radius(eps) - 1
+    brute = any(z is not None and shadows(system, z, po, eps) is not None
+                for _, z in system.cylinders(-rho, len(po.points) - 1 + rho))
+    assert (w is not None) == brute
 
 
 def test_glue_conflict_is_a_proof_of_absence():

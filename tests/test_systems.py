@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from shadowdyn.systems import (
     NetSystem,
     SymbolicPoint,
     SymbolicSystem,
+    _PACK_RADIUS,
     apply,
     circle_net,
     distance_le,
@@ -252,6 +255,81 @@ def test_shift_is_a_view_equal_to_a_fresh_point(p, ks, other):
     assert symbolic_distance(view, other) == symbolic_distance(fresh, other)
 
 
+R = _PACK_RADIUS
+
+
+def scanned_canonical(p):
+    """The canonical form by brute force: the primitive root and its least
+    rotation by trying every divisor and rotation, then coordinate scans."""
+    m = len(p.period)
+    d = next(d for d in range(1, m + 1) if m % d == 0 and p.period == p.period[:d] * (m // d))
+    root = p.period[:d]
+    neck = min(root[k:] + root[:k] for k in range(d))
+    kstar = next(k for k in range(d) if root[k:] + root[:k] == neck)
+    off, L = p.offset, len(p.word)
+    phi_l = (-off - kstar) % d
+    phi_r = (-off - L - kstar) % d
+    a = next((j for j in range(off, off + L + d) if p.coord(j) != neck[(j + phi_l) % d]), None)
+    if a is None:
+        return ("per", neck, phi_l)
+    b = next(j + 1 for j in range(off + L - 1, off - d - 2, -1)
+             if p.coord(j) != neck[(j + phi_r) % d])
+    return ("ev", neck, phi_l, phi_r, a, b, tuple(p.coord(j) for j in range(a, b)))
+
+
+def scanned_first_disagreement(a, b):
+    # beyond every central word both sequences are periodic, so one joint
+    # period past the farthest word end settles equality
+    far = max(abs(a.offset), abs(a.offset + len(a.word)),
+              abs(b.offset), abs(b.offset + len(b.word)))
+    for i in range(far + math.lcm(len(a.period), len(b.period)) + 1):
+        if a.coord(i) != b.coord(i) or a.coord(-i) != b.coord(-i):
+            return i
+    return None
+
+
+@st.composite
+def tape_cases(draw):
+    """A point with a word shorter or longer than the packed window, a
+    shift of it (near the word or deep inside either tail), a window, and a
+    point agreeing with the shift on |j| <= depth."""
+    symbols = st.integers(0, 7)
+    period = tuple(draw(st.lists(symbols, min_size=1, max_size=7)))
+    word = tuple(draw(st.one_of(st.lists(symbols, max_size=8),
+                                st.lists(symbols, min_size=2 * R, max_size=2 * R + 40))))
+    p = SymbolicPoint(period, word, draw(st.integers(-60, 60)))
+    k = draw(st.one_of(st.integers(-150, 150), st.integers(-5000, 5000)))
+    lo = draw(st.integers(-80, 80))
+    hi = lo + draw(st.integers(-1, 160))
+    depth = draw(st.integers(0, 2 * R))
+    other_period = tuple(draw(st.lists(symbols, min_size=1, max_size=3)))
+    return p, k, (lo, hi), depth, other_period
+
+
+@given(tape_cases())
+@settings(max_examples=400, deadline=None)
+def test_shift_reads_the_shared_tape_like_a_fresh_point_and_a_coordinate_scan(case):
+    p, k, (lo, hi), depth, other_period = case
+    view = p.shift(k)
+    fresh = SymbolicPoint(p.period, p.word, p.offset - k)
+    assert view._tape is p._tape
+    packed = int.from_bytes(bytes(view.coord(j) for j in range(-R, R + 1)), "little")
+    assert view._pack() == fresh._pack() == packed
+    assert view.canonical() == fresh.canonical() == scanned_canonical(view)
+    assert view == fresh and hash(view) == hash(fresh)
+    assert view.window(lo, hi) == fresh.window(lo, hi) == tuple(
+        view.coord(j) for j in range(lo, hi + 1))
+    other = SymbolicPoint(other_period, view.window(-depth, depth), -depth)
+    # the second point also read deep in its left and right tails
+    tails = (other.shift(-depth - 3 * R), other.shift(depth + 3 * R))
+    for q in (other, *tails, p, p.shift(k + 1)):
+        expected = scanned_first_disagreement(view, q)
+        assert first_disagreement(view, q) == first_disagreement(fresh, q) == expected
+        for t in range(R + 3):
+            agree = all(view.coord(j) == q.coord(j) for j in range(-(t - 1), t))
+            assert distance_le(view, q, t) == distance_le(fresh, q, t) == agree
+
+
 def test_distance_rejects_out_of_alphabet_points_and_their_shifts():
     sigma2 = SymbolicSystem.full_shift(2)
     x = SymbolicSystem.full_shift(3).point((0, 1), word=(2,), offset=5)
@@ -342,3 +420,19 @@ def test_out_of_range_symbols_are_not_admissible():
     assert not sigma2.admissible(pt((0, 2)))
     with pytest.raises(ValueError):
         sigma2.point((-1,))
+
+
+def test_distance_and_closeness_reject_symbols_below_the_alphabet():
+    sigma8 = SymbolicSystem.full_shift(8)
+    low, high = pt((-1,)), pt((7,))
+    assert sigma8.distance(high, high.shift(2)) == 0
+    for a, b in ((low, high), (high, low), (low.shift(5), high)):
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            sigma8.distance(a, b)
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            sigma8.distance_le(a, b, F(1, 4))
+        for eps in (F(0), F(1, 4), F(1)):
+            with pytest.raises(ValueError, match="alphabet mismatch"):
+                sigma8.closeness(eps)(a, b)
+    assert pt((3, 1), word=(5, 2)).low_symbol == 1
+    assert pt((3, 4), word=(6,)).top_symbol == 6
