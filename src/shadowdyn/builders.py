@@ -28,7 +28,6 @@ from .systems import (
     circle_arcs,
     circle_net,
     dyadic_radius,
-    symbolic_distance,
     word_ultrametric,
 )
 from .words import SubstitutionLanguage, screen_minimality
@@ -261,26 +260,21 @@ def vertex_shift_points(part: CylinderPartition) -> list:
     return points
 
 
-_THIRD_WEIGHTS_CACHE: dict = {}
+def _embed_numerator(point: SymbolicPoint, window: int) -> int:
+    """``embed_binary(point, window)`` times 3^(2 window + 1)."""
+    symbols = point.window(-window, window)
+    total = 0
+    for j in range(0, window + 1):
+        for c in ((j,) if j == 0 else (-j, j)):
+            total = 3 * total + (1 if symbols[window + c] else 0)
+    return total
 
 
 def embed_binary(point: SymbolicPoint, window: int) -> Fraction:
     """Injective rational embedding of the window [-window, window]: base-3
     digits at interleaved positions 0, -1, 1, -2, 2, ...; values lie in
     [0, 1/2]."""
-    total = F(0)
-    rank = 0
-    for j in range(0, window + 1):
-        coords = (j,) if j == 0 else (-j, j)
-        for c in coords:
-            if point.coord(c):
-                w = _THIRD_WEIGHTS_CACHE.get(rank)
-                if w is None:
-                    w = F(1, 3 ** (rank + 1))
-                    _THIRD_WEIGHTS_CACHE[rank] = w
-                total += w
-            rank += 1
-    return total
+    return F(_embed_numerator(point, window), 3 ** (2 * window + 1))
 
 
 @dataclass
@@ -367,23 +361,10 @@ def extension_builder(lang: SubstitutionLanguage, max_level: int,
             target = (xp.shift(1), F(1, n) * embed_binary(nxt_m, minimal_period), h)
             step_map.append(index_of[target])
 
-    dist_cache: dict = {}
-
-    def dist(a: int, b: int) -> Fraction:
-        if a > b:
-            a, b = b, a
-        key = (a, b)
-        v = dist_cache.get(key)
-        if v is None:
-            xa, ea, ha = labels[a]
-            xb, eb, hb = labels[b]
-            v = max(symbolic_distance(xa, xb), abs(ea - eb), abs(ha - hb))
-            dist_cache[key] = v
-        return v
-
+    dist, denominator = _extension_metric(labels)
     net = NetSystem(labels, dist, step_map,
                     resolution=F(1, 1 << (base_period + 1)),
-                    invertible=True, metric_check="skip")
+                    invertible=True, metric_check="skip", denominator=denominator)
     report = net.validate_metric(mode="sample")
     if not report.ok:
         raise AssertionError(report.summary())
@@ -395,22 +376,40 @@ def extension_builder(lang: SubstitutionLanguage, max_level: int,
                                 "max_level": max_level})
 
 
+def _extension_metric(labels: Sequence[tuple]) -> tuple:
+    """(numerators, D): the product max-metric
+    max(symbolic distance, |embedded difference|, |height gap|) between the
+    labels (periodic binary point, embedded value, height) as integers over
+    one common denominator D.  The symbolic part is the dyadic
+    ``word_ultrametric`` of the windows [-R, R], R the longest least period:
+    points of least periods p, q <= R that agree on p + q - 1 consecutive
+    coordinates are equal (Fine and Wilf), so the window holds every first
+    disagreement."""
+    points = [x for x, _, _ in labels]
+    radius = max(p.least_period() for p in points)
+    symbolic = word_ultrametric([p.window(-radius, radius) for p in points], radius)
+    D = math.lcm(1 << radius, *(v.denominator for _, e, h in labels for v in (e, h)))
+    dist = symbolic.astype(object) * (D >> radius)
+    for values in ([e for _, e, _ in labels], [h for _, _, h in labels]):
+        ints = np.array([v.numerator * (D // v.denominator) for v in values], dtype=object)
+        dist = np.maximum(dist, np.abs(ints[:, None] - ints))
+    return dist, D
+
+
 def minimal_layer_net(space: ExtensionSpace, level: int) -> NetSystem:
     """The minimal-coordinate factor of a layer as a standalone net."""
     lvl = space.levels[level]
-    pts = lvl.minimal_cycle
-    values = [F(1, level) * embed_binary(p, space.meta["minimal_period"])
-              for p in pts]
-    k = len(pts)
-
-    def dist(i: int, j: int) -> Fraction:
-        return abs(values[i] - values[j])
-
-    smallest = min(abs(values[i] - values[j])
-                   for i in range(k) for j in range(k) if i != j)
+    window = space.meta["minimal_period"]
+    # the values embed_binary(p) / level, as integers over D
+    D = level * 3 ** (2 * window + 1)
+    values = np.array([_embed_numerator(p, window) for p in lvl.minimal_cycle],
+                      dtype=object)
+    k = len(values)
+    dist = np.abs(values[:, None] - values)
+    smallest = F(int(dist[~np.eye(k, dtype=bool)].min()), D)
     return NetSystem(list(range(k)), dist, [(i + 1) % k for i in range(k)],
-                     resolution=smallest / 2,
-                     invertible=True, metric_check="full")
+                     resolution=smallest / 2, invertible=True,
+                     metric_check="full", denominator=D)
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """JSON codecs for systems, pseudo-orbits, measures and certificates.
 
 Every emitted number that is a claim (a distance, a bound, a weight) is an
-exact rational rendered as "p/q"; documents carry a schema tag and
-certificates a content hash, both checked on load.
+exact rational rendered as "p/q", and is read back only as such a string or
+a JSON integer; documents carry a schema tag and certificates a content
+hash, both checked on load.
 """
 
 from __future__ import annotations
@@ -10,8 +11,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
+import re
 from fractions import Fraction
 from typing import Union
+
+import numpy as np
 
 from .horseshoe import HorseshoeCertificate, LoopFamily, SeparationWitness, verify_semiconjugacy
 from .measures import EmpiricalMeasure
@@ -39,11 +44,24 @@ def frac_str(x) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
+_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _ratio(s) -> tuple:
+    """(numerator, denominator) of a JSON integer or a string
+    ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator; any other value
+    (floats and booleans included) is a schema error."""
+    if type(s) is int:
+        return s, 1
+    match = _RATIO.fullmatch(s) if type(s) is str else None
+    q = int(match[2] or 1) if match else 0
+    if q == 0:
+        raise SchemaError(f"{s!r} is not an exact rational")
+    return int(match[1]), q
+
+
 def parse_frac(s) -> Fraction:
-    try:
-        return Fraction(s)
-    except (TypeError, ValueError, ZeroDivisionError) as err:
-        raise SchemaError(f"{s!r} is not an exact rational") from err
+    return Fraction(*_ratio(s))
 
 
 def point_to_json(p) -> Union[int, dict]:
@@ -80,8 +98,11 @@ def system_to_json(system) -> dict:
         return {"schema": SCHEMA_SYSTEM, "kind": "symbolic",
                 "alphabet_size": system.alphabet_size,
                 "transitions": [list(r) for r in system.transitions]}
-    rows = [[frac_str(system.distance(i, j)) for j in range(system.n)]
-            for i in range(system.n)]
+    # one string per distinct numerator, spread over the matrix
+    values, where = np.unique(system._imat, return_inverse=True)
+    D = system.denominator
+    strings = np.array([frac_str(Fraction(int(v), D)) for v in values], dtype=object)
+    rows = strings[where.reshape(system.n, system.n)].tolist()
     return {"schema": SCHEMA_SYSTEM, "kind": "net",
             "labels": [str(l) for l in system.labels],
             "metric": rows,
@@ -108,14 +129,35 @@ def system_from_json(doc) -> Union[SymbolicSystem, NetSystem]:
     if kind != "net":
         raise SchemaError(f"unknown system kind {kind!r}")
     labels, metric, step_map = doc.get("labels"), doc.get("metric"), doc.get("map")
+    invertible = doc.get("invertible", False)
     if not (isinstance(labels, list) and _is_int_list(step_map)
-            and isinstance(metric, list) and all(isinstance(row, list) for row in metric)):
-        raise SchemaError("a net system needs lists 'labels' and 'metric' rows "
-                          "and an integer list 'map'")
-    rows = [[parse_frac(v) for v in row] for row in metric]
-    return NetSystem(labels, rows, step_map,
+            and isinstance(metric, list) and len(metric) == len(labels)
+            and all(isinstance(row, list) and len(row) == len(labels)
+                    for row in metric)
+            and isinstance(invertible, bool)):
+        raise SchemaError("a net system needs a list 'labels', a square 'metric' "
+                          "of one row per label, an integer list 'map' and a "
+                          "boolean 'invertible'")
+    numerators, denominator = _over_one_denominator(metric)
+    return NetSystem(labels, numerators, step_map,
                      resolution=parse_frac(doc.get("resolution")),
-                     invertible=doc.get("invertible", False))
+                     invertible=invertible, denominator=denominator)
+
+
+def _over_one_denominator(metric: list) -> tuple:
+    """(integer rows, D): the entries as numerators over D, the lcm of their
+    denominators (``NetSystem`` reduces it to the least one).  Each distinct
+    entry is parsed once."""
+    types = set()
+    for row in metric:
+        types.update(map(type, row))
+    # exact types: a bool or float equal to an int must not pass as one
+    if not types <= {str, int}:
+        raise SchemaError("metric entries must be rationals 'p/q' or integers")
+    ratios = {v: _ratio(v) for v in set().union(*metric)}
+    D = math.lcm(*(q for _, q in ratios.values()))
+    scaled = {v: p * (D // q) for v, (p, q) in ratios.items()}
+    return [list(map(scaled.__getitem__, row)) for row in metric], D
 
 
 def orbit_to_json(po: PseudoOrbit) -> dict:
@@ -205,9 +247,9 @@ def certificate_from_json(doc, system) -> HorseshoeCertificate:
     if not (isinstance(entropy, dict) and _is_int(entropy.get("log_arg"))
             and _is_int(entropy.get("divisor"))):
         raise SchemaError("'entropy' needs integers 'log_arg' and 'divisor'")
-    delta = parse_frac(doc["delta"])
-    epsilon = parse_frac(doc["epsilon"])
-    loops_doc = doc["loops"]
+    delta = parse_frac(doc.get("delta"))
+    epsilon = parse_frac(doc.get("epsilon"))
+    loops_doc = doc.get("loops")
     if not (isinstance(loops_doc, list) and loops_doc
             and all(isinstance(lp, list) for lp in loops_doc)):
         raise SchemaError("a certificate needs a nonempty list 'loops' of point lists")
@@ -215,7 +257,7 @@ def certificate_from_json(doc, system) -> HorseshoeCertificate:
                            system, kind="loop")
                   for lp in loops_doc)
     k = len(loops)
-    witnesses_doc = doc["witnesses"]
+    witnesses_doc = doc.get("witnesses")
     if not isinstance(witnesses_doc, list) or (k > 1 and not witnesses_doc):
         raise SchemaError("a certificate of two or more loops needs a nonempty "
                           "list 'witnesses'")
@@ -227,11 +269,11 @@ def certificate_from_json(doc, system) -> HorseshoeCertificate:
         if not _is_index(w.get("index"), length):
             raise SchemaError(f"witness index must lie inside its loops: {w!r}")
     witnesses = tuple(SeparationWitness(w["a"], w["b"], w["index"],
-                                        parse_frac(w["distance"]))
+                                        parse_frac(w.get("distance")))
                       for w in witnesses_doc)
-    fam = LoopFamily(system, point_from_json(doc["base"], system), loops,
+    fam = LoopFamily(system, point_from_json(doc.get("base"), system), loops,
                      delta, epsilon, witnesses)
-    coded_doc = doc["coded"]
+    coded_doc = doc.get("coded")
     if not (isinstance(coded_doc, list)
             and all(isinstance(e, dict) and isinstance(e.get("word"), list)
                     and e["word"] and all(_is_index(s, k) for s in e["word"])
@@ -241,7 +283,7 @@ def certificate_from_json(doc, system) -> HorseshoeCertificate:
     for entry in coded_doc:
         word = tuple(entry["word"])
         span = (0, len(word) * loops[0].step_count)
-        coded[word] = ShadowWitness(point_from_json(entry["shadow"], system),
+        coded[word] = ShadowWitness(point_from_json(entry.get("shadow"), system),
                                     epsilon, span)
     return HorseshoeCertificate(fam, doc["word_length_max"], coded,
                                 doc["entropy"]["log_arg"],

@@ -860,18 +860,28 @@ def _members(mask: int) -> list:
     return out
 
 
-def _int_matrix(nums) -> np.ndarray:
-    """Integer distances in the narrowest signed type that holds the sum of
-    any two of them (the triangle check adds pairs), or as Python ints in
-    an object array when 64 bits are too few."""
+def _int_matrix(nums, denominator: int) -> tuple:
+    """(matrix, D): the integer distances over ``denominator`` with the
+    factor they all share with it divided out, so that D is their least
+    denominator.  The matrix has the narrowest signed type that holds the
+    sum of any two distances (the triangle check adds pairs), or holds
+    Python ints in an object array when 64 bits are too few."""
     mat = np.asarray(nums)
     if mat.dtype.kind not in "iuO":
         raise ValueError("integer distances required with a denominator")
+    # most nets share no factor with D, which the first row shows
+    g = denominator
+    for row in mat:
+        g = math.gcd(g, int(np.gcd.reduce(row, axis=None)))
+        if g == 1:
+            break
+    if g > 1 and mat.any():  # an all-zero matrix keeps its entries; D becomes 1
+        mat = mat // g
     bound = 2 * max(-int(mat.min(initial=0)), int(mat.max(initial=0)))
     for dtype in (np.int16, np.int32, np.int64):
         if bound <= np.iinfo(dtype).max:
-            return mat.astype(dtype)
-    return mat.astype(object)
+            return mat.astype(dtype), denominator // g
+    return mat.astype(object), denominator // g
 
 
 @dataclass
@@ -896,12 +906,12 @@ class MetricReport:
 class NetSystem:
     """A finite epsilon-net with an exact metric and a sampled self-map.
 
-    ``dist`` is a full matrix of rationals or a callable (i, j) -> rational;
-    with ``denominator`` D given, it is instead an integer matrix of
-    numerators over D.  Either way the net holds its metric once, as the
-    integers d(i, j) * D over the least common denominator D of the
-    distances, in the narrowest NumPy integer type that also holds the sum
-    of two distances (an object array of Python ints beyond 64 bits).
+    ``dist`` is a full matrix of rationals, or, with ``denominator`` D
+    given, an integer matrix of numerators over D.  Either way the net holds
+    its metric once, as the integers d(i, j) * D over the least common
+    denominator D of the distances (a given D is reduced to it), in the
+    narrowest NumPy integer type that also holds the sum of two distances
+    (an object array of Python ints beyond 64 bits).
 
     A threshold test d <= eps is then the exact integer test
     d * D <= floor(eps * D).  ``ball_masks(eps)`` holds the closed eps-balls
@@ -932,18 +942,16 @@ class NetSystem:
         self.map = tuple(step_map)
 
         if denominator is None:
-            if callable(dist):
-                dist = [[dist(i, j) for j in range(self.n)] for i in range(self.n)]
             rows = [[Fraction(v) for v in row] for row in dist]
             if len(rows) != self.n or any(len(r) != self.n for r in rows):
                 raise ValueError("distance matrix shape mismatch")
             denominator = math.lcm(*{v.denominator for row in rows for v in row})
             dist = [[v.numerator * (denominator // v.denominator) for v in row]
                     for row in rows]
-        self.denominator = int(denominator)
-        if self.denominator < 1:
+        denominator = int(denominator)
+        if denominator < 1:
             raise ValueError("denominator must be positive")
-        self._imat = _int_matrix(dist)
+        self._imat, self.denominator = _int_matrix(dist, denominator)
         if self._imat.shape != (self.n, self.n):
             raise ValueError("distance matrix shape mismatch")
         D = self.denominator

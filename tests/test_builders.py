@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from shadowdyn.builders import (
     crossing_pseudo_orbit,
     cylinder_partition,
     dense_shadowable_example,
+    embed_binary,
     extension_builder,
     fig1_circle,
     minimal_layer_net,
@@ -17,6 +19,7 @@ from shadowdyn.chain import build_chain_graph, chain_class, chain_recurrent_set
 from shadowdyn.pseudo_orbits import validate
 from shadowdyn.shadow_search import find_shadow
 from shadowdyn.shadowing import is_positively_shadowable_at
+from shadowdyn.systems import symbolic_distance
 from shadowdyn.words import SubstitutionLanguage, screen_minimality
 
 F = Fraction
@@ -271,6 +274,50 @@ def test_extension_claims(extension):
     for n in extension.levels:
         assert rep.layer_counterexamples[n] is not None
         assert not rep.layer_shadowing[n].shadowable
+
+
+def embed_reference(point, window):
+    """The base-3 embedding summed as Fractions, one rank at a time."""
+    total, rank = F(0), 0
+    for j in range(window + 1):
+        for c in ((j,) if j == 0 else (-j, j)):
+            if point.coord(c):
+                total += F(1, 3 ** (rank + 1))
+            rank += 1
+    return total
+
+
+def product_distance(a, b):
+    """The extension metric on two labels, in Fractions."""
+    (xa, ea, ha), (xb, eb, hb) = a, b
+    return max(symbolic_distance(xa, xb), abs(ea - eb), abs(ha - hb))
+
+
+def test_extension_metric_matches_fraction_reference(fib, extension):
+    small = extension_builder(fib, 2).net
+    for i in range(small.n):
+        assert small.row(i) == tuple(product_distance(small.labels[i], b)
+                                     for b in small.labels)
+    net = extension.net
+    assert net.n == 346
+    rng = random.Random(4)
+    for _ in range(4000):
+        i, j = rng.randrange(net.n), rng.randrange(net.n)
+        assert net.distance(i, j) == product_distance(net.labels[i], net.labels[j])
+    window = extension.meta["minimal_period"]
+    for lvl in extension.levels.values():
+        for p in lvl.minimal_cycle:
+            assert embed_binary(p, window) == embed_reference(p, window)
+
+
+def test_minimal_layer_net_matches_fraction_reference(extension):
+    window = extension.meta["minimal_period"]
+    for level, lvl in extension.levels.items():
+        mnet = minimal_layer_net(extension, level)
+        values = [F(1, level) * embed_reference(p, window) for p in lvl.minimal_cycle]
+        table = [[abs(a - b) for b in values] for a in values]
+        assert [list(mnet.row(i)) for i in range(mnet.n)] == table
+        assert mnet.resolution == min(v for row in table for v in row if v) / 2
 
 
 def test_extension_rejects_non_minimal_input():

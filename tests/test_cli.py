@@ -267,3 +267,20 @@ def test_certificate_pair_without_witness_fails_verify(tmp_path, certificate_doc
     path.write_text(json.dumps(_rehashed(
         certificate_doc, lambda doc: doc["witnesses"][0].update(b=0))))
     assert run_cli("verify", str(path), "--system", "fullshift:2") == EXIT_FAIL
+
+
+@pytest.mark.parametrize("key, value", [
+    ("metric", 0.25),       # d(0, 9) = 1/4 as a float
+    ("resolution", True),   # a boolean where a rational belongs
+])
+def test_net_file_with_a_float_or_bool_exit_code(tmp_path, fig1_file, key, value):
+    doc = json.loads(open(fig1_file).read())
+    if key == "metric":
+        assert doc["metric"][0][9] == doc["metric"][9][0] == "1/4"
+        doc["metric"][0][9] = doc["metric"][9][0] = value
+    else:
+        doc[key] = value
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("shadow", "--system", str(path), "--eps", "1/36",
+                   "--delta", "1/72", "--point", "3") == EXIT_SCHEMA

@@ -1,16 +1,30 @@
 """The cylinder layer: ``SymbolicSystem.cylinders`` against a brute-force
 filter of all words, the cylinder net's integer ultrametric against
-first-disagreement Fraction distances, and the verdict sites built on it."""
+first-disagreement Fraction distances, the verdict sites built on it, and
+the symbolic shadowability scan and separated-set count against the net
+engines on the cylinder net of the same shift."""
 
 import itertools
 from fractions import Fraction
 
 import pytest
 
-from shadowdyn.entropy import expansivity_witness
+from shadowdyn.entropy import (
+    expansivity_witness,
+    max_separated_cylinders,
+    separated_set,
+    separation_window,
+)
 from shadowdyn.finitize import CylinderNet
-from shadowdyn.shadow_search import symbolic_successor_candidates
-from shadowdyn.systems import SymbolicSystem
+from shadowdyn.pseudo_orbits import validate
+from shadowdyn.shadow_search import (
+    SearchStats,
+    find_shadow,
+    net_shadowability_dfs,
+    symbolic_shadowability_scan,
+    symbolic_successor_candidates,
+)
+from shadowdyn.systems import SymbolicSystem, dyadic_radius
 
 F = Fraction
 
@@ -100,3 +114,69 @@ def test_successor_candidates_at_zero_radius():
     cands = symbolic_successor_candidates(sigma2, sigma2.fixed_point(0), 0, 2)
     assert len(cands) == 32
     assert [q.window(-2, 2) for q in cands] == sigma2.words(5)
+
+
+# -- the symbolic engines against the cylinder net -----------------------------------
+
+RATIONALS = [F(1), F(3, 4), F(1, 2), F(1, 3), F(1, 4), F(1, 8)]
+
+
+def faithful_cases(depth):
+    """(eps, delta, horizon) the cylinder net of this depth decides like the
+    shift: its depth covers the window a delta-step fixes (s) and the one an
+    eps-shadow compares (rho + 1), and the horizon keeps every compared
+    coordinate of a net orbit inside the depth (horizon <= depth - rho),
+    where the net map follows the shift."""
+    for eps in RATIONALS:
+        rho = dyadic_radius(eps) - 1
+        for delta in RATIONALS + [F(0)]:
+            s = dyadic_radius(delta) if delta else 0
+            if depth >= max(s, rho + 1):
+                for horizon in range(1, depth - max(rho, 0) + 1):
+                    yield eps, delta, horizon
+
+
+@pytest.mark.parametrize("name", ["fullshift:2", "goldenmean"])
+def test_symbolic_scan_matches_net_dfs_on_the_cylinder_net(name):
+    system = SYSTEMS[name]
+    found = 0
+    for depth in (1, 2, 3):
+        net = CylinderNet(system, depth)
+        for eps, delta, horizon in faithful_cases(depth):
+            bad = symbolic_shadowability_scan(system, None, eps, delta, horizon,
+                                              SearchStats())
+            bad_nodes = net_shadowability_dfs(net, None, eps, delta, horizon,
+                                              SearchStats())
+            assert (bad is None) == (bad_nodes is None), (depth, eps, delta, horizon)
+            if bad is None:
+                continue
+            found += 1
+            # each side's counterexample is one on the other side too
+            nodes = [net.node_of(p) for p in bad]
+            assert find_shadow(net, validate(nodes, delta, net), eps) is None
+            points = [net.point_of(i) for i in bad_nodes]
+            assert find_shadow(system, validate(points, delta, system), eps) is None
+    assert found >= 10  # the grid reaches unshadowable verdicts, not only trivial ones
+
+
+# nets of depth n + t' (at least 1), up to depth 3 (128 nodes of fullshift:2)
+SEPARATION_CASES = [(name, eps, n, max(1, n + (separation_window(eps) or 0)))
+                    for name in ("fullshift:2", "goldenmean")
+                    for eps in (F(1), F(1, 2), F(1, 3), F(1, 4)) for n in range(4)
+                    if n + (separation_window(eps) or 0) <= 3]
+
+
+@pytest.mark.parametrize("name, eps, n, depth", SEPARATION_CASES)
+def test_max_separated_cylinders_matches_clique_search_on_nodes(name, eps, n, depth):
+    # two nodes of a net of depth >= n + t' are (n, eps)-separated iff their
+    # representatives' words on [-t', n + t'] differ, as for the shift
+    system = SYSTEMS[name]
+    net = CylinderNet(system, depth)
+    counted = max_separated_cylinders(system, n, eps)
+    searched = separated_set(net, range(net.n), n, eps)
+    assert searched.exact
+    assert searched.cardinality == counted.cardinality
+    # the counted witnesses sit in distinct nodes that separate in the net
+    nodes = {net.node_of(p) for p in counted.witness}
+    assert len(nodes) == counted.cardinality
+    assert separated_set(net, sorted(nodes), n, eps).cardinality == len(nodes)

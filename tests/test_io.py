@@ -1,9 +1,14 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowdyn import io as sio
+from shadowdyn.builders import dense_shadowable_example, fig1_circle
+from shadowdyn.finitize import CylinderNet
 from shadowdyn.horseshoe import build_certificate, make_family
 from shadowdyn.measures import EmpiricalMeasure
 from shadowdyn.pseudo_orbits import concatenate, splice_chain, validate
@@ -163,5 +168,144 @@ def test_certificate_word_length_max_must_be_an_integer(certificate):
     doc["word_length_max"] = "3"
     body = {k: v for k, v in doc.items() if k != "sha256"}
     doc["sha256"] = sio._payload_hash(body)
+    with pytest.raises(sio.SchemaError):
+        sio.certificate_from_json(doc, sigma2)
+
+
+# -- the rational grammar --------------------------------------------------------
+
+# The grammar of an exact rational in a document, written out independently of
+# the loader: an optional minus, decimal digits, and an optional slash with a
+# nonzero denominator of decimal digits.
+GRAMMAR = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.from_regex(r"-?[0-9]{1,6}(/[0-9]{1,6})?", fullmatch=True),
+    st.text(alphabet="0123456789-+/._ eE\n٣²", max_size=8),
+    st.text(max_size=6),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.none()))
+def test_parse_frac_matches_fraction_on_the_grammar(s):
+    if type(s) is int or type(s) is str and GRAMMAR.fullmatch(s):
+        assert sio.parse_frac(s) == Fraction(s)
+        assert Fraction(*sio._ratio(s)) == Fraction(s)
+    else:
+        with pytest.raises(sio.SchemaError):
+            sio.parse_frac(s)
+
+
+@pytest.mark.parametrize("s", [
+    # forms Fraction accepts that the library never writes
+    "0.5", "1e-3", " 1/2", "1/2 ", "+1/2", "1_000", "٣", "3/4\n",
+    # forms a naive split at the slash would accept
+    "1 / 2", "1/-2", "1/+2", "1/0", "1/00", "/2", "1/", "--1", "1//2",
+])
+def test_parse_frac_rejects_forms_off_the_grammar(s):
+    with pytest.raises(sio.SchemaError):
+        sio.parse_frac(s)
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, True, False])
+def test_no_float_or_bool_enters_a_claim(value):
+    # a float or a JSON boolean is no exact rational, even where it equals one
+    with pytest.raises(sio.SchemaError):
+        sio.parse_frac(value)
+    net_doc = sio.system_to_json(circle_net(4, lambda i: i))
+    net_doc["metric"][0][2] = net_doc["metric"][2][0] = value
+    with pytest.raises(sio.SchemaError):
+        sio.system_from_json(net_doc)
+    net_doc = sio.system_to_json(circle_net(4, lambda i: i))
+    net_doc["resolution"] = value
+    with pytest.raises(sio.SchemaError):
+        sio.system_from_json(net_doc)
+    sigma2 = SymbolicSystem.full_shift(2)
+    orbit_doc = sio.orbit_to_json(validate([sigma2.fixed_point(0)] * 2, F(1, 4), sigma2))
+    orbit_doc["delta"] = value
+    with pytest.raises(sio.SchemaError):
+        sio.orbit_from_json(orbit_doc, sigma2)
+    measure_doc = {"schema": sio.SCHEMA_MEASURE,
+                   "atoms": [[{"period": [0]}, value], [{"period": [1]}, "1/2"]]}
+    with pytest.raises(sio.SchemaError):
+        sio.measure_from_json(measure_doc, sigma2)
+
+
+# -- integer net documents ---------------------------------------------------------
+
+
+def _wide_net():
+    # numerators past 64 bits: the metric is held as Python ints
+    points = [F(0), F(1, 3 ** 45), F(1, 2), F(2, 3), F(1)]
+    return NetSystem(points, [[abs(a - b) for b in points] for a in points],
+                     [1, 2, 3, 4, 0], resolution=F(1, 3 ** 46))
+
+
+NETS = {
+    "fig1-120": lambda: fig1_circle(120),
+    "fig1-240": lambda: fig1_circle(240),
+    "fig1-360": lambda: fig1_circle(360),
+    "layered-12": lambda: dense_shadowable_example(12).net,
+    "circle-12": lambda: circle_net(12, lambda i: (i + 1) % 12, invertible=True),
+    "cylinder-goldenmean-3": lambda: CylinderNet(SymbolicSystem.golden_mean(), 3),
+    "wide": _wide_net,
+}
+
+
+def _fraction_path_load(doc) -> NetSystem:
+    """The net a document held when every entry went through Fraction."""
+    parsed = {v: Fraction(v) for row in doc["metric"] for v in row}
+    return NetSystem(doc["labels"], [[parsed[v] for v in row] for row in doc["metric"]],
+                     doc["map"], resolution=Fraction(doc["resolution"]),
+                     invertible=doc["invertible"])
+
+
+@pytest.mark.parametrize("name", sorted(NETS))
+def test_net_document_loads_as_the_fraction_path(name):
+    net = NETS[name]()
+    doc = json.loads(json.dumps(sio.system_to_json(net)))
+    got, want = sio.system_from_json(doc), _fraction_path_load(doc)
+    assert got._imat.dtype == want._imat.dtype
+    assert got._imat.tolist() == want._imat.tolist()
+    assert got.denominator == want.denominator == net.denominator
+    assert (got.resolution, got.map, got.labels, got.invertible) == \
+        (want.resolution, want.map, want.labels, want.invertible)
+    assert got.metric_report == want.metric_report
+
+
+@pytest.mark.parametrize("name", ["fig1-120", "layered-12", "cylinder-goldenmean-3", "wide"])
+def test_net_document_rows_render_each_distance(name):
+    net = NETS[name]()
+    rows = [[sio.frac_str(net.distance(i, j)) for j in range(net.n)] for i in range(net.n)]
+    assert sio.system_to_json(net)["metric"] == rows
+
+
+@pytest.mark.parametrize("value", ["no", 0, None])
+def test_net_invertible_flag_must_be_a_boolean(value):
+    # "no" would otherwise mark the net invertible
+    doc = sio.system_to_json(circle_net(4, lambda i: (i + 1) % 4))
+    doc["invertible"] = value
+    with pytest.raises(sio.SchemaError):
+        sio.system_from_json(doc)
+
+
+def test_net_document_entries_over_one_denominator():
+    # unreduced, integer and negative-zero entries load to the least denominator
+    doc = sio.system_to_json(circle_net(4, lambda i: i))
+    doc["metric"] = [["-0/3", "2/8", "2/4", "1/4"], ["1/4", 0, "1/4", "1/2"],
+                     ["1/2", "1/4", 0, "3/12"], ["1/4", "1/2", "1/4", "0"]]
+    net = sio.system_from_json(doc)
+    assert net.denominator == 4
+    assert net._imat.tolist() == [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
+
+
+@pytest.mark.parametrize("key", ["delta", "epsilon", "loops", "witnesses", "base", "coded"])
+def test_certificate_without_a_key_is_a_schema_error(certificate, key):
+    sigma2, cert = certificate
+    doc = sio.certificate_to_json(cert)
+    del doc[key]
+    doc["sha256"] = sio._payload_hash({k: v for k, v in doc.items() if k != "sha256"})
     with pytest.raises(sio.SchemaError):
         sio.certificate_from_json(doc, sigma2)
