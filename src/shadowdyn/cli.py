@@ -35,9 +35,10 @@ EXIT_BUDGET = 3
 
 
 def _frac(s: str) -> Fraction:
+    """A rational argument in the grammar of documents, ``-?[0-9]+(/[0-9]+)?``."""
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as err:
+        return sio.parse_frac(s)
+    except sio.SchemaError as err:
         raise argparse.ArgumentTypeError(f"not an exact rational: {s!r}") from err
 
 

@@ -61,7 +61,7 @@ class PseudoOrbit:
                 for i in range(self.step_count)]
 
     def reverify(self) -> bool:
-        return all(e <= self.delta for e in self.step_errors())
+        return self.system.step_check(self.points, self.delta)[0] is None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -81,16 +81,7 @@ def validate(points: Sequence[SystemPoint], delta, system: System,
     pts = tuple(points)
     if not pts:
         raise ValueError("pseudo-orbit must be nonempty")
-    for p in pts:
-        system.check_point(p)
-    first_bad = None
-    worst = Fraction(0)
-    for i in range(len(pts) - 1):
-        err = system.distance(system.step(pts[i]), pts[i + 1])
-        if err > worst:
-            worst = err
-        if err > delta and first_bad is None:
-            first_bad = i
+    first_bad, worst = system.step_check(pts, delta)
     if first_bad is not None:
         raise PseudoOrbitError(first_bad, worst, delta)
     if kind is None:

@@ -42,17 +42,13 @@ def _points_of(orbit: Union[PseudoOrbit, Sequence]) -> tuple:
 
 def shadows(system, z: SystemPoint, orbit, epsilon) -> Optional[ShadowWitness]:
     """Witness that d(f^i(z), x_i) <= epsilon for every index i of the
-    pseudo-orbit, or None."""
+    pseudo-orbit, or None (the system's ``traces``)."""
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     pts = _points_of(orbit)
-    close = system.closeness(epsilon)
-    cur = z
-    for x in pts:
-        if not close(cur, x):
-            return None
-        cur = system.step(cur)
+    if not system.traces(z, pts, epsilon):
+        return None
     return ShadowWitness(z, epsilon, (0, len(pts) - 1))
 
 

@@ -19,6 +19,12 @@ never test the kind of a system or point:
 * points and dynamics: ``check_point``, ``step``, ``iterate``,
   ``distance``, ``closeness(eps)`` (the test d <= eps, built once per call),
   ``period``;
+* pseudo-orbits: ``step_check(pts, delta)`` (the first step with
+  d(f(x_i), x_{i+1}) > delta and the worst step error, behind
+  ``pseudo_orbits.validate``) and ``traces(z, pts, eps)`` (the tracing
+  clause d(f^i(z), x_i) <= eps, behind ``shadow_search.shadows``).  A net
+  steps point by point; a shift compares tape bytes for the trace and
+  integer first-disagreement depths for the steps;
 * shadow search: ``shadow_candidates`` (every net point, or the one glued
   word of a shift) and ``universe``, the stamp of the quantified universe;
 * cylinders (shifts only): ``cylinders(lo, hi, x, fixed)`` lists the
@@ -38,13 +44,18 @@ the period repeated on each side.  Windows, the packed comparison word
 (the coordinates -R..R, one byte each) and the glued word of a shadow
 search are slices of it, and the canonical form is found once per tape
 (one least rotation, Booth 1980) and derived for each view, whose phases
-and breakpoints move with the offset.  Symbols are checked where points
-enter (``point``, ``check_point`` and the ``io`` loaders run
-``admissible``) and by ``distance`` and ``closeness``, which compare each
-point's recorded least and largest symbol with the alphabet in O(1).
-Symbolic points order by their canonical form, which fixes the atom order
-of empirical measures.  The method results are plain points and point
-lists; validation into pseudo-orbits stays in ``pseudo_orbits``.
+and breakpoints move with the offset.  On a shift d <= 2^-t means
+agreement on |j| < t, so a trace is one comparison of the shadow's tape
+bytes with the glued word of the pseudo-orbit, and a step whose next point
+is the same tape one offset on has error 0 without a comparison.  Symbols
+are checked where points enter (``point``, ``check_point``,
+``step_check`` and the ``io`` loaders run ``admissible``, once per tape
+in ``step_check``) and by ``distance``, ``closeness`` and ``traces``,
+which compare each point's recorded least and largest symbol with the
+alphabet in O(1).  Symbolic points order by their canonical form, which
+fixes the atom order of empirical measures.  The method results are plain
+points, point lists and step verdicts; validation into pseudo-orbits stays
+in ``pseudo_orbits``.
 """
 
 from __future__ import annotations
@@ -440,6 +451,21 @@ def glue_constraints(pts: Sequence[SymbolicPoint], rho: int) -> Optional[bytes]:
     return bytes(glued)
 
 
+def _trace_stepwise(system, z, pts: Sequence, eps: Fraction) -> bool:
+    """Whether d(f^i(z), x_i) <= eps for every i, stepping z once per point
+    and testing each pair with the system's ``closeness``."""
+    close = system.closeness(eps)
+    for x in pts:
+        if not close(z, x):
+            return False
+        z = system.step(z)
+    return True
+
+
+_LOW_SYMBOL = operator.attrgetter("low_symbol")
+_TOP_SYMBOL = operator.attrgetter("top_symbol")
+
+
 class SymbolicSystem:
     """A subshift of finite type: the shift map on admissible sequences.
 
@@ -663,6 +689,48 @@ class SymbolicSystem:
 
         return close
 
+    def traces(self, z: SymbolicPoint, pts: Sequence[SymbolicPoint], eps: Fraction) -> bool:
+        """Whether d(f^i(z), x_i) <= eps for every i.  Below 1 that is
+        agreement of f^i(z) with x_i on |j| <= rho (2^-(rho+1) <= eps), so
+        z's coordinates -rho..n-1+rho must be the glued windows of the x_i:
+        one byte comparison.  Every point is checked against the alphabet
+        first, wherever it sits."""
+        points = (z, *pts)
+        if (min(map(_LOW_SYMBOL, points)) < 0
+                or max(map(_TOP_SYMBOL, points)) >= self.alphabet_size):
+            raise ValueError("alphabet mismatch")
+        if eps == 0 or eps >= 1:
+            return _trace_stepwise(self, z, pts, eps)
+        if not pts:
+            return True
+        rho = dyadic_radius(eps) - 1
+        return z._symbols(-rho, len(pts) + 2 * rho) == glue_constraints(pts, rho)
+
+    def step_check(self, pts: Sequence[SymbolicPoint], delta: Fraction) -> tuple:
+        """(index of the first step with d(f(x_i), x_{i+1}) > delta or None,
+        worst step error), after checking every point, admissibility once
+        per tape.  A step to the same tape one offset on has error 0; any
+        other has error 2^-i, i the first disagreement depth of f(x_i) and
+        x_{i+1}, and is bad when i < s (2^-s <= delta)."""
+        tapes = set()
+        for p in pts:
+            if not (isinstance(p, SymbolicPoint) and p._tape in tapes):
+                self.check_point(p)
+                tapes.add(p._tape)
+        s = dyadic_radius(delta) if delta > 0 else math.inf
+        first_bad = least = None  # least depth so far; None while every error is 0
+        for i, (p, q) in enumerate(zip(pts, pts[1:])):
+            if q._tape is p._tape and q.offset == p.offset - 1:
+                continue
+            depth = first_disagreement(p.shift(1), q)
+            if depth is None:
+                continue
+            if least is None or depth < least:
+                least = depth
+            if first_bad is None and depth < s:
+                first_bad = i
+        return first_bad, ZERO if least is None else Fraction(1, 1 << least)
+
     def diameter_bound(self) -> Fraction:
         return ONE
 
@@ -860,6 +928,37 @@ def _members(mask: int) -> list:
     return out
 
 
+def _threshold(eps, denominator: int, strict: bool = False) -> int:
+    """The largest integer distance t with t / D <= eps (< eps when
+    strict), so that d <= eps iff d * D <= t."""
+    eps = Fraction(eps)
+    scaled = eps.numerator * denominator
+    t = scaled // eps.denominator
+    if strict and t * eps.denominator == scaled:
+        t -= 1
+    return t
+
+
+def _ball_rows(mat: np.ndarray, t: int) -> dict:
+    """Rows of closed balls as int bitmasks (bit q of row i: mat[i, q] <= t),
+    each built on its first lookup."""
+    return _Lazy(lambda i: _mask(mat[i] <= t))
+
+
+def _predecessors(fmap: Sequence[int], masks: dict, succ: list) -> list:
+    """Predecessor lists of the transition graph with successors the balls
+    ``masks`` around the images, filling the successor rows ``succ`` (as
+    ``NetSystem.successors`` does) on the way."""
+    preds: list[list[int]] = [[] for _ in fmap]
+    for p, image in enumerate(fmap):
+        row = succ[p]
+        if row is None:
+            row = succ[p] = tuple(_members(masks[image]))
+        for q in row:
+            preds[q].append(p)
+    return preds
+
+
 def _int_matrix(nums, denominator: int) -> tuple:
     """(matrix, D): the integer distances over ``denominator`` with the
     factor they all share with it divided out, so that D is their least
@@ -954,9 +1053,11 @@ class NetSystem:
         self._imat, self.denominator = _int_matrix(dist, denominator)
         if self._imat.shape != (self.n, self.n):
             raise ValueError("distance matrix shape mismatch")
-        D = self.denominator
-        self._fractions = _Lazy(lambda v: Fraction(v, D))
-        self._rows = _Lazy(self._fraction_row)
+        # the tables are built over local values, not over the net, so that
+        # a dropped net is freed at once rather than by the cyclic GC
+        n, fmap, mat, D = self.n, self.map, self._imat, self.denominator
+        fractions = self._fractions = _Lazy(lambda v: Fraction(v, D))
+        self._rows = _Lazy(lambda i: tuple([fractions[v] for v in mat[i].tolist()]))
 
         self.inverse: Optional[tuple] = None
         self.invertible = bool(invertible)
@@ -968,9 +1069,10 @@ class NetSystem:
                 inv[j] = i
             self.inverse = tuple(inv)
 
-        self._ball_cache = _Tables(self._ball_rows)
-        self._succ_cache = _Tables(lambda delta: [None] * self.n)
-        self._pred_cache = _Tables(self._predecessors)
+        balls = self._ball_cache = _Tables(lambda eps: _ball_rows(mat, _threshold(eps, D)))
+        succ = self._succ_cache = _Tables(lambda delta: [None] * n)
+        self._pred_cache = _Tables(
+            lambda delta: _predecessors(fmap, balls.table(delta), succ.table(delta)))
         self.metric_report: Optional[MetricReport] = None
         if metric_check != "skip":
             self.metric_report = self.validate_metric(mode=metric_check)
@@ -979,29 +1081,11 @@ class NetSystem:
 
     # -- metric ---------------------------------------------------------------
 
-    def _fraction_row(self, i: int) -> tuple:
-        fractions = self._fractions
-        return tuple([fractions[v] for v in self._imat[i].tolist()])
-
     def row(self, i: int) -> tuple:
         return self._rows[i]
 
     def distance(self, i: int, j: int) -> Fraction:
         return self._fractions[self._imat.item(i, j)]
-
-    def _threshold(self, eps, strict: bool = False) -> int:
-        """The largest integer distance t with t / D <= eps (< eps when
-        strict), so that d <= eps iff d * D <= t."""
-        eps = Fraction(eps)
-        scaled = eps.numerator * self.denominator
-        t = scaled // eps.denominator
-        if strict and t * eps.denominator == scaled:
-            t -= 1
-        return t
-
-    def _ball_rows(self, eps) -> dict:
-        t, mat = self._threshold(eps), self._imat
-        return _Lazy(lambda i: _mask(mat[i] <= t))
 
     def ball_masks(self, eps) -> dict:
         """Closed eps-balls as int bitmasks: bit q of entry i is set iff
@@ -1096,6 +1180,25 @@ class NetSystem:
         masks = self.ball_masks(eps)
         return lambda i, j: masks[i] >> j & 1 == 1
 
+    def traces(self, z: int, pts: Sequence[int], eps: Fraction) -> bool:
+        """Whether d(f^i(z), x_i) <= eps for every i, point by point."""
+        return _trace_stepwise(self, z, pts, eps)
+
+    def step_check(self, pts: Sequence[int], delta: Fraction) -> tuple:
+        """(index of the first step with d(f(x_i), x_{i+1}) > delta or None,
+        worst step error), after checking every point."""
+        for p in pts:
+            self.check_point(p)
+        first_bad = None
+        worst = ZERO
+        for i in range(len(pts) - 1):
+            err = self.distance(self.step(pts[i]), pts[i + 1])
+            if err > worst:
+                worst = err
+            if err > delta and first_bad is None:
+                first_bad = i
+        return first_bad, worst
+
     # -- shadows, chains and loops ---------------------------------------------
 
     def shadow_candidates(self, pts: Sequence[int], eps: Fraction) -> tuple:
@@ -1152,13 +1255,6 @@ class NetSystem:
             remaining -= 1
         assert cur == b
         return path
-
-    def _predecessors(self, delta: Fraction) -> list:
-        preds: list[list[int]] = [[] for _ in range(self.n)]
-        for p in range(self.n):
-            for q in self.successors(p, delta):
-                preds[q].append(p)
-        return preds
 
     def dwell_loop(self, p: int, delta: Fraction) -> Optional[list]:
         """The shortest delta-chain loop at p."""
@@ -1222,7 +1318,7 @@ class NetSystem:
 
     def nearby_point(self, x: int, eps: Fraction, rng) -> int:
         """A point at distance < eps from x (strict)."""
-        near = self._imat[x] <= self._threshold(eps, strict=True)
+        near = self._imat[x] <= _threshold(eps, self.denominator, strict=True)
         return rng.choice(np.flatnonzero(near).tolist())
 
     def separated_count(self, n: int, eps: Fraction) -> None:
@@ -1235,7 +1331,7 @@ class NetSystem:
         ball: members q with d(f^i(x), f^i(q)) <= e for |i| <= horizon
         (forward window only when the map is not invertible)."""
         lo = -horizon if self.invertible else 0
-        t, mat = self._threshold(e), self._imat
+        t, mat = _threshold(e, self.denominator), self._imat
         inside = mat[x] <= t
         for maps in ((self.map, self.inverse) if self.invertible else (self.map,)):
             step = np.asarray(maps)

@@ -122,6 +122,21 @@ def test_schema_error_exit_code(tmp_path):
     assert run_cli("chain", "--system", str(garbage), "--delta", "1/8") == EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("value", ["0.125", "1e-3", " 1/8", "1/8 ", "+1/8", "1_000", "1 / 8",
+                                   "1/0", "one"])
+def test_rational_argument_outside_the_document_grammar_exit_code(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("chain", "--system", "goldenmean", "--delta", value, "--depth", "2")
+    assert exc.value.code == EXIT_SCHEMA
+    assert "not an exact rational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1/8", "2/16", "0", "1"])
+def test_rational_argument_in_the_document_grammar(value):
+    assert run_cli("chain", "--system", "goldenmean", "--delta", value,
+                   "--depth", "2") == EXIT_OK
+
+
 def test_accept_single_criterion():
     assert run_cli("accept", "--only", "1") == EXIT_OK
 

@@ -7,6 +7,8 @@ shadowability DFS is compared with an exhaustive preorder enumeration of
 pseudo-orbits and an exhaustive Fraction shadow search.
 """
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from shadowdyn.builders import dense_shadowable_example, fig1_circle
 from shadowdyn.finitize import CylinderNet
+from shadowdyn.pseudo_orbits import connect
 from shadowdyn.shadow_search import SearchStats, find_shadow, net_shadowability_dfs
 from shadowdyn.shadowing import is_positively_shadowable_at
 from shadowdyn.systems import (
@@ -196,3 +199,20 @@ def test_bitmask_dfs_matches_exhaustive_search(net_table, eps, delta, horizon):
             assert list(rep.counterexample.points) == bad
     first = next((b for b in expected if b is not None), None)
     assert net_shadowability_dfs(net, None, eps, delta, horizon, SearchStats()) == first
+
+
+def test_a_dropped_net_is_freed_without_the_cyclic_gc():
+    gc.disable()
+    try:
+        net = fig1_circle(120)
+        # fill every table: rows, balls, successors, predecessors
+        net.row(4)
+        net.ball(5, F(1, 60))
+        assert connect(3, 10, F(1, 60), net) is not None
+        ref = weakref.ref(net)
+        del net
+        assert ref() is None
+        ref = weakref.ref(CylinderNet(SymbolicSystem.golden_mean(), 2))
+        assert ref() is None
+    finally:
+        gc.enable()

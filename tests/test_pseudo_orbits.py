@@ -1,8 +1,14 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shadowdyn import io as sio
 from shadowdyn.pseudo_orbits import (
+    PseudoOrbit,
     PseudoOrbitError,
     concatenate,
     connect,
@@ -11,6 +17,7 @@ from shadowdyn.pseudo_orbits import (
     repeat,
     validate,
 )
+from shadowdyn.shadow_search import find_shadow, shadows, symbolic_successor_candidates
 from shadowdyn.systems import SymbolicPoint, SymbolicSystem, circle_net
 
 F = Fraction
@@ -163,3 +170,173 @@ def test_connect_minimality_against_exhaustive():
         else:
             assert po is not None and po.step_count == oracle
             assert po.reverify()
+
+
+# -- differential oracle: shift step checks and traces against stepwise Fractions
+
+
+def scanned_depth(a, b):
+    """Least |j| with a_j != b_j by a coordinate scan, None when equal."""
+    # beyond every central word both sequences are periodic, so one joint
+    # period past the farthest word end settles equality
+    far = max(abs(a.offset), abs(a.offset + len(a.word)),
+              abs(b.offset), abs(b.offset + len(b.word)))
+    for i in range(far + math.lcm(len(a.period), len(b.period)) + 1):
+        if a.coord(i) != b.coord(i) or a.coord(-i) != b.coord(-i):
+            return i
+    return None
+
+
+def scanned_distance(a, b):
+    i = scanned_depth(a, b)
+    return F(0) if i is None else F(1, 2 ** i)
+
+
+def in_alphabet(system, p):
+    return all(0 <= s < system.alphabet_size for s in p.period + p.word)
+
+
+def scanned_admissible(system, p):
+    lo, hi = p.offset - len(p.period) - 1, p.offset + len(p.word) + len(p.period) + 1
+    return in_alphabet(system, p) and all(
+        system.transitions[p.coord(j)][p.coord(j + 1)] for j in range(lo, hi))
+
+
+def reference_validate(system, pts, delta):
+    """("ok",) or ("bad", first bad index, worst error), stepping Fractions."""
+    if not pts or not all(scanned_admissible(system, p) for p in pts):
+        raise ValueError("not a point sequence of the system")
+    errors = [scanned_distance(pts[i].shift(1), pts[i + 1]) for i in range(len(pts) - 1)]
+    bad = [i for i, e in enumerate(errors) if e > delta]
+    return ("bad", bad[0], max(errors)) if bad else ("ok",)
+
+
+def reference_trace(system, z, pts, eps):
+    """The checked window, or None, stepping z one shift per point."""
+    if not all(in_alphabet(system, p) for p in (z, *pts)):
+        raise ValueError("alphabet mismatch")
+    for i, x in enumerate(pts):
+        if scanned_distance(z.shift(i), x) > eps:
+            return None
+    return (0, len(pts) - 1)
+
+
+def library_validate(system, pts, delta):
+    try:
+        po = validate(pts, delta, system)
+    except PseudoOrbitError as err:
+        return ("bad", err.first_bad_index, err.worst_error)
+    assert po.points == tuple(pts) and po.delta == delta
+    return ("ok",)
+
+
+def library_trace(system, z, pts, eps):
+    w = shadows(system, z, pts, eps)
+    if w is None:
+        return None
+    assert w.shadow_point is z and w.epsilon == eps
+    return w.window
+
+
+def glued_shadow(system, pts, eps):
+    w = find_shadow(system, pts, eps) if pts else None
+    return None if w is None else w.shadow_point
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def random_point(system, rng):
+    """An admissible point: a periodic closure, or one with a central word
+    of up to 70 symbols, at an offset near 0."""
+    while True:
+        period = system.sample_point(rng).period
+        word = [rng.randrange(system.alphabet_size) for _ in range(rng.choice([0, 3, 70]))]
+        for j in range(1, len(word)):
+            if not system.allowed(word[j - 1], word[j]):
+                word[j] = 0
+        p = SymbolicPoint(period, word, rng.randint(-40, 40))
+        if system.admissible(p):
+            return p
+
+
+def next_point(system, p, rng):
+    """A successor of p of one of five kinds: its shift on the same tape, a
+    copy of that shift on a fresh tape (io round trip), a point near it, any
+    point, or a view of p deep in one tail."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return p.shift(1)
+    if kind == 1:
+        return sio.point_from_json(sio.point_to_json(p.shift(1)), system)
+    if kind == 2:
+        s = rng.randint(0, 4)
+        return rng.choice(symbolic_successor_candidates(system, p.shift(1), s, s))
+    if kind == 3:
+        return random_point(system, rng)
+    return p.shift(rng.choice([-1, 1]) * rng.randint(150, 400))
+
+
+TOLERANCES = [F(0), F(1, 8), F(1, 5), F(1), F(2)]
+
+
+@given(st.sampled_from(["fullshift:2", "goldenmean"]), st.sampled_from(TOLERANCES),
+       st.sampled_from(TOLERANCES), st.integers(0, 10), st.integers(0, 2 ** 32))
+@settings(max_examples=250, deadline=None)
+def test_shift_step_check_and_trace_match_stepwise_fractions(name, eps, delta, length, seed):
+    system = SymbolicSystem.full_shift(2) if name == "fullshift:2" else SymbolicSystem.golden_mean()
+    rng = random.Random(seed)  # uniform choices, where a shrinking random leans to the first
+    start = random_point(system, rng)
+    if rng.random() < 0.3:
+        start = start.shift(rng.choice([-1, 1]) * rng.randint(150, 400))
+    pts = [start]
+    for _ in range(length):
+        pts.append(next_point(system, pts[-1], rng))
+    if rng.random() < 0.3:
+        pts = pts[:1]
+        for _ in range(length):
+            pts.append(pts[-1].shift(1))  # a true orbit, with a few fresh copies
+            if rng.random() < 0.2:
+                pts[-1] = sio.point_from_json(sio.point_to_json(pts[-1]), system)
+    if length == 0 and rng.random() < 0.5:
+        pts = []
+    foreign_at = rng.randrange(len(pts)) if pts and rng.random() < 0.25 else None
+    if foreign_at is not None:
+        # a symbol outside the alphabet, anywhere in the sequence
+        pts[foreign_at] = SymbolicPoint((0,), (2,), rng.randint(-3, 3))
+
+    expected = outcome(reference_validate, system, pts, delta)
+    assert outcome(library_validate, system, pts, delta) == expected
+    if expected is not ValueError:
+        po = PseudoOrbit(system, tuple(pts), delta, "segment")
+        assert po.reverify() == (expected == ("ok",))
+
+    z = pts[0] if pts else start
+    glued = None if foreign_at is not None else outcome(glued_shadow, system, pts, eps)
+    foreign = SymbolicPoint((0,), (2,), 1)
+    for cand in (z, glued, start.shift(len(start.period) * 200), random_point(system, rng),
+                 foreign):
+        if cand is None or cand is ValueError:
+            continue
+        want = outcome(reference_trace, system, cand, pts, eps)
+        got = outcome(library_trace, system, cand, pts, eps)
+        assert got == want
+
+
+def test_empty_trace_and_foreign_symbols_wherever_they_sit():
+    sigma2 = SymbolicSystem.full_shift(2)
+    z = sigma2.point((0, 1))
+    for eps in TOLERANCES:
+        assert shadows(sigma2, z, [], eps).window == (0, -1)
+    foreign = SymbolicPoint((0,), (2,), 0)
+    orbit = [z.shift(i) for i in range(6)]
+    for eps in TOLERANCES:
+        # below eps = 1 the first step already fails, yet the foreign point is seen
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            shadows(sigma2, z.shift(1), orbit[:-1] + [foreign], eps)
+    with pytest.raises(ValueError):
+        validate(orbit[:-1] + [foreign], F(1, 8), sigma2)
