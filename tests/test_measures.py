@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowdyn import measures
 from shadowdyn.builders import fig1_circle
 from shadowdyn.measures import (
     BlockConcatenation,
@@ -101,6 +103,34 @@ def test_measure_approx_suite_on_net():
     assert report.ok, report.violations[:3]
 
 
+@pytest.mark.parametrize("name, seed, trials, calls, digest", [
+    ("fullshift:3", 4, 30, 158,
+     "df01260a2a317a0b6cd92937589bce15ffc221357815d90d01d13477c5daa823"),
+    ("circle:24", 5, 20, 115,
+     "13832192d2e2dc0f62f2dd41c93712bf73cc408a3831c4a7b67c627b306b2c49"),
+])
+def test_measure_approx_trials_are_pinned(monkeypatch, name, seed, trials, calls, digest):
+    """The d* values a fixed-seed run evaluates, in order: the random draws,
+    and so the trials and the report, do not depend on how the kernel or
+    the suite is implemented."""
+    system = (SymbolicSystem.full_shift(3) if name == "fullshift:3"
+              else circle_net(24, lambda i: (i + 1) % 24, invertible=True))
+    library_dstar = measures.dstar
+    values = []
+
+    def recording_dstar(mu, nu, fam):
+        res = library_dstar(mu, nu, fam)
+        values.append(res.value)
+        return res
+
+    monkeypatch.setattr(measures, "dstar", recording_dstar)
+    family = TestFunctionFamily.for_system(system, size=24)
+    report = verify_measure_approx(system, family, trials=trials, seed=seed)
+    assert report.ok and report.trials == trials
+    text = " ".join(map(str, values)).encode()
+    assert (len(values), hashlib.sha256(text).hexdigest()) == (calls, digest)
+
+
 # -- differential oracle: the rational kernel the integer one replaced --------
 
 
@@ -163,20 +193,29 @@ def random_measure(system, rng):
 
 
 @given(name=st.sampled_from(sorted(ORACLE_SYSTEMS)),
-       radii=st.sampled_from([None, (F(1, 3), F(1, 5))]),
-       size=st.integers(1, 24), seed=st.integers(0, 2 ** 32))
+       radii=st.permutations([None, (F(1, 3), F(1, 5))]),
+       sizes=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+       seed=st.integers(0, 2 ** 32))
 @settings(max_examples=120, deadline=None)
-def test_integer_kernel_matches_rational_reference(name, radii, size, seed):
+def test_integer_kernel_matches_rational_reference(name, radii, sizes, seed):
+    """Two families of different sizes and radii over the same measures: d*,
+    its symmetry and identity, then each integral and tent value read back
+    from the per-point cache that d* filled."""
     system = ORACLE_SYSTEMS[name]
     rng = random.Random(seed)
-    family = TestFunctionFamily.for_system(system, size=size, radii=radii)
     (mu, mu_ref), (nu, nu_ref) = random_measure(system, rng), random_measure(system, rng)
     assert mu.atoms == mu_ref and nu.atoms == nu_ref
-    assert dstar(mu, nu, family).value == reference_dstar(mu, nu, family)
-    for j in range(1, size + 1):
-        assert family.integral(j, mu) == reference_integral(family, j, mu)
-        for p in mu.points:
-            assert family.value(j, p) == reference_value(family, j, p)
+    for size, r in zip(sizes, radii):
+        family = TestFunctionFamily.for_system(system, size=size, radii=r)
+        value = dstar(mu, nu, family).value
+        assert value == reference_dstar(mu, nu, family)
+        assert dstar(nu, mu, family).value == value
+        assert dstar(mu, mu, family).value == 0
+        for j in range(1, size + 1):
+            assert family.integral(j, mu) == reference_integral(family, j, mu)
+            assert family.integral(j, nu) == reference_integral(family, j, nu)
+            for p in mu.points + nu.points:
+                assert family.value(j, p) == reference_value(family, j, p)
 
 
 class RecordingSystem:

@@ -1,3 +1,4 @@
+from collections import deque
 from fractions import Fraction
 
 import math
@@ -220,6 +221,93 @@ def test_periodic_closure():
     assert p is not None
     assert p.window(-1, 1) == (1, 0, 1)
     assert gm.admissible(p)
+
+
+def reference_connecting_path(system, a, b):
+    """The breadth-first search over (symbol, steps so far, capped at 1)
+    states that built every path before paths were tabled: the shortest
+    admissible word (a, ..., b) with at least one transition, ties to the
+    lowest symbols."""
+    start = (a, 0)
+    prev = {start: None}
+    queue = deque([start])
+    goal = None
+    while queue and goal is None:
+        u, s = queue.popleft()
+        for v in range(system.alphabet_size):
+            if not system.allowed(u, v):
+                continue
+            state = (v, 1)
+            if state in prev:
+                continue
+            prev[state] = (u, s)
+            if v == b:
+                goal = state
+                break
+            queue.append(state)
+    if goal is None:
+        return None
+    path = []
+    while goal is not None:
+        path.append(goal[0])
+        goal = prev[goal]
+    return tuple(reversed(path))
+
+
+# 0 -> 1 -> 2 with self-loops: no path leads back to a lower symbol
+REDUCIBLE = SymbolicSystem(3, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+CLOSURE_SYSTEMS = {
+    "fullshift:2": SymbolicSystem.full_shift(2),
+    "fullshift:3": SymbolicSystem.full_shift(3),
+    "goldenmean": SymbolicSystem.golden_mean(),
+    "reducible:3": REDUCIBLE,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_SYSTEMS))
+def test_connecting_path_table_matches_a_fresh_search(name):
+    system = CLOSURE_SYSTEMS[name]
+    k = system.alphabet_size
+    # twice: the second round reads the filled table
+    for _ in range(2):
+        for a in range(k):
+            for b in range(k):
+                assert system.connecting_path(a, b) == reference_connecting_path(system, a, b)
+    if system is REDUCIBLE:
+        assert [(a, b) for a in range(k) for b in range(k)
+                if system.connecting_path(a, b) is None] == [(1, 0), (2, 0), (2, 1)]
+
+
+@st.composite
+def closure_words(draw):
+    name = draw(st.sampled_from(sorted(CLOSURE_SYSTEMS)))
+    system = CLOSURE_SYSTEMS[name]
+    word = draw(st.lists(st.integers(0, system.alphabet_size - 1), min_size=1, max_size=7))
+    return system, tuple(word)
+
+
+@given(closure_words())
+@settings(max_examples=400, deadline=None)
+def test_closing_junctions_decide_admissibility(case):
+    """Closing a word with the path from its last symbol back to its first
+    gives an admissible period exactly when the word is admissible and the
+    two junction transitions (word into path, path into word) are allowed."""
+    system, word = case
+    path = system.connecting_path(word[-1], word[0])
+    if path is None:
+        assert system.periodic_closure(word) is None
+        return
+    period = word + path[1:-1]
+    junctions = (system.allowed(word[-1], period[len(word) % len(period)])
+                 and system.allowed(period[-1], word[0]))
+    assert (system.admissible(SymbolicPoint(period))
+            == (system.word_admissible(word) and junctions))
+    closure = system.periodic_closure(word, anchor=-2)
+    if system.word_admissible(word):
+        assert closure == SymbolicPoint(period, (), -2)
+        assert closure.window(-2, len(word) - 3) == word
+    else:
+        assert closure is None
 
 
 def test_shift_of_admissible_is_admissible():
