@@ -8,12 +8,16 @@ checked on it are implied by the exact statements.
 
 The arithmetic is exact and integer.  A measure holds its weights as
 integer counts over one denominator (the lcm of its weights'
-denominators).  A test family keeps, per point, one row of distances to
-the centres its functions use, as integer numerators over the row's lcm
-denominator; all radii of a centre share that row.  ``dstar`` scales the
-rows of each measure to one common denominator, compares d < r by
-cross-multiplication, sums count x (r - d) as integers for each function
-and builds a single ``Fraction`` at the end, equal to the rational sum.
+denominators).  A test family keeps one cache, per point y: the tent
+vector, for every function j (radius a/b, centre p) the numerator
+max(0, a D - b n) of phi_j(y) = max(0, a D - b n) / (D (a + b)), where
+n / D is d(y, p) over the lcm D of y's distances to the centres.
+``integrals`` reads a measure in one pass: it scales each atom's vector to
+one common denominator and adds count x vector, giving the integrals of all
+functions as integers.  ``dstar`` compares the two measures' vectors in one
+``zip`` against per-family weights 2^-(j+1) / (a + b) over a common
+denominator, and builds a single ``Fraction`` at the end, equal to the
+rational sum; ``value`` and ``integral`` read the same cache.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from operator import mul
 from typing import Optional, Sequence
 
 from .pseudo_orbits import splice_chain
@@ -63,7 +67,7 @@ class EmpiricalMeasure:
         if total != denominator:
             raise ValueError(f"weights sum to {Fraction(total, denominator)}, not 1")
         # points of one system kind are totally ordered (shifts canonically)
-        items = sorted(merged.items(), key=itemgetter(0))
+        items = sorted(merged.items(), key=_order)
         g = math.gcd(denominator, *merged.values())
         self.points = tuple(p for p, _ in items)
         self.counts = tuple(c // g for _, c in items)
@@ -133,6 +137,13 @@ class EmpiricalMeasure:
         return f"EmpiricalMeasure({len(self.points)} atoms)"
 
 
+def _order(atom) -> object:
+    """Sort key of a (point, count) pair: the canonical form of a symbolic
+    point, which is what its ``<`` compares, or the net point itself."""
+    canonical = getattr(atom[0], "canonical", None)
+    return atom[0] if canonical is None else canonical()
+
+
 class TestFunctionFamily:
     """Tent functions phi(y) = max(0, r - d(y, p)) / (1 + r) over an
     enumeration of (center, dyadic radius) pairs, center-major.
@@ -156,7 +167,18 @@ class TestFunctionFamily:
         self.size = size
         # the centres the first `size` (center, radius) pairs reach
         self._used = self.centers[:-(-size // len(self.radii))]
-        self._rows: dict = {}
+        # per function: (centre index, a, b) for the radius a/b
+        self._spec = tuple((c, r.numerator, r.denominator)
+                           for c, r in map(self._function, range(1, size + 1)))
+        # dstar's term j is 2^-(j+1) |difference| / (a + b): over the common
+        # denominator scale << size its weight is (scale / (a + b)) << (size-1-j)
+        self._scale = math.lcm(*(a + b for _, a, b in self._spec))
+        self._weights = tuple((self._scale // (a + b)) << (size - 1 - j)
+                              for j, (_, a, b) in enumerate(self._spec))
+        self._tail = Fraction(2, 1 << size)
+        # the one vector of every point whose tents all vanish
+        self._zero = ((0,) * size, 1)
+        self._tents: dict = {}
 
     @classmethod
     def for_system(cls, system, size: int = 24, depth: int = 2,
@@ -175,48 +197,46 @@ class TestFunctionFamily:
         c, r = self._function(j)
         return self.centers[c], r
 
-    def _row(self, y) -> tuple:
-        """(numerators, denominator): the distances from y to the used
-        centres, in centre order, as integers over their lcm."""
-        row = self._rows.get(y)
-        if row is None:
+    def _tent_vector(self, y) -> tuple:
+        """(tents, D): y's tent numerators max(0, a D - b n), one per
+        function, over the lcm D of the denominators of its distances n / D
+        to the used centres (the shared ``_zero`` when all vanish); computed
+        once per point."""
+        vector = self._tents.get(y)
+        if vector is None:
             ds = [self.system.distance(y, p) for p in self._used]
             den = math.lcm(*(d.denominator for d in ds))
-            row = (tuple(d.numerator * (den // d.denominator) for d in ds), den)
-            self._rows[y] = row
-        return row
+            nums = [d.numerator * (den // d.denominator) for d in ds]
+            tents = tuple([max(0, a * den - b * nums[c]) for c, a, b in self._spec])
+            vector = self._tents[y] = (tents, den) if any(tents) else self._zero
+        return vector
 
     def value(self, j: int, y) -> Fraction:
-        c, r = self._function(j)
-        nums, den = self._row(y)
-        return Fraction(max(0, r.numerator * den - r.denominator * nums[c]),
-                        den * (r.numerator + r.denominator))
+        _, r = self._function(j)
+        tents, den = self._tent_vector(y)
+        return Fraction(tents[j - 1], den * (r.numerator + r.denominator))
 
-    def _scaled(self, mu: EmpiricalMeasure) -> tuple:
-        """(atoms, den): mu's atoms as (count, distance numerators over den),
-        den the lcm of their rows' denominators."""
-        rows = [self._row(p) for p in mu.points]
-        den = math.lcm(*(d for _, d in rows))
-        return [(count, [n * (den // d) for n in nums])
-                for count, (nums, d) in zip(mu.counts, rows)], den
-
-    @staticmethod
-    def _sum(atoms, den: int, c: int, r: Fraction) -> int:
-        """Sum of count x (r - d) over the atoms with d < r, times den and
-        the denominator of r (d the distance to centre c)."""
-        top, b = r.numerator * den, r.denominator
-        s = 0
-        for count, nums in atoms:
-            x = top - b * nums[c]
-            if x > 0:
-                s += count * x
-        return s
+    def integrals(self, mu: EmpiricalMeasure) -> tuple:
+        """(sums, s): the integrals of all functions against mu in one pass
+        over its atoms, function j's (radius a/b) being
+        sums[j-1] / (s (a + b)); sums adds count x (D / D_y) x tents over
+        the atoms y, D the lcm of their vectors' denominators D_y.  Atoms
+        whose tents all vanish add nothing and are skipped."""
+        zero = self._zero
+        live = [(count, vector) for count, vector
+                in zip(mu.counts, map(self._tent_vector, mu.points)) if vector is not zero]
+        if not live:
+            return zero[0], mu.denominator
+        den = math.lcm(*(d for _, (_, d) in live))
+        scales = [count * (den // d) for count, (_, d) in live]
+        sums = [sum(map(mul, scales, column))
+                for column in zip(*(tents for _, (tents, _) in live))]
+        return sums, mu.denominator * den
 
     def integral(self, j: int, mu: EmpiricalMeasure) -> Fraction:
-        c, r = self._function(j)
-        atoms, den = self._scaled(mu)
-        return Fraction(self._sum(atoms, den, c, r),
-                        mu.denominator * den * (r.numerator + r.denominator))
+        _, r = self._function(j)
+        sums, s = self.integrals(mu)
+        return Fraction(sums[j - 1], s * (r.numerator + r.denominator))
 
     def validate(self, sample_points: Sequence) -> bool:
         """sup|phi| + Lip(phi) <= 1 on all sampled pairs."""
@@ -261,22 +281,14 @@ def dstar(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
     lower bound for the untruncated metric.
     """
     size = family.size
-    atoms_mu, den_mu = family._scaled(mu)
-    atoms_nu, den_nu = family._scaled(nu)
-    # integral(j, mu) = S_j(mu) / (s_mu (a + b)) for the j-th radius a/b
-    s_mu, s_nu = mu.denominator * den_mu, nu.denominator * den_nu
-    k = math.lcm(*(r.numerator + r.denominator for r in family.radii))
-    radii = family.radii
-    total = 0
-    for j in range(size):
-        c, i = divmod(j, len(radii))
-        r = radii[i]
-        diff = (family._sum(atoms_mu, den_mu, c, r) * s_nu
-                - family._sum(atoms_nu, den_nu, c, r) * s_mu)
-        # 2^-(j+1) |diff| / (s_mu s_nu (a + b)) over the common denominator
-        total += abs(diff) * (k // (r.numerator + r.denominator)) << (size - 1 - j)
-    return DStarResult(Fraction(total, (k * s_mu * s_nu) << size),
-                       Fraction(2, 1 << size), size)
+    # integral(j, mu) = x_j / (s_mu (a + b)) for the j-th radius a/b, so term
+    # j is 2^-(j+1) |x_j s_nu - y_j s_mu| / (s_mu s_nu (a + b))
+    xs, s_mu = family.integrals(mu)
+    ys, s_nu = family.integrals(nu)
+    total = sum([abs(x * s_nu - y * s_mu) * w
+                 for x, y, w in zip(xs, ys, family._weights)])
+    return DStarResult(Fraction(total, (family._scale * s_mu * s_nu) << size),
+                       family._tail, size)
 
 
 # -- measure approximation lemma suite ---------------------------------------
@@ -352,20 +364,19 @@ def verify_measure_approx(system, family: TestFunctionFamily, trials: int = 1000
         if lhs >= eps:
             violations.append(LemmaViolation(2, trial, lhs, eps, {"m": m}))
 
-        # item 3
+        # item 3, around the measure mu_x of item 2
         k = rng.randint(1, 4)
-        mu = EmpiricalMeasure.from_sequence(xs)
         parts = []
         for _ in range(k):
             ys = [system.nearby_point(x, eps, rng) for x in xs]
             parts.append(EmpiricalMeasure.from_sequence(ys))
-        if all(dstar(p, mu, family).value < eps for p in parts):
+        if all(dstar(p, mu_x, family).value < eps for p in parts):
             cuts = sorted(rng.randint(0, 24) for _ in range(k - 1))
             raw = [a - b for a, b in zip(cuts + [24], [0] + cuts)]
             weights = [Fraction(r, 24) for r in raw]
             if sum(weights) == 1 and all(w >= 0 for w in weights):
                 mix = EmpiricalMeasure.mix(parts, weights)
-                lhs = dstar(mix, mu, family).value
+                lhs = dstar(mix, mu_x, family).value
                 if lhs >= eps:
                     violations.append(LemmaViolation(3, trial, lhs, eps, {"k": k}))
     return MeasureApproxReport(trials, seed, violations)

@@ -29,7 +29,10 @@ never test the kind of a system or point:
   word of a shift) and ``universe``, the stamp of the quantified universe;
 * cylinders (shifts only): ``cylinders(lo, hi, x, fixed)`` lists the
   admissible words on a window, each with its periodic closure; every
-  symbolic verdict over ``cylinder-candidates`` takes its points from it;
+  symbolic verdict over ``cylinder-candidates`` takes its points from it.
+  A closure, like a splice of ``chain``, closes its word with a shortest
+  connecting path read from a k x k table that each shift fills on first
+  use, and checks only the two junctions where word and path meet;
 * chains and loops: ``chain(a, b, delta)`` (breadth-first on nets, spliced
   on shifts), ``dwell_loop``, ``loop_candidates``, ``neighborhood``;
 * chain classes: ``chain_net(depth)`` (the net itself, or the cylinder net
@@ -50,12 +53,12 @@ bytes with the glued word of the pseudo-orbit, and a step whose next point
 is the same tape one offset on has error 0 without a comparison.  Symbols
 are checked where points enter (``point``, ``check_point``,
 ``step_check`` and the ``io`` loaders run ``admissible``, once per tape
-in ``step_check``) and by ``distance``, ``closeness`` and ``traces``,
-which compare each point's recorded least and largest symbol with the
-alphabet in O(1).  Symbolic points order by their canonical form, which
-fixes the atom order of empirical measures.  The method results are plain
-points, point lists and step verdicts; validation into pseudo-orbits stays
-in ``pseudo_orbits``.
+in ``step_check``) and by ``distance``, ``closeness``, ``traces`` and
+``shadow_candidates``, which compare each point's recorded least and
+largest symbol with the alphabet in O(1).  Symbolic points order by their
+canonical form, which fixes the atom order of empirical measures.  The
+method results are plain points, point lists and step verdicts;
+validation into pseudo-orbits stays in ``pseudo_orbits``.
 """
 
 from __future__ import annotations
@@ -170,10 +173,13 @@ class _Tape:
         the least rotation and both scans run once per tape."""
         if self.canon is not None:
             return self.canon
-        data, lead, L = self.symbols(), self.lead, len(self.word)
         root = _primitive_root(self.period)
         d = len(root)
         neck, kstar = _least_rotation(root)
+        if not self.word:
+            self.canon = ("per", neck, -kstar % d)
+            return self.canon
+        data, lead, L = self.symbols(), self.lead, len(self.word)
         per = bytes(self.period)
         # a: the first coordinate in 0..L+d-1 off the left tail's pattern
         n = L + d
@@ -232,8 +238,8 @@ class SymbolicPoint:
 
     def __init__(self, period: Sequence[int], word: Sequence[int] = (),
                  offset: int = 0):
-        period = tuple(int(s) for s in period)
-        word = tuple(int(s) for s in word)
+        period = tuple(map(int, period))
+        word = tuple(map(int, word))
         if not period:
             raise ValueError("period word must be nonempty")
         self.period = period
@@ -466,6 +472,31 @@ _LOW_SYMBOL = operator.attrgetter("low_symbol")
 _TOP_SYMBOL = operator.attrgetter("top_symbol")
 
 
+def _shortest_path(succ: Sequence[tuple], a: int, b: int) -> Optional[tuple]:
+    """Shortest word (a, ..., b) with at least one transition along the
+    successor lists, or None; breadth-first with successors ascending, so
+    ties go to the lowest symbols.  The start is not marked visited, so a
+    path may return to it (a == b)."""
+    prev: dict = {}
+    queue = deque([a])
+    while queue:
+        u = queue.popleft()
+        for v in succ[u]:
+            if v in prev:
+                continue
+            prev[v] = u
+            if v == b:
+                path = [b]
+                u = prev[b]
+                while u != a:
+                    path.append(u)
+                    u = prev[u]
+                path.append(a)
+                return tuple(reversed(path))
+            queue.append(v)
+    return None
+
+
 class SymbolicSystem:
     """A subshift of finite type: the shift map on admissible sequences.
 
@@ -498,6 +529,12 @@ class SymbolicSystem:
                            for i in range(alphabet_size))
         self._pred = tuple(tuple(j for j in range(alphabet_size) if mat[j][i])
                            for i in range(alphabet_size))
+        self._forbidden = frozenset((a, b) for a in range(alphabet_size)
+                                    for b in range(alphabet_size) if not mat[a][b])
+        # (a, b) -> connecting path, searched on first use; built over the
+        # successor lists, not over the system, so that no cycle holds it
+        succ = self._succ
+        self._paths = _Lazy(lambda ab: _shortest_path(succ, *ab))
 
     @classmethod
     def full_shift(cls, k: int) -> "SymbolicSystem":
@@ -514,29 +551,21 @@ class SymbolicSystem:
         return bool(self.transitions[a][b])
 
     def word_admissible(self, word: Sequence[int]) -> bool:
-        for s in word:
-            if not 0 <= s < self.alphabet_size:
-                return False
-        return all(self.transitions[word[i]][word[i + 1]] for i in range(len(word) - 1))
+        """Whether every symbol is in the alphabet and every transition
+        between consecutive symbols is allowed."""
+        if not word:
+            return True
+        if min(word) < 0 or max(word) >= self.alphabet_size:
+            return False
+        return self._forbidden.isdisjoint(zip(word, word[1:]))
 
     def admissible(self, p: SymbolicPoint) -> bool:
         """Whether every symbol is in the alphabet and every transition of
-        the sequence is allowed."""
+        the sequence is allowed: the period read cyclically, and the word
+        between the two tails."""
         per, word = p.period, p.word
-        m = len(per)
-        for i in range(m):
-            # the successor list rejects any out-of-range successor symbol
-            if not (0 <= per[i] < self.alphabet_size
-                    and per[(i + 1) % m] in self._succ[per[i]]):
-                return False
-        if word:
-            if not self.word_admissible(word):
-                return False
-            if not self.transitions[per[m - 1]][word[0]]:
-                return False
-            if not self.transitions[word[-1]][per[0]]:
-                return False
-        return True
+        return (self.word_admissible(per + per[:1])
+                and self.word_admissible(per[-1:] + word + per[:1]))
 
     def point(self, period: Sequence[int], word: Sequence[int] = (), offset: int = 0) -> SymbolicPoint:
         p = SymbolicPoint(period, word, offset)
@@ -570,34 +599,11 @@ class SymbolicSystem:
             vec = [sum(vec[j] for j in self._succ[i]) for i in range(self.alphabet_size)]
         return sum(vec)
 
-    def connecting_path(self, a: int, b: int, min_steps: int = 1) -> Optional[tuple]:
-        """Shortest admissible word (a, ..., b) with >= min_steps transitions.
-
-        Ties go to the lowest symbols (BFS expands successors ascending)."""
-        start = (a, 0)
-        prev: dict = {start: None}
-        queue = deque([start])
-        goal = None
-        while queue and goal is None:
-            u, s = queue.popleft()
-            for v in self._succ[u]:
-                state = (v, min(s + 1, min_steps))
-                if state in prev:
-                    continue
-                prev[state] = (u, s)
-                if v == b and state[1] >= min_steps:
-                    goal = state
-                    break
-                queue.append(state)
-        if goal is None:
-            return None
-        path = []
-        cur = goal
-        while cur is not None:
-            path.append(cur[0])
-            cur = prev[cur]
-        path.reverse()
-        return tuple(path)
+    def connecting_path(self, a: int, b: int) -> Optional[tuple]:
+        """Shortest admissible word (a, ..., b) with at least one transition,
+        or None.  Ties go to the lowest symbols.  Each of the k x k paths is
+        searched once per system and kept."""
+        return self._paths[a, b]
 
     def periodic_closure(self, word: Sequence[int], anchor: int = 0) -> Optional[SymbolicPoint]:
         """A periodic admissible point whose window starting at ``anchor``
@@ -608,13 +614,15 @@ class SymbolicSystem:
             raise ValueError("word must be nonempty")
         if not self.word_admissible(word):
             return None
-        path = self.connecting_path(word[-1], word[0], min_steps=1)
+        path = self.connecting_path(word[-1], word[0])
         if path is None:
             return None
         period = word + path[1:-1]
-        p = SymbolicPoint(period, (), anchor)
-        assert self.admissible(p)
-        return p
+        # the word and the path are each admissible, so the period can fail
+        # only at the two junctions where they meet (tests/test_systems.py)
+        assert (self.transitions[word[-1]][period[len(word) % len(period)]]
+                and self.transitions[period[-1]][word[0]])
+        return SymbolicPoint(period, (), anchor)
 
     def cylinders(self, lo: int, hi: int, x: Optional[SymbolicPoint] = None,
                   fixed: Optional[tuple] = None) -> list:
@@ -662,6 +670,12 @@ class SymbolicSystem:
                 or max(a.top_symbol, b.top_symbol) >= self.alphabet_size):
             raise ValueError("alphabet mismatch")
 
+    def _check_symbols(self, points: Sequence[SymbolicPoint]) -> None:
+        """``_check_alphabet`` for a sequence of points."""
+        if (min(map(_LOW_SYMBOL, points), default=0) < 0
+                or max(map(_TOP_SYMBOL, points), default=0) >= self.alphabet_size):
+            raise ValueError("alphabet mismatch")
+
     def distance(self, a: SymbolicPoint, b: SymbolicPoint) -> Fraction:
         self._check_alphabet(a, b)
         return symbolic_distance(a, b)
@@ -695,10 +709,7 @@ class SymbolicSystem:
         z's coordinates -rho..n-1+rho must be the glued windows of the x_i:
         one byte comparison.  Every point is checked against the alphabet
         first, wherever it sits."""
-        points = (z, *pts)
-        if (min(map(_LOW_SYMBOL, points)) < 0
-                or max(map(_TOP_SYMBOL, points)) >= self.alphabet_size):
-            raise ValueError("alphabet mismatch")
+        self._check_symbols((z, *pts))
         if eps == 0 or eps >= 1:
             return _trace_stepwise(self, z, pts, eps)
         if not pts:
@@ -744,8 +755,10 @@ class SymbolicSystem:
         shadow); a window conflict or an inadmissible glue rules every
         shadow out.  (On a reducible transition graph the glued word may
         admit no eventually periodic closure; no candidate then means no
-        *representable* witness.)
+        *representable* witness.)  A point with a symbol outside the
+        alphabet raises, wherever it sits, rather than rule shadows out.
         """
+        self._check_symbols(pts)
         if eps == 0 or eps >= 1:
             # only an orbit is 0-shadowed, by its start; from 1 on anything shadows
             return (pts[0],), False
@@ -773,8 +786,8 @@ class SymbolicSystem:
             return [a, b]
         u = a.window(-s + 2, s)          # forced window of f(a), length 2s-1
         v = b.window(-s + 1, s - 1)      # target window of b, length 2s-1
-        p1 = self.connecting_path(u[-1], v[0], min_steps=1)
-        p2 = self.connecting_path(v[-1], u[0], min_steps=1)
+        p1 = self.connecting_path(u[-1], v[0])
+        p2 = self.connecting_path(v[-1], u[0])
         if p1 is None or p2 is None:
             return None
         period = u + p1[1:-1] + v + p2[1:-1]

@@ -19,7 +19,13 @@ from shadowdyn.shadowing import (
     is_positively_shadowable_at,
     uniform_delta_for_set,
 )
-from shadowdyn.systems import NetSystem, SymbolicSystem, circle_net, dyadic_radius
+from shadowdyn.systems import (
+    NetSystem,
+    SymbolicPoint,
+    SymbolicSystem,
+    circle_net,
+    dyadic_radius,
+)
 
 F = Fraction
 
@@ -98,6 +104,22 @@ def test_glue_conflict_is_a_proof_of_absence():
     assert find_shadow(sigma2, po, F(1, 4)) is None
     # and at eps = 1/2 the conflict coordinate leaves the window: witness
     assert find_shadow(sigma2, po, F(1, 2)) is not None
+
+
+@pytest.mark.parametrize("eps", [F(0), F(1, 8), F(1, 5), F(1), F(2)])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_find_shadow_rejects_foreign_symbols_wherever_they_sit(eps, where):
+    """A symbol outside the alphabet is an invalid input, not a proof that no
+    shadow exists, at every eps and at every index of the sequence."""
+    sigma2 = SymbolicSystem.full_shift(2)
+    z = sigma2.point((0, 1))
+    for foreign in (SymbolicPoint((2,)), SymbolicPoint((0,), (-1,), 0)):
+        pts = [z, z.shift(1), z.shift(2)]
+        pts[where] = foreign
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            find_shadow(sigma2, pts, eps)
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            sigma2.shadow_candidates(pts, eps)
 
 
 def sink_circle(size=36):
