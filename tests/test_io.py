@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from shadowdyn import io as sio
 from shadowdyn.builders import dense_shadowable_example, fig1_circle
 from shadowdyn.finitize import CylinderNet
-from shadowdyn.horseshoe import build_certificate, make_family
+from shadowdyn.horseshoe import build_certificate, find_loop_family, make_family
 from shadowdyn.measures import EmpiricalMeasure
 from shadowdyn.pseudo_orbits import concatenate, splice_chain, validate
 from shadowdyn.systems import NetSystem, SymbolicSystem, circle_net
@@ -170,6 +171,91 @@ def test_certificate_word_length_max_must_be_an_integer(certificate):
     doc["sha256"] = sio._payload_hash(body)
     with pytest.raises(sio.SchemaError):
         sio.certificate_from_json(doc, sigma2)
+
+
+# -- verify reports on tampered certificates -------------------------------------
+
+# Each edit changes one part of a certificate document; the hash is refreshed
+# afterwards, so only the certificate check can catch it.
+
+
+def _swap_shadow(doc):
+    a, b = doc["coded"][2], doc["coded"][3]
+    a["shadow"], b["shadow"] = b["shadow"], a["shadow"]
+
+
+def _drop_long_words(doc):
+    doc["coded"] = [e for e in doc["coded"] if len(e["word"]) == 1]
+
+
+def _raise_word_length_max(doc):
+    doc["word_length_max"] += 2
+
+
+def _change_divisor(doc):
+    doc["entropy"]["divisor"] += 1
+
+
+def _change_witness_distance(doc):
+    w = doc["witnesses"][0]
+    w["distance"] = sio.frac_str(sio.parse_frac(w["distance"]) + F(1, 1000))
+
+
+def _reverse_length_3_words(doc):
+    for e in doc["coded"]:
+        if len(e["word"]) == 3:
+            e["word"].reverse()
+
+
+ALL_TRUE = dict.fromkeys(("entropy_bound", "family", "semiconjugacy",
+                          "separated_counts", "tracing"), True)
+
+# edit -> (the checks that fail, details), the same on both systems
+TAMPER_REPORTS = {
+    "none": (lambda doc: None, (), {}),
+    "swap_shadow": (_swap_shadow, ("semiconjugacy", "tracing"),
+                    {"tracing_failures": [[0, 0, 0], [0, 0, 1]]}),
+    "drop_long_words": (_drop_long_words, ("tracing",),
+                        {"missing_words": [[0, 0], [0, 1], [1, 0], [1, 1], [0, 0, 0],
+                                           [0, 0, 1], [0, 1, 0], [0, 1, 1]]}),
+    "raise_word_length_max": (_raise_word_length_max, ("tracing",),
+                              {"missing_words": [[0, 0, 0, 0], [0, 0, 0, 1],
+                                                 [0, 0, 1, 0], [0, 0, 1, 1],
+                                                 [0, 1, 0, 0], [0, 1, 0, 1],
+                                                 [0, 1, 1, 0], [0, 1, 1, 1]]}),
+    "change_divisor": (_change_divisor, ("entropy_bound",), {}),
+    "change_witness_distance": (_change_witness_distance, ("family",), {}),
+    "reverse_length_3_words": (_reverse_length_3_words,
+                               ("semiconjugacy", "separated_counts", "tracing"),
+                               {"tracing_failures": [[0, 0, 1], [0, 1, 1],
+                                                     [1, 0, 0], [1, 1, 0]]}),
+}
+
+TAMPER_SYSTEMS = {"fullshift:2": (SymbolicSystem.full_shift(2), F(1, 5), F(1, 32)),
+                  "goldenmean": (SymbolicSystem.golden_mean(), F(1, 9), F(1, 64))}
+
+
+@pytest.fixture(scope="module")
+def words3_documents():
+    """The certificate documents ``horseshoe --base '{"period": [0]}'
+    --words 3`` emits on each system."""
+    docs = {}
+    for name, (system, eps, delta) in TAMPER_SYSTEMS.items():
+        fam = find_loop_family(system.point((0,)), eps, delta, 64, 2, system)
+        docs[name] = sio.certificate_to_json(build_certificate(fam, word_length_max=3))
+    return docs
+
+
+@pytest.mark.parametrize("edit", TAMPER_REPORTS)
+@pytest.mark.parametrize("name", TAMPER_SYSTEMS)
+def test_verify_report_on_tampered_certificate(words3_documents, name, edit):
+    apply, failing, details = TAMPER_REPORTS[edit]
+    doc = copy.deepcopy(words3_documents[name])
+    apply(doc)
+    doc["sha256"] = sio._payload_hash({k: v for k, v in doc.items() if k != "sha256"})
+    checks = dict(ALL_TRUE, **dict.fromkeys(failing, False))
+    assert sio.verify_certificate(doc, TAMPER_SYSTEMS[name][0]) == {
+        "ok": not failing, "checks": checks, "details": details}
 
 
 # -- the rational grammar --------------------------------------------------------
