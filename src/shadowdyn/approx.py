@@ -19,11 +19,13 @@ from typing import Optional, Sequence
 from .horseshoe import (
     HorseshoeCertificate,
     build_certificate,
+    equalize,
     make_family,
+    separation_witness,
     verify_semiconjugacy,
 )
 from .measures import EmpiricalMeasure, TestFunctionFamily, dstar
-from .pseudo_orbits import PseudoOrbit, concatenate, orbit_segment, repeat, splice_chain
+from .pseudo_orbits import PseudoOrbit, concatenate, orbit_segment, splice_chain
 from .shadowing import is_positively_shadowable_at
 from .systems import SymbolicPoint, SymbolicSystem, dyadic_radius
 
@@ -94,9 +96,7 @@ def approximate_by_positive_entropy_ergodic(
 
     # stage 1: uniform presentation of the target (exact, so the fourth
     # term of the decomposition vanishes)
-    denom = 1
-    for w in weights:
-        denom = denom * w.denominator // math.gcd(denom, w.denominator)
+    denom = math.lcm(*(w.denominator for w in weights))
     generics: list[SymbolicPoint] = []
     for p, w in zip(pts, weights):
         generics.extend([p] * int(w * denom))
@@ -125,32 +125,29 @@ def approximate_by_positive_entropy_ergodic(
     # stage 4: shared tail visiting one long generic segment per copy.
     # The segment length n makes each orbit block realize its measure
     # exactly and dominates the connector overhead 3R/epsilon.
-    period_lcm = 1
-    for g in generics:
-        period_lcm = math.lcm(period_lcm, g.least_period())
-    probe = splice_chain(system, base, generics[0], delta)
-    if probe is None:
-        raise PipelineStageError("connectors", "chain class is not spliceable",
-                                 stages)
-    rough_r = probe.step_count + dwell.step_count + 8
+    def connector(a, b, detail):
+        link = splice_chain(system, a, b, delta)
+        if link is None:
+            raise PipelineStageError("connectors", detail, stages)
+        return link
+
+    period_lcm = math.lcm(*(g.least_period() for g in generics))
+    link = connector(base, generics[0], "chain class is not spliceable")
+    rough_r = link.step_count + dwell.step_count + 8
     n = period_lcm * max(segment_floor // period_lcm + 1,
                          int(3 * rough_r / eps_trace) // period_lcm + 1)
     tail: Optional[PseudoOrbit] = None
     cursor = base
     max_connector = 0
-    for g in generics:
-        link = splice_chain(system, cursor, g, delta)
-        if link is None:
-            raise PipelineStageError("connectors",
-                                     "chain class is not spliceable", stages)
+    for i, g in enumerate(generics):
+        if i:
+            link = connector(cursor, g, "chain class is not spliceable")
         block = orbit_segment(system, g, n)
         max_connector = max(max_connector, link.step_count)
         piece = concatenate(link, block)
         tail = piece if tail is None else concatenate(tail, piece)
         cursor = g.shift(n)
-    closing = splice_chain(system, cursor, base, delta)
-    if closing is None:
-        raise PipelineStageError("connectors", "no closing chain", stages)
+    closing = connector(cursor, base, "no closing chain")
     max_connector = max(max_connector, closing.step_count)
     tail = concatenate(tail, closing)
     stage("tail", {"n": n, "copies": denom, "connector_bound": max_connector})
@@ -172,15 +169,15 @@ def approximate_by_positive_entropy_ergodic(
     traced = cert.word_orbit(word).points[:span]
     nu = EmpiricalMeasure.from_orbit(system, witness.shadow_point, span)
     emp_traced = EmpiricalMeasure.from_sequence(traced)
-    uniform = EmpiricalMeasure.mix(measures, weights)
 
     if family is None:
         family = TestFunctionFamily.for_system(system, size=24, depth=2)
     terms = {
         "nu_vs_coded_orbit": F(0),  # nu is that empirical measure by definition
         "coded_orbit_vs_traced": dstar(nu, emp_traced, family).value,
-        "traced_vs_uniform_average": dstar(emp_traced, uniform, family).value,
-        "uniform_average_vs_target": dstar(uniform, target, family).value,
+        "traced_vs_uniform_average": dstar(emp_traced, target, family).value,
+        # the uniform presentation of stage 1 is the target itself
+        "uniform_average_vs_target": F(0),
     }
     total = sum(terms.values(), F(0))
     bound = 5 * epsilon
@@ -201,7 +198,6 @@ def _separated_prefix_loops(system: SymbolicSystem, base: SymbolicPoint,
     if period is None:
         return None
     dwell = orbit_segment(system, base, period)
-    threshold = 4 * eps
     for width in (1, 2, 3):
         for _, q in system.cylinders(0, width - 1):
             if q is None or q == base:
@@ -215,11 +211,7 @@ def _separated_prefix_loops(system: SymbolicSystem, base: SymbolicPoint,
             back = splice_chain(system, q.shift(qper or 0), base, delta)
             if back is None:
                 continue
-            excursion = concatenate(loop, back)
-            common = math.lcm(dwell.step_count, excursion.step_count)
-            d_eq = repeat(dwell, common // dwell.step_count)
-            e_eq = repeat(excursion, common // excursion.step_count)
-            for i in range(common):
-                if system.distance(d_eq.points[i], e_eq.points[i]) > threshold:
-                    return d_eq, e_eq
+            pair = equalize([dwell, concatenate(loop, back)])
+            if separation_witness(system, *pair, 4 * eps) is not None:
+                return pair
     return None

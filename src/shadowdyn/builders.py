@@ -148,16 +148,9 @@ def dense_shadowable_example(levels: int, base_size: int = 120) -> LayeredSpace:
 
     gaps = {}
     for n, members in layers.items():
-        inside = set(members)
-        gap = None
-        for p in members:
-            row = net.row(p)
-            for q in range(net.n):
-                if q in inside:
-                    continue
-                if gap is None or row[q] < gap:
-                    gap = row[q]
-        gaps[n] = gap
+        outside = np.ones(net.n, dtype=bool)
+        outside[list(members)] = False
+        gaps[n] = F(int(net._imat[np.ix_(members, outside)].min()), net.denominator)
     return LayeredSpace(net, tuple(base_idx), layers, heights, gaps,
                         meta={"base_size": base_size, "levels": levels})
 
@@ -479,17 +472,12 @@ def verify_extension_claims(space: ExtensionSpace,
 
 
 def _branching_delta(mnet: NetSystem) -> Fraction:
-    """Smallest delta opening a second successor somewhere in the net."""
-    best = None
-    for i in range(mnet.n):
-        fi = mnet.step(i)
-        row = mnet.row(fi)
-        for q in range(mnet.n):
-            if q == fi:
-                continue
-            if best is None or row[q] < best:
-                best = row[q]
-    return best
+    """Smallest delta opening a second successor somewhere in the net: the
+    least distance from an image point to any other point."""
+    images = np.unique(mnet.map)
+    rows = mnet._imat[images]
+    rows[np.arange(len(images)), images] = rows.max() + 1
+    return F(int(rows.min()), mnet.denominator)
 
 
 def _lift_counterexample(space: ExtensionSpace, level: int,

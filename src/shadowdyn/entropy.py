@@ -171,8 +171,7 @@ def max_separated_cylinders(system: SymbolicSystem, n: int, epsilon) -> Separate
         single = system.cylinders(0, 0)[0][1]
         return SeparatedSetResult(n, epsilon, 1, (single,), True,
                                   universe="whole system")
-    width = n + 2 * tp + 1
-    count = system.count_words(width)
+    count = system.separated_count(n, epsilon)
     witness: tuple = ()
     if count <= MATERIALIZE_LIMIT:
         witness = tuple(p for _, p in system.cylinders(-tp, n + tp) if p is not None)

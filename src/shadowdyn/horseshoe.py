@@ -6,6 +6,8 @@ symbols by a shadow of the corresponding loop concatenation.  Distinct
 words of equal length then yield (n |w|, epsilon)-separated points, which
 pins the entropy lower bound log(k)/n.  Everything stored is finitely
 re-checkable; no claim is made about the infinite factor map.
+``HorseshoeCertificate.check`` is the one rule for a valid certificate;
+``verify`` runs it on a certificate loaded from a document.
 """
 
 from __future__ import annotations
@@ -159,6 +161,19 @@ def _candidate_loops(system, x, delta: Fraction, n_max: int, budget: int) -> lis
     return out
 
 
+# Loop words a failed certificate check names as missing, shortest first.
+# Each word the check looks at is coded or named, so the certificate's size
+# bounds the scan.
+_MISSING_SHOWN = 8
+
+
+def loop_words(k: int, word_length_max: int):
+    """Every word over k loop symbols with 1 <= |w| <= word_length_max,
+    shortest first and in lexicographic order within a length."""
+    for length in range(1, word_length_max + 1):
+        yield from itertools.product(range(k), repeat=length)
+
+
 @dataclass
 class HorseshoeCertificate:
     """Shadow witnesses for every loop word up to a stamped length."""
@@ -166,13 +181,8 @@ class HorseshoeCertificate:
     family: LoopFamily
     word_length_max: int
     coded: dict  # word tuple -> ShadowWitness
-    entropy_log_arg: int = 0   # k: bound is log(k)/n, kept symbolic
-    entropy_divisor: int = 1   # n
-
-    def __post_init__(self):
-        if not self.entropy_log_arg:
-            self.entropy_log_arg = self.family.k
-            self.entropy_divisor = self.family.n
+    entropy_log_arg: int   # k: bound is log(k)/n, kept symbolic
+    entropy_divisor: int   # n
 
     @property
     def entropy_lower_bound(self) -> float:
@@ -185,17 +195,44 @@ class HorseshoeCertificate:
             po = concatenate(po, lp[s])
         return po
 
-    def reverify(self) -> bool:
-        """The tracing clause for every stored word: the coded point stays
+    def _untraced(self):
+        """Stored words, in sorted order, whose coded point does not stay
         within epsilon of the indicated loop blocks."""
         fam = self.family
-        if not fam.reverify():
-            return False
-        for word, witness in self.coded.items():
-            po = self.word_orbit(word)
-            if shadows(fam.system, witness.shadow_point, po, fam.epsilon) is None:
-                return False
-        return True
+        for word, witness in sorted(self.coded.items()):
+            if shadows(fam.system, witness.shadow_point, self.word_orbit(word),
+                       fam.epsilon) is None:
+                yield word
+
+    def reverify(self) -> bool:
+        """The family and the tracing clause for every stored word."""
+        return self.family.reverify() and next(self._untraced(), None) is None
+
+    def check(self) -> dict:
+        """Re-check every stored invariant: loop validity and separation
+        witnesses, the tracing clause for all coded words (every loop word up
+        to ``word_length_max`` must be coded), the semiconjugacy relation,
+        the separation counts and the entropy stamp.  The details name the
+        untraced words and the first missing words, shortest first."""
+        fam = self.family
+        untraced = [list(w) for w in self._untraced()]
+        missing = [list(w) for w in itertools.islice(
+            (w for w in loop_words(fam.k, self.word_length_max) if w not in self.coded),
+            _MISSING_SHOWN)]
+        checks = {
+            "family": fam.reverify(),
+            "tracing": not untraced and not missing,
+            "semiconjugacy": verify_semiconjugacy(self).ok,
+            "separated_counts": all(self.separated_pair_count(length) == fam.k ** length
+                                    for length in sorted({len(w) for w in self.coded})),
+            "entropy_bound": (self.entropy_log_arg, self.entropy_divisor) == (fam.k, fam.n),
+        }
+        details = {}
+        if untraced:
+            details["tracing_failures"] = untraced
+        if missing:
+            details["missing_words"] = missing
+        return {"ok": all(checks.values()), "checks": checks, "details": details}
 
     def separated_pair_count(self, length: int) -> int:
         """Number of pairwise separated coded points among words of the
@@ -227,20 +264,19 @@ def build_certificate(family: LoopFamily, word_length_max: int) -> HorseshoeCert
     """Shadow every loop word with |w| <= word_length_max at the family's
     epsilon.  Aborts with the offending word when some concatenation admits
     no shadow (a falsification at this resolution)."""
-    cert = HorseshoeCertificate(family, word_length_max, {})
-    for length in range(1, word_length_max + 1):
-        for word in itertools.product(range(family.k), repeat=length):
-            witness = find_shadow(family.system, cert.word_orbit(word), family.epsilon)
-            if witness is None:
-                raise CertificateAborted(word)
-            cert.coded[word] = witness
+    cert = HorseshoeCertificate(family, word_length_max, {}, family.k, family.n)
+    for word in loop_words(family.k, word_length_max):
+        witness = find_shadow(family.system, cert.word_orbit(word), family.epsilon)
+        if witness is None:
+            raise CertificateAborted(word)
+        cert.coded[word] = witness
     return cert
 
 
 @dataclass
 class SemiconjugacyReport:
     checked: int
-    failures: list  # (word, first bad block index)
+    failures: list  # words whose shifted point fails to trace the tail
 
     @property
     def ok(self) -> bool:
@@ -262,7 +298,7 @@ def verify_semiconjugacy(cert: HorseshoeCertificate) -> SemiconjugacyReport:
         shifted = fam.system.iterate(witness.shadow_point, fam.n)
         po = cert.word_orbit(tail)
         if shadows(fam.system, shifted, po, fam.epsilon) is None:
-            failures.append((word, 0))
+            failures.append(word)
     return SemiconjugacyReport(checked, failures)
 
 

@@ -1,4 +1,5 @@
-"""JSON codecs for systems, pseudo-orbits, measures and certificates.
+"""JSON codecs and schema checks for systems, pseudo-orbits, measures and
+certificates.
 
 Every emitted number that is a claim (a distance, a bound, a weight) is an
 exact rational rendered as "p/q", and is read back only as such a string or
@@ -9,7 +10,6 @@ hash, both checked on load.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import re
@@ -18,21 +18,16 @@ from typing import Union
 
 import numpy as np
 
-from .horseshoe import HorseshoeCertificate, LoopFamily, SeparationWitness, verify_semiconjugacy
+from .horseshoe import HorseshoeCertificate, LoopFamily, SeparationWitness
 from .measures import EmpiricalMeasure
 from .pseudo_orbits import PseudoOrbit, validate
-from .shadow_search import ShadowWitness, shadows
+from .shadow_search import ShadowWitness
 from .systems import NetSystem, SymbolicPoint, SymbolicSystem
 
 SCHEMA_SYSTEM = "shadowdyn/system.v1"
 SCHEMA_ORBIT = "shadowdyn/pseudo-orbit.v1"
 SCHEMA_MEASURE = "shadowdyn/measure.v1"
 SCHEMA_CERT = "shadowdyn/horseshoe-certificate.v1"
-
-# Loop words a failed certificate check names as missing, shortest first.
-# Each word the check looks at is coded or named, so the document's size
-# bounds the scan.
-_MISSING_SHOWN = 8
 
 
 class SchemaError(ValueError):
@@ -291,41 +286,9 @@ def certificate_from_json(doc, system) -> HorseshoeCertificate:
 
 
 def verify_certificate(doc, system) -> dict:
-    """Re-check every stored invariant from the document and the system
-    alone: loop validity, separation witnesses, the tracing clause for all
-    coded words (every loop word up to ``word_length_max`` must be coded),
-    the semiconjugacy relation and the separation counts."""
-    cert = certificate_from_json(doc, system)
-    checks = {}
-    details: dict = {}
-    checks["family"] = cert.family.reverify()
-    bad_words = []
-    for word, witness in sorted(cert.coded.items()):
-        po = cert.word_orbit(word)
-        if shadows(cert.family.system, witness.shadow_point, po,
-                   cert.family.epsilon) is None:
-            bad_words.append(list(word))
-    words = (w for length in range(1, cert.word_length_max + 1)
-             for w in itertools.product(range(cert.family.k), repeat=length))
-    missing = [list(w) for w in itertools.islice(
-        (w for w in words if w not in cert.coded), _MISSING_SHOWN)]
-    checks["tracing"] = not bad_words and not missing
-    if bad_words:
-        details["tracing_failures"] = bad_words
-    if missing:
-        details["missing_words"] = missing
-    checks["semiconjugacy"] = verify_semiconjugacy(cert).ok
-    lengths = sorted({len(w) for w in cert.coded})
-    counts_ok = True
-    for length in lengths:
-        expected = cert.family.k ** length
-        got = cert.separated_pair_count(length)
-        if got != expected:
-            counts_ok = False
-    checks["separated_counts"] = counts_ok
-    checks["entropy_bound"] = (cert.entropy_log_arg == cert.family.k
-                               and cert.entropy_divisor == cert.family.n)
-    return {"ok": all(checks.values()), "checks": checks, "details": details}
+    """Re-check every stored invariant of a certificate document from the
+    document and the system alone (``HorseshoeCertificate.check``)."""
+    return certificate_from_json(doc, system).check()
 
 
 def dump(path: str, doc: dict) -> None:

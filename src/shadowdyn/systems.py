@@ -74,7 +74,6 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # Number of coordinates (each side of 0) packed into the fast comparison word.
 _PACK_RADIUS = 24
@@ -527,8 +526,6 @@ class SymbolicSystem:
         self.transitions = tuple(mat)
         self._succ = tuple(tuple(j for j in range(alphabet_size) if mat[i][j])
                            for i in range(alphabet_size))
-        self._pred = tuple(tuple(j for j in range(alphabet_size) if mat[j][i])
-                           for i in range(alphabet_size))
         self._forbidden = frozenset((a, b) for a in range(alphabet_size)
                                     for b in range(alphabet_size) if not mat[a][b])
         # (a, b) -> connecting path, searched on first use; built over the
@@ -741,9 +738,6 @@ class SymbolicSystem:
             if first_bad is None and depth < s:
                 first_bad = i
         return first_bad, ZERO if least is None else Fraction(1, 1 << least)
-
-    def diameter_bound(self) -> Fraction:
-        return ONE
 
     # -- shadows, chains and loops ---------------------------------------------
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from shadowdyn.builders import (
+    _branching_delta,
     crossing_pseudo_orbit,
     cylinder_partition,
     dense_shadowable_example,
@@ -132,16 +133,13 @@ def test_layered_structure(layered):
 
 
 def test_layered_isolation_gaps(layered):
-    # B_gap(K_n) meets only K_n itself
+    # B_gap(K_n) meets only K_n itself: the gap is the least distance from
+    # K_n to a point outside it
     for n, members in layered.layers.items():
-        gap = layered.gaps[n]
-        assert gap > 0
         inside = set(members)
-        for p in members:
-            row = layered.net.row(p)
-            for q in range(layered.net.n):
-                if row[q] < gap:
-                    assert q in inside
+        least = min(layered.net.row(p)[q] for p in members
+                    for q in range(layered.net.n) if q not in inside)
+        assert layered.gaps[n] == least > 0
 
 
 def test_layered_positive_tests_below_gap(layered):
@@ -265,6 +263,14 @@ def test_extension_layers_isolated_and_invariant(extension):
                 gap = abs(F(1, n) - F(1, other))
                 i, j = lvl.indices[0], lvl2.indices[0]
                 assert net.distance(i, j) >= gap
+
+
+def test_branching_delta_is_least_distance_from_an_image(extension):
+    for n in extension.levels:
+        mnet = minimal_layer_net(extension, n)
+        least = min(mnet.row(mnet.step(i))[q] for i in range(mnet.n)
+                    for q in range(mnet.n) if q != mnet.step(i))
+        assert _branching_delta(mnet) == least
 
 
 def test_extension_claims(extension):
