@@ -475,9 +475,9 @@ def _branching_delta(mnet: NetSystem) -> Fraction:
     """Smallest delta opening a second successor somewhere in the net: the
     least distance from an image point to any other point."""
     images = np.unique(mnet.map)
-    rows = mnet._imat[images]
-    rows[np.arange(len(images)), images] = rows.max() + 1
-    return F(int(rows.min()), mnet.denominator)
+    others = np.ones((len(images), mnet.n), dtype=bool)
+    others[np.arange(len(images)), images] = False
+    return F(int(mnet._imat[images][others].min()), mnet.denominator)
 
 
 def _lift_counterexample(space: ExtensionSpace, level: int,
