@@ -14,7 +14,6 @@ from shadowdyn import (
     connect,
     circle_net,
     repeat,
-    splice_chain,
     symbolic_distance,
     validate,
 )
@@ -47,7 +46,7 @@ loop = validate([zero] * 4, 0, sigma2)
 print("loop of", loop.step_count, "steps; tripled:", repeat(loop, 3).step_count)
 
 two_cycle = sigma2.point((0, 1))
-chain = splice_chain(sigma2, zero, two_cycle, F(1, 16))
+chain = connect(zero, two_cycle, F(1, 16), sigma2)
 print("spliced chain 0^inf -> (01)^inf:", chain.step_count, "steps at delta",
       chain.delta)
 

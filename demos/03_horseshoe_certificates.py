@@ -13,8 +13,8 @@ from shadowdyn import (
     SymbolicSystem,
     build_certificate,
     concatenate,
+    connect,
     make_family,
-    splice_chain,
     validate,
     verify_semiconjugacy,
 )
@@ -25,8 +25,8 @@ eps, delta = F(1, 5), F(1, 32)
 x = sigma2.fixed_point(0)
 q = sigma2.point((0,), word=(1,), offset=0)   # reads a 1 at coordinate 0
 
-excursion = concatenate(splice_chain(sigma2, x, q, delta),
-                        splice_chain(sigma2, q, x, delta))
+excursion = concatenate(connect(x, q, delta, sigma2),
+                        connect(q, x, delta, sigma2))
 dwell = validate([x] * (excursion.step_count + 1), delta, sigma2)
 family = make_family(sigma2, x, [dwell, excursion], eps, delta)
 w = family.witnesses[0]

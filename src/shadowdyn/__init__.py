@@ -64,7 +64,6 @@ from .pseudo_orbits import (
     orbit_segment,
     periodic_extension,
     repeat,
-    splice_chain,
     validate,
 )
 from .shadow_search import ShadowWitness, find_shadow, shadows
@@ -81,7 +80,6 @@ from .systems import (
     NetSystem,
     SymbolicPoint,
     SymbolicSystem,
-    apply,
     circle_net,
     dyadic_radius,
     symbolic_distance,
@@ -96,7 +94,7 @@ __all__ = [
     "PseudoOrbit", "PseudoOrbitError", "SeparatedSetResult",
     "ShadowWitness", "ShadowabilityReport", "SubstitutionLanguage",
     "SymbolicPoint", "SymbolicSystem", "TestFunctionFamily",
-    "apply", "approximate_by_positive_entropy_ergodic", "build_certificate",
+    "approximate_by_positive_entropy_ergodic", "build_certificate",
     "build_chain_graph", "chain_class", "chain_class_shadowability",
     "chain_recurrent_set", "circle_net", "concatenate", "connect",
     "crossing_pseudo_orbit", "decomposition", "dense_shadowable_example",
@@ -108,7 +106,7 @@ __all__ = [
     "nearest_minimal_point", "nonminimal_recipe", "orbit_measure",
     "orbit_segment", "periodic_extension", "repeat",
     "reverse_base_pseudo_orbit", "screen_minimality", "sensitive_recipe",
-    "separated_set", "shadows", "splice_chain", "symbolic_distance",
+    "separated_set", "shadows", "symbolic_distance",
     "uniform_delta_for_set", "validate", "verify_empirical_lemma",
     "verify_extension_claims", "verify_measure_approx",
     "verify_semiconjugacy",

@@ -187,15 +187,15 @@ def criterion_6() -> CriterionResult:
 
     def body():
         from .horseshoe import build_certificate, make_family, verify_semiconjugacy
-        from .pseudo_orbits import concatenate, splice_chain, validate
+        from .pseudo_orbits import concatenate, connect, validate
         from .systems import SymbolicSystem
 
         sigma2 = SymbolicSystem.full_shift(2)
         eps, delta = F(1, 5), F(1, 32)
         x = sigma2.fixed_point(0)
         q = sigma2.point((0,), word=(1,), offset=0)
-        excursion = concatenate(splice_chain(sigma2, x, q, delta),
-                                splice_chain(sigma2, q, x, delta))
+        excursion = concatenate(connect(x, q, delta, sigma2),
+                                connect(q, x, delta, sigma2))
         dwell = validate([x] * (excursion.step_count + 1), delta, sigma2)
         fam = make_family(sigma2, x, [dwell, excursion], eps, delta)
         cert = build_certificate(fam, word_length_max=8)

@@ -25,7 +25,7 @@ from .horseshoe import (
     verify_semiconjugacy,
 )
 from .measures import EmpiricalMeasure, TestFunctionFamily, dstar
-from .pseudo_orbits import PseudoOrbit, concatenate, orbit_segment, splice_chain
+from .pseudo_orbits import PseudoOrbit, concatenate, connect, orbit_segment
 from .shadowing import is_positively_shadowable_at
 from .systems import SymbolicPoint, SymbolicSystem, dyadic_radius
 
@@ -126,7 +126,7 @@ def approximate_by_positive_entropy_ergodic(
     # The segment length n makes each orbit block realize its measure
     # exactly and dominates the connector overhead 3R/epsilon.
     def connector(a, b, detail):
-        link = splice_chain(system, a, b, delta)
+        link = connect(a, b, delta, system)
         if link is None:
             raise PipelineStageError("connectors", detail, stages)
         return link
@@ -202,13 +202,13 @@ def _separated_prefix_loops(system: SymbolicSystem, base: SymbolicPoint,
         for _, q in system.cylinders(0, width - 1):
             if q is None or q == base:
                 continue
-            out = splice_chain(system, base, q, delta)
+            out = connect(base, q, delta, system)
             if out is None:
                 continue
             qper = q.least_period()
             visit = orbit_segment(system, q, qper) if qper else None
             loop = concatenate(out, visit) if visit else out
-            back = splice_chain(system, q.shift(qper or 0), base, delta)
+            back = connect(q.shift(qper or 0), base, delta, system)
             if back is None:
                 continue
             pair = equalize([dwell, concatenate(loop, back)])

@@ -144,7 +144,7 @@ def dense_shadowable_example(levels: int, base_size: int = 120) -> LayeredSpace:
     dist = np.maximum(np.abs(heights_d[:, None] - heights_d), circle_arcs(angles_d, D))
     net = NetSystem(labels, dist, step_map,
                     resolution=F(1, 2 * base_size * levels),
-                    invertible=True, metric_check="full", denominator=D)
+                    invertible=True, denominator=D)
 
     gaps = {}
     for n, members in layers.items():
@@ -357,11 +357,7 @@ def extension_builder(lang: SubstitutionLanguage, max_level: int,
     dist, denominator = _extension_metric(labels)
     net = NetSystem(labels, dist, step_map,
                     resolution=F(1, 1 << (base_period + 1)),
-                    invertible=True, metric_check="skip", denominator=denominator)
-    report = net.validate_metric(mode="sample")
-    if not report.ok:
-        raise AssertionError(report.summary())
-    net.metric_report = report
+                    invertible=True, metric_check="sample", denominator=denominator)
 
     return ExtensionSpace(net, tuple(base_idx), base_points, levels, screen,
                           meta={"base_period": base_period,
@@ -401,8 +397,7 @@ def minimal_layer_net(space: ExtensionSpace, level: int) -> NetSystem:
     dist = np.abs(values[:, None] - values)
     smallest = F(int(dist[~np.eye(k, dtype=bool)].min()), D)
     return NetSystem(list(range(k)), dist, [(i + 1) % k for i in range(k)],
-                     resolution=smallest / 2, invertible=True,
-                     metric_check="full", denominator=D)
+                     resolution=smallest / 2, invertible=True, denominator=D)
 
 
 @dataclass
@@ -464,7 +459,7 @@ def verify_extension_claims(space: ExtensionSpace,
         layer_counterexamples[n] = found
         layer_shadowing[n] = has_shadowing_at_resolution(
             net, delta_b, eps_b, horizon=layer_horizon,
-            allowed_nodes=frozenset(lvl.indices), two_sided=False)
+            within=net.restrict_to(lvl.indices), two_sided=False)
     return ExtensionReport(base_reports, layer_counterexamples, layer_shadowing,
                            stamps={"base": (base_epsilon, base_delta, base_horizon),
                                    "layer_horizon": layer_horizon,

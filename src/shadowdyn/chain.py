@@ -139,14 +139,13 @@ def cycle_of(system: NetSystem, x: int) -> tuple:
 
 
 def nearest_minimal_point(z: int, system: NetSystem, radius,
-                          delta=None, epsilon=None,
-                          max_len: int = 10 ** 5) -> Optional[int]:
+                          delta=None, epsilon=None) -> Optional[int]:
     """A point on a sampled-map cycle near z.
 
     Realized constructively: build a delta-chain loop through z, shadow its
     periodic extension, and take the point the shadow orbit visits on its
     eventual cycle at a multiple of the loop length.  Returns None when no
-    chain loop exists within the budget.
+    delta-chain loop passes through z.
     """
     radius = Fraction(radius)
     if z in cycle_of(system, z):
@@ -155,7 +154,7 @@ def nearest_minimal_point(z: int, system: NetSystem, radius,
     epsilon = Fraction(epsilon) if epsilon is not None else radius / 2
     if delta >= radius:
         raise ValueError("need delta < radius")
-    loop = connect(z, z, delta, system, max_len=max_len)
+    loop = connect(z, z, delta, system)
     if loop is None:
         return None
     n = loop.step_count

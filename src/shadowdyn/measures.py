@@ -28,8 +28,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
-from .pseudo_orbits import splice_chain
-from .systems import SystemPoint, dyadic_radius
+from .pseudo_orbits import connect
+from .systems import SystemPoint
 
 ZERO = Fraction(0)
 
@@ -435,7 +435,8 @@ def build_periodic_block_concatenation(system, periodic_points: Sequence,
     """Standard instance of the block form: the given periodic orbits are
     visited for n steps each, in order, connected by spliced eps-chains
     (with the chain endpoints dropped); the traced sequence X replaces every
-    point by the periodic closure of a central window, staying within eps."""
+    point by the system's ``nearby_point``, the periodic closure of a
+    central window, staying within eps."""
     eps = Fraction(eps)
     pts = list(periodic_points)
     k = len(pts)
@@ -457,7 +458,7 @@ def build_periodic_block_concatenation(system, periodic_points: Sequence,
             if i == 0 and not connectors:
                 row_conn.append(())  # the very first block starts the sequence
                 continue
-            chain = splice_chain(system, prev.shift(n - 1), p, eps)
+            chain = connect(prev.shift(n - 1), p, eps, system)
             if chain is None:
                 raise ValueError("orbits are not eps-spliceable")
             conn = tuple(chain.points[1:-1])
@@ -472,13 +473,9 @@ def build_periodic_block_concatenation(system, periodic_points: Sequence,
         system=system, measures=tuple(measures), generic_points=tuple(generic),
         n=n, connectors=tuple(connectors), x_sequence=(), eps=eps,
         connector_bound=connector_bound)
-    t = dyadic_radius(eps)
-    xs = []
-    for q in construction.y_sequence():
-        w = q.window(-t - 1, t + 1)
-        closed = system.periodic_closure(w, anchor=-t - 1)
-        xs.append(closed if closed is not None else q)
-    construction.x_sequence = tuple(xs)
+    # a shift's nearby point draws nothing from the generator
+    construction.x_sequence = tuple(system.nearby_point(q, eps, None)
+                                    for q in construction.y_sequence())
     return construction
 
 

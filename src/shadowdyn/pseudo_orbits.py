@@ -1,5 +1,6 @@
 """The delta-pseudo-orbit calculus: validation, concatenation, loop
-repetition and delta-chains (the system's ``chain`` points, validated).
+repetition and delta-chains (``connect``: the system's ``chain`` points,
+validated, on every system).
 
 Length bookkeeping is in *steps*: a pseudo-orbit with points x_0..x_n has
 step_count n, and step counts add exactly under concatenation.
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .systems import NetSystem, SymbolicSystem, System, SystemPoint
+from .systems import System, SystemPoint
 
 SEGMENT = "segment"
 LOOP = "loop"
@@ -143,23 +144,11 @@ def periodic_extension(loop: PseudoOrbit) -> Iterator[SystemPoint]:
         i += 1
 
 
-def splice_chain(system, a, b, delta) -> Optional[PseudoOrbit]:
-    """A delta-chain between two symbolic points, through a periodic splice
-    point (see ``SymbolicSystem.chain``).  None when the transition graph
-    admits no connecting paths."""
-    if not isinstance(system, SymbolicSystem):
-        raise ValueError("splice_chain works on symbolic systems")
+def connect(a: SystemPoint, b: SystemPoint, delta, system: System) -> Optional[PseudoOrbit]:
+    """A validated delta-chain from a to b, or None (see the system's
+    ``chain``: a shortest chain, breadth-first, on a net, where a == b makes
+    at least one step; a splice through a periodic point on a shift, None
+    when the transition graph admits no connecting paths)."""
     delta = Fraction(delta)
     pts = system.chain(a, b, delta)
-    return None if pts is None else validate(pts, delta, system)
-
-
-def connect(a: int, b: int, delta, system: NetSystem,
-            max_len: int = 10 ** 6) -> Optional[PseudoOrbit]:
-    """Shortest delta-chain from a to b on a net system, or None (see
-    ``NetSystem.chain``).  When a == b the chain makes at least one step."""
-    if not isinstance(system, NetSystem):
-        raise ValueError("connect works on net systems")
-    delta = Fraction(delta)
-    pts = system.chain(a, b, delta, max_len)
     return None if pts is None else validate(pts, delta, system)

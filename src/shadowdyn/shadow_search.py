@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .pseudo_orbits import PseudoOrbit
 from .systems import (
@@ -55,19 +55,16 @@ def shadows(system, z: SystemPoint, orbit, epsilon) -> Optional[ShadowWitness]:
 def find_shadow(system, orbit, epsilon) -> Optional[ShadowWitness]:
     """A shadow witness for a finite pseudo-orbit, or a proof of absence.
 
-    The system names the candidates (see ``shadow_candidates``): every net
-    point, exhausted; on a shift the single glued word, which shadows by
-    construction, or none when the glue fails.
+    The system finds the shadow (see ``shadow``): the least net point that
+    traces, the net exhausted; on a shift the closure of the one glued
+    word, or none when the glue fails.
     """
     epsilon = Fraction(epsilon)
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
     pts = _points_of(orbit)
-    candidates, glued = system.shadow_candidates(pts, epsilon)
-    for z in candidates:
-        w = shadows(system, z, pts, epsilon)
-        if w is not None:
-            return w
-        assert not glued, "glued candidate must shadow by construction"
-    return None
+    z = system.shadow(pts, epsilon)
+    return None if z is None else ShadowWitness(z, epsilon, (0, len(pts) - 1))
 
 
 # -- shadowability engines ----------------------------------------------------
@@ -78,8 +75,8 @@ class SearchStats:
     states: int = 0
     budget: int = 10 ** 6
 
-    def tick(self, k: int = 1):
-        self.states += k
+    def tick(self):
+        self.states += 1
         if self.states > self.budget:
             raise BudgetExceeded(f"enumeration exceeded {self.budget} states")
 
@@ -90,9 +87,9 @@ def unshadowed_orbit(system, starts: Optional[Sequence], epsilon, delta,
     DFS/lex order, admitting no epsilon-shadow; None if all are shadowed.
 
     ``starts=None`` quantifies over every start point of the system;
-    ``within`` (from ``restrict_to`` of the system's chain net) keeps the
-    pseudo-orbits inside a node set.  Nets are exhausted, shifts scanned for
-    inconsistent steps.
+    ``within`` (``restrict_to`` of the system's chain net: a test on points)
+    keeps the pseudo-orbits, and the quantified starts, inside a node set.
+    Nets are exhausted, shifts scanned for inconsistent steps.
     """
     search = net_shadowability_dfs if system.kind == "net" else symbolic_shadowability_scan
     return search(system, starts, epsilon, delta, horizon, stats, within)
@@ -100,9 +97,10 @@ def unshadowed_orbit(system, starts: Optional[Sequence], epsilon, delta,
 
 def net_shadowability_dfs(system: NetSystem, starts: Optional[Sequence[int]], epsilon,
                           delta, horizon: int, stats: SearchStats,
-                          allowed_nodes: Optional[frozenset] = None) -> Optional[list]:
-    """Lexicographically first delta-pseudo-orbit from the starts (all nodes,
-    or all allowed nodes, when None) admitting no epsilon-shadow.
+                          within: Optional[Callable] = None) -> Optional[list]:
+    """Lexicographically first delta-pseudo-orbit from the starts (all nodes
+    passing ``within`` when None) admitting no epsilon-shadow; successors
+    failing ``within`` are skipped.
 
     Tracks the surviving shadow positions along each path, as an int bitmask
     (bit w: the shadow may sit at w); a path fails exactly when that set
@@ -113,16 +111,16 @@ def net_shadowability_dfs(system: NetSystem, starts: Optional[Sequence[int]], ep
     epsilon = Fraction(epsilon)
     delta = Fraction(delta)
     if starts is None:
-        starts = range(system.n) if allowed_nodes is None else sorted(allowed_nodes)
+        starts = range(system.n) if within is None else list(filter(within, range(system.n)))
     balls = system.ball_masks(epsilon)
     fmap = system.map
     memo: dict = {}
 
     def succ(p: int):
         out = system.successors(p, delta)
-        if allowed_nodes is None:
+        if within is None:
             return out
-        return [q for q in out if q in allowed_nodes]
+        return [q for q in out if within(q)]
 
     def image(tset: int) -> int:
         out = 0
@@ -199,11 +197,12 @@ def symbolic_edge_good(system: SymbolicSystem, p: SymbolicPoint,
 def symbolic_shadowability_scan(system: SymbolicSystem,
                                 starts: Optional[Sequence[SymbolicPoint]],
                                 epsilon, delta, horizon: int, stats: SearchStats,
-                                node_filter=None) -> Optional[list]:
+                                within: Optional[Callable] = None) -> Optional[list]:
     """First (in DFS/lex order) delta-pseudo-orbit from the given start
     points with no epsilon-shadow, or None.  ``starts=None`` quantifies over
     the cylinder candidates: periodic closures of every admissible word on
-    the candidate window.
+    the candidate window.  Points failing ``within`` are skipped, as starts
+    and as successors.
 
     Exact for strongly connected transition graphs: a path is unshadowable
     iff it contains an inconsistent step, so the scan looks for the first
@@ -227,7 +226,7 @@ def symbolic_shadowability_scan(system: SymbolicSystem,
         return None
     if starts is None:
         starts = [p for _, p in system.cylinders(-window_radius, window_radius)
-                  if p is not None]
+                  if p is not None and (within is None or within(p))]
 
     seen: dict = {}
     path: list = []
@@ -242,7 +241,7 @@ def symbolic_shadowability_scan(system: SymbolicSystem,
         stats.tick()
         img = p.shift(1)
         for q in symbolic_successor_candidates(system, img, s, window_radius):
-            if node_filter is not None and not node_filter(q):
+            if within is not None and not within(q):
                 continue
             path.append(q)
             if not symbolic_edge_good(system, p, q, rho):

@@ -56,26 +56,28 @@ def _report(system, base, epsilon, delta, horizon, bad, stamps) -> Shadowability
 
 
 def is_positively_shadowable_at(system, x: SystemPoint, epsilon, delta,
-                                horizon: int = 10, budget: int = 10 ** 6,
-                                allowed_nodes=None) -> ShadowabilityReport:
+                                horizon: int = 10,
+                                budget: int = 10 ** 6) -> ShadowabilityReport:
     """Check every delta-pseudo-orbit through x (step count <= horizon) for
     an epsilon-shadow; the verdict is the lexicographically first failing
     pseudo-orbit if any."""
     system.check_point(x)
     epsilon, delta = Fraction(epsilon), Fraction(delta)
     stats = SearchStats(budget=budget)
-    bad = unshadowed_orbit(system, [x], epsilon, delta, horizon, stats, allowed_nodes)
+    bad = unshadowed_orbit(system, [x], epsilon, delta, horizon, stats)
     stamps = {"universe": system.universe, "states": stats.states}
     return _report(system, x, epsilon, delta, horizon, bad, stamps)
 
 
 def has_shadowing_at_resolution(system, delta, epsilon, horizon: int = 10,
                                 two_sided: bool = False, budget: int = 10 ** 7,
-                                allowed_nodes=None) -> ShadowabilityReport:
+                                within=None) -> ShadowabilityReport:
     """Like :func:`is_positively_shadowable_at` but quantified over all start
-    points.  ``two_sided`` enumerates windows [-horizon, horizon] (invertible
-    systems only); for the verdict this equals forward windows of doubled
-    length quantified over all starts."""
+    points, or those passing ``within`` (a ``restrict_to`` test, which also
+    keeps the pseudo-orbits inside its nodes).  ``two_sided`` enumerates
+    windows [-horizon, horizon] (invertible systems only); for the verdict
+    this equals forward windows of doubled length quantified over all
+    starts."""
     epsilon, delta = Fraction(epsilon), Fraction(delta)
     span = horizon
     if two_sided:
@@ -83,7 +85,7 @@ def has_shadowing_at_resolution(system, delta, epsilon, horizon: int = 10,
             raise ValueError("two-sided shadowing needs an invertible system")
         span = 2 * horizon
     stats = SearchStats(budget=budget)
-    bad = unshadowed_orbit(system, None, epsilon, delta, span, stats, allowed_nodes)
+    bad = unshadowed_orbit(system, None, epsilon, delta, span, stats, within)
     stamps = {"universe": system.universe, "states": stats.states, "two_sided": two_sided}
     return _report(system, "all", epsilon, delta, horizon, bad, stamps)
 

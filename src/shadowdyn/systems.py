@@ -25,8 +25,9 @@ never test the kind of a system or point:
   clause d(f^i(z), x_i) <= eps, behind ``shadow_search.shadows``).  A net
   steps point by point; a shift compares tape bytes for the trace and
   integer first-disagreement depths for the steps;
-* shadow search: ``shadow_candidates`` (every net point, or the one glued
-  word of a shift) and ``universe``, the stamp of the quantified universe;
+* shadow search: ``shadow(pts, eps)`` (the least net point that traces,
+  or on a shift the closure of the one glued word, or None) and
+  ``universe``, the stamp of the quantified universe;
 * cylinders (shifts only): ``cylinders(lo, hi, x, fixed)`` lists the
   admissible words on a window, each with its periodic closure; every
   symbolic verdict over ``cylinder-candidates`` takes its points from it.
@@ -34,9 +35,12 @@ never test the kind of a system or point:
   connecting path read from a k x k table that each shift fills on first
   use, and checks only the two junctions where word and path meet;
 * chains and loops: ``chain(a, b, delta)`` (breadth-first on nets, spliced
-  on shifts), ``dwell_loop``, ``loop_candidates``, ``neighborhood``;
+  on shifts; validated by ``pseudo_orbits.connect``), ``dwell_loop``,
+  ``loop_candidates``, ``neighborhood``;
 * chain classes: ``chain_net(depth)`` (the net itself, or the cylinder net
-  of a shift) with ``node_of``, ``point_of`` and ``restrict_to`` on nets;
+  of a shift) with ``node_of``, ``point_of`` and ``restrict_to``, which
+  turns a node set into the point test that keeps a shadowability search
+  inside it;
 * measures and entropy: ``test_centers``, ``sample_point``,
   ``nearby_point``, ``separated_count`` and ``dynamical_ball``.
 
@@ -54,7 +58,7 @@ is the same tape one offset on has error 0 without a comparison.  Symbols
 are checked where points enter (``point``, ``check_point``,
 ``step_check`` and the ``io`` loaders run ``admissible``, once per tape
 in ``step_check``) and by ``distance``, ``closeness``, ``traces`` and
-``shadow_candidates``, which compare each point's recorded least and
+``shadow``, which compare each point's recorded least and
 largest symbol with the alphabet in O(1).  Symbolic points order by their
 canonical form, which fixes the atom order of empirical measures.  The
 method results are plain points, point lists and step verdicts;
@@ -741,27 +745,30 @@ class SymbolicSystem:
 
     # -- shadows, chains and loops ---------------------------------------------
 
-    def shadow_candidates(self, pts: Sequence[SymbolicPoint], eps: Fraction) -> tuple:
-        """(candidates, glued) for an eps-shadow of the sequence.
+    def shadow(self, pts: Sequence[SymbolicPoint], eps: Fraction) -> Optional[SymbolicPoint]:
+        """An eps-shadow of the sequence, or None when there is none.
 
         A shadow agrees with each x_i on the shifted window |j| <= t-1, so
-        gluing those windows forces the only candidate (glued: it must
-        shadow); a window conflict or an inadmissible glue rules every
-        shadow out.  (On a reducible transition graph the glued word may
-        admit no eventually periodic closure; no candidate then means no
-        *representable* witness.)  A point with a symbol outside the
-        alphabet raises, wherever it sits, rather than rule shadows out.
+        gluing those windows forces the only possible shadow: the closure
+        of the glued word, whose tape bytes are that word; a window
+        conflict or an inadmissible glue rules every shadow out.  (On a
+        reducible transition graph the glued word may admit no eventually
+        periodic closure; None then means no *representable* witness.)  A
+        point with a symbol outside the alphabet raises, wherever it sits,
+        rather than rule shadows out.
         """
         self._check_symbols(pts)
         if eps == 0 or eps >= 1:
             # only an orbit is 0-shadowed, by its start; from 1 on anything shadows
-            return (pts[0],), False
+            return pts[0] if _trace_stepwise(self, pts[0], pts, eps) else None
         rho = dyadic_radius(eps) - 1
         word = glue_constraints(pts, rho)
         if word is None:
-            return (), True
+            return None
         z = self.periodic_closure(word, anchor=-rho)
-        return ((z,) if z is not None else ()), True
+        assert z is None or z._symbols(-rho, len(word)) == word, \
+            "glued candidate must shadow by construction"
+        return z
 
     def chain(self, a: SymbolicPoint, b: SymbolicPoint, delta: Fraction) -> Optional[list]:
         """Points of a delta-chain from a to b.
@@ -1208,9 +1215,13 @@ class NetSystem:
 
     # -- shadows, chains and loops ---------------------------------------------
 
-    def shadow_candidates(self, pts: Sequence[int], eps: Fraction) -> tuple:
-        """(candidates, glued): every net point, none forced to shadow."""
-        return range(self.n), False
+    def shadow(self, pts: Sequence[int], eps: Fraction) -> Optional[int]:
+        """The least net point that eps-traces the sequence, or None: the net
+        is exhausted."""
+        for z in range(self.n):
+            if self.traces(z, pts, eps):
+                return z
+        return None
 
     def chain(self, a: int, b: int, delta: Fraction,
               max_len: int = 10 ** 6) -> Optional[list]:
@@ -1311,9 +1322,9 @@ class NetSystem:
     def point_of(self, node: int) -> int:
         return node
 
-    def restrict_to(self, nodes) -> frozenset:
-        """The restriction of shadowability searches to the given nodes."""
-        return frozenset(nodes)
+    def restrict_to(self, nodes) -> Callable:
+        """The test keeping shadowability searches inside the given nodes."""
+        return frozenset(nodes).__contains__
 
     # -- measures and entropy -------------------------------------------------------
 
@@ -1354,11 +1365,6 @@ System = Union[SymbolicSystem, NetSystem]
 SystemPoint = Union[int, SymbolicPoint]
 
 
-def apply(system: System, p: SystemPoint, k: int) -> SystemPoint:
-    """Exact k-fold iterate of the system map (k < 0 only when invertible)."""
-    return system.iterate(p, k)
-
-
 # -- common net constructions ----------------------------------------------
 
 
@@ -1370,7 +1376,7 @@ def circle_arcs(angles: np.ndarray, denominator: int) -> np.ndarray:
 
 
 def circle_net(size: int, step_fn: Callable[[int], int],
-               invertible: bool = False, metric_check: str = "full") -> NetSystem:
+               invertible: bool = False) -> NetSystem:
     """Net of ``size`` equally spaced rational angles on the circle."""
     if size < 3:
         raise ValueError("need at least 3 net points")
@@ -1378,4 +1384,4 @@ def circle_net(size: int, step_fn: Callable[[int], int],
     return NetSystem(labels, circle_arcs(np.arange(size), size),
                      [step_fn(i) % size for i in range(size)],
                      resolution=Fraction(1, 2 * size), invertible=invertible,
-                     metric_check=metric_check, denominator=size)
+                     denominator=size)

@@ -229,14 +229,14 @@ def test_malformed_measure_exit_code(tmp_path, doc):
 @pytest.fixture(scope="module")
 def certificate_doc():
     from shadowdyn.horseshoe import build_certificate, make_family
-    from shadowdyn.pseudo_orbits import concatenate, splice_chain, validate
+    from shadowdyn.pseudo_orbits import concatenate, connect, validate
 
     sigma2 = SymbolicSystem.full_shift(2)
     x = sigma2.fixed_point(0)
     q = sigma2.point((0,), word=(1,), offset=0)
     delta = F(1, 32)
-    excursion = concatenate(splice_chain(sigma2, x, q, delta),
-                            splice_chain(sigma2, q, x, delta))
+    excursion = concatenate(connect(x, q, delta, sigma2),
+                            connect(q, x, delta, sigma2))
     dwell = validate([x] * (excursion.step_count + 1), delta, sigma2)
     fam = make_family(sigma2, x, [dwell, excursion], F(1, 5), delta)
     return sio.certificate_to_json(build_certificate(fam, word_length_max=2))

@@ -14,7 +14,7 @@ from shadowdyn.horseshoe import (
     sensitive_recipe,
     verify_semiconjugacy,
 )
-from shadowdyn.pseudo_orbits import orbit_segment, splice_chain, validate
+from shadowdyn.pseudo_orbits import connect, orbit_segment, validate
 from shadowdyn.shadow_search import shadows
 from shadowdyn.systems import SymbolicSystem, circle_net
 
@@ -33,8 +33,8 @@ def two_loop_family(sigma2, eps=F(1, 5), delta=F(1, 32)):
 
     x = sigma2.fixed_point(0)
     q = sigma2.point((0,), word=(1,), offset=0)
-    c2 = concatenate(splice_chain(sigma2, x, q, delta),
-                     splice_chain(sigma2, q, x, delta))
+    c2 = concatenate(connect(x, q, delta, sigma2),
+                     connect(q, x, delta, sigma2))
     c1 = validate([x] * (c2.step_count + 1), delta, sigma2)
     return make_family(sigma2, x, [c1, c2], eps, delta)
 

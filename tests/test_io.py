@@ -12,7 +12,7 @@ from shadowdyn.builders import dense_shadowable_example, fig1_circle
 from shadowdyn.finitize import CylinderNet
 from shadowdyn.horseshoe import build_certificate, find_loop_family, make_family
 from shadowdyn.measures import EmpiricalMeasure
-from shadowdyn.pseudo_orbits import concatenate, splice_chain, validate
+from shadowdyn.pseudo_orbits import concatenate, connect, validate
 from shadowdyn.systems import NetSystem, SymbolicSystem, circle_net
 
 F = Fraction
@@ -101,8 +101,8 @@ def certificate():
     x = sigma2.fixed_point(0)
     q = sigma2.point((0,), word=(1,), offset=0)
     delta, eps = F(1, 32), F(1, 5)
-    excursion = concatenate(splice_chain(sigma2, x, q, delta),
-                            splice_chain(sigma2, q, x, delta))
+    excursion = concatenate(connect(x, q, delta, sigma2),
+                            connect(q, x, delta, sigma2))
     dwell = validate([x] * (excursion.step_count + 1), delta, sigma2)
     fam = make_family(sigma2, x, [dwell, excursion], eps, delta)
     return sigma2, build_certificate(fam, word_length_max=3)

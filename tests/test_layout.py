@@ -14,8 +14,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "shadowdyn"
 
-PROTOCOL_MODULES = ("shadowing", "shadow_search", "chain", "entropy", "measures",
-                    "horseshoe", "approx", "builders")
+PROTOCOL_MODULES = ("pseudo_orbits", "shadowing", "shadow_search", "chain", "entropy",
+                    "measures", "horseshoe", "approx", "builders")
 KIND_TYPES = {"SymbolicSystem", "NetSystem", "SymbolicPoint", "CylinderNet"}
 
 # Demos 02 and 05 take long enough to stay out of the default run.

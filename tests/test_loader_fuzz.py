@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from shadowdyn import io as sio
 from shadowdyn.horseshoe import build_certificate, make_family
 from shadowdyn.measures import EmpiricalMeasure
-from shadowdyn.pseudo_orbits import concatenate, splice_chain, validate
+from shadowdyn.pseudo_orbits import concatenate, connect, validate
 from shadowdyn.systems import SymbolicSystem, circle_net
 
 F = Fraction
@@ -36,8 +36,8 @@ def _certificate_doc() -> dict:
     x = SIGMA2.fixed_point(0)
     q = SIGMA2.point((0,), word=(1,), offset=0)
     delta, eps = F(1, 32), F(1, 5)
-    excursion = concatenate(splice_chain(SIGMA2, x, q, delta),
-                            splice_chain(SIGMA2, q, x, delta))
+    excursion = concatenate(connect(x, q, delta, SIGMA2),
+                            connect(q, x, delta, SIGMA2))
     dwell = validate([x] * (excursion.step_count + 1), delta, SIGMA2)
     fam = make_family(SIGMA2, x, [dwell, excursion], eps, delta)
     return sio.certificate_to_json(build_certificate(fam, word_length_max=2))

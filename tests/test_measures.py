@@ -18,7 +18,7 @@ from shadowdyn.measures import (
     verify_empirical_lemma,
     verify_measure_approx,
 )
-from shadowdyn.pseudo_orbits import splice_chain
+from shadowdyn.pseudo_orbits import connect
 from shadowdyn.systems import SymbolicSystem, circle_net
 
 F = Fraction
@@ -259,11 +259,11 @@ def build_two_measure_blocks(sigma2, eps, n, rounds, connector_bound=4):
     for _ in range(rounds):
         # connector into p1 is empty at round start; between blocks use a
         # splice chain without its endpoints
-        c12 = splice_chain(sigma2, p1.shift(n - 1), p2, eps)
+        c12 = connect(p1.shift(n - 1), p2, eps, sigma2)
         assert c12 is not None
         conn12 = tuple(c12.points[1:-1])
         assert len(conn12) <= connector_bound
-        c21 = splice_chain(sigma2, p2.shift(n - 1), p1, eps)
+        c21 = connect(p2.shift(n - 1), p1, eps, sigma2)
         assert c21 is not None
         conn21 = tuple(c21.points[1:-1])
         generic.append((p1, p2))
@@ -335,11 +335,11 @@ def test_empirical_lemma_rejects_malformed(sigma2, family):
         verify_empirical_lemma(cons, family)
 
 
-def test_splice_chain_connects_fixed_point_to_cycle(sigma2):
+def test_connect_splices_fixed_point_to_cycle(sigma2):
     a = sigma2.fixed_point(0)
     b = sigma2.point((0, 1))
     for delta in [F(1, 4), F(1, 16), F(1, 64)]:
-        po = splice_chain(sigma2, a, b, delta)
+        po = connect(a, b, delta, sigma2)
         assert po is not None
         assert po.start == a and po.end == b
         assert po.reverify()

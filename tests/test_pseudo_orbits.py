@@ -163,7 +163,7 @@ def test_connect_minimality_against_exhaustive():
         return None
 
     for a, b in [(1, 4), (3, 3), (10, 2)]:
-        po = connect(a, b, delta, net, max_len=8)
+        po = connect(a, b, delta, net)
         oracle = exhaustive_shortest(a, b)
         if oracle is None:
             assert po is None

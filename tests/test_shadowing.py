@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowdyn.builders import fig1_circle
 from shadowdyn.pseudo_orbits import orbit_segment, validate
 from shadowdyn.shadow_search import (
+    SearchStats,
     find_shadow,
     shadows,
     symbolic_successor_candidates,
+    unshadowed_orbit,
 )
 from shadowdyn.shadowing import (
     chain_class_shadowability,
@@ -119,7 +122,7 @@ def test_find_shadow_rejects_foreign_symbols_wherever_they_sit(eps, where):
         with pytest.raises(ValueError, match="alphabet mismatch"):
             find_shadow(sigma2, pts, eps)
         with pytest.raises(ValueError, match="alphabet mismatch"):
-            sigma2.shadow_candidates(pts, eps)
+            sigma2.shadow(pts, eps)
 
 
 def sink_circle(size=36):
@@ -225,6 +228,32 @@ def test_monotonicity_in_eps_and_delta():
     stronger_eps = is_positively_shadowable_at(net, x, F(1, 4), F(1, 24), horizon=5)
     smaller_delta = is_positively_shadowable_at(net, x, F(1, 8), F(1, 48), horizon=5)
     assert stronger_eps.shadowable and smaller_delta.shadowable
+
+
+@pytest.mark.parametrize("name, eps, delta, horizon", [
+    ("fig1:36", F(1, 36), F(1, 36), 8),
+    ("fullshift:2", F(1, 8), F(1, 4), 6),
+])
+def test_within_restricts_both_engines(name, eps, delta, horizon):
+    """``within = restrict_to(every node)`` leaves the search unchanged, and
+    under a proper restriction the counterexample stays inside it."""
+    if name == "fig1:36":
+        system = net = fig1_circle(36)
+        half = range(18, 36)
+    else:
+        system = SymbolicSystem.full_shift(2)
+        net = system.chain_net(2)
+        half = [i for i, w in enumerate(net.words_) if w[2] == 1]
+    free = unshadowed_orbit(system, None, eps, delta, horizon, SearchStats())
+    assert free is not None
+    every = net.restrict_to(range(net.n))
+    assert unshadowed_orbit(system, None, eps, delta, horizon, SearchStats(),
+                            every) == free
+    within = net.restrict_to(half)
+    bad = unshadowed_orbit(system, None, eps, delta, horizon, SearchStats(), within)
+    assert bad is not None and bad != free
+    assert all(within(p) for p in bad)
+    assert find_shadow(system, validate(bad, delta, system), eps) is None
 
 
 # -- resolution-level shadowing ---------------------------------------------------

@@ -12,7 +12,6 @@ from shadowdyn.systems import (
     SymbolicPoint,
     SymbolicSystem,
     _PACK_RADIUS,
-    apply,
     circle_net,
     distance_le,
     dyadic_radius,
@@ -187,8 +186,8 @@ def test_full_shift_admissibility_and_shift():
     q = p.shift(1)
     assert q.coord(0) == p.coord(1) == 1
     assert sigma2.admissible(q)
-    assert apply(sigma2, p, 0) == p
-    assert apply(sigma2, pt((0,)), 5) == pt((0,))
+    assert sigma2.iterate(p, 0) == p
+    assert sigma2.iterate(pt((0,)), 5) == pt((0,))
 
 
 def test_golden_mean_rejects_11():
@@ -321,7 +320,7 @@ def test_shift_of_admissible_is_admissible():
 def test_iterate_composes(j, k):
     sigma2 = SymbolicSystem.full_shift(2)
     p = sigma2.point((0, 1, 1), word=(1, 0), offset=2)
-    assert apply(sigma2, apply(sigma2, p, j), k) == apply(sigma2, p, j + k)
+    assert sigma2.iterate(sigma2.iterate(p, j), k) == sigma2.iterate(p, j + k)
 
 
 @given(symbolic_points(), st.lists(st.integers(-40, 40), min_size=1, max_size=4),
@@ -452,9 +451,9 @@ def test_circle_net_metric_valid():
 
 def test_identity_net_iterates():
     net = circle_net(12, lambda i: i, invertible=True)
-    assert apply(net, 5, 5) == 5
-    assert apply(net, 5, -3) == 5
-    assert apply(net, apply(net, 7, 1), -1) == 7
+    assert net.iterate(5, 5) == 5
+    assert net.iterate(5, -3) == 5
+    assert net.iterate(net.iterate(7, 1), -1) == 7
 
 
 def test_non_invertible_negative_iterate_raises():
