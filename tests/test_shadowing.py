@@ -332,3 +332,46 @@ def test_uniform_delta_reports_keyed_by_symbolic_point():
     assert delta > 0
     # an equal point with another representation finds the same report
     assert reports[sigma2.point((0, 0), word=(0,), offset=5)].shadowable
+
+
+def line_net(positions, step_map, resolution):
+    """Net of points on a line with the metric |s - t|."""
+    dist = [[abs(s - t) for t in positions] for s in positions]
+    return NetSystem(list(range(len(positions))), dist, step_map, resolution=resolution)
+
+
+# x = 0 goes to the fixed point 1/2; y, 1/25 from x, goes to the fixed
+# point p at 4/5, and p', 1/25 from p, goes to the fixed point 3/10.
+# So y is not shadowable while delta >= 1/25 (the path y, p', 3/10
+# leaves y's orbit behind) but x is at every delta.
+REFINE_POSITIONS = [F(0), F(1, 25), F(3, 10), F(1, 2), F(4, 5), F(21, 25)]
+REFINE_MAP = [3, 4, 2, 3, 4, 2]
+
+
+def test_uniform_delta_refines_past_an_unshadowable_neighbour():
+    net = line_net(REFINE_POSITIONS, REFINE_MAP, F(1, 100))
+    assert not is_positively_shadowable_at(net, 1, F(1, 10), F(1, 20)).shadowable
+    delta, reports = uniform_delta_for_set(net, [0], F(1, 10))
+    # the ladder's first rung, 1/20, passes at x but its neighbourhood
+    # holds y; one halving drops y from it
+    assert reports[0].delta == F(1, 20)
+    assert delta == F(1, 40)
+    assert net.neighborhood([0], delta) == [0]
+
+
+def test_uniform_delta_refinement_stops_at_the_net_resolution():
+    net = line_net(REFINE_POSITIONS, REFINE_MAP, F(1, 30))
+    with pytest.raises(ValueError, match="below the net resolution"):
+        uniform_delta_for_set(net, [0], F(1, 10))
+
+
+def test_h_class_two_sided_records_a_failure():
+    # two fixed points 1/10 apart form one chain class at delta 1/10, and
+    # hopping between them has no 1/20-shadow
+    net = line_net([F(0), F(1, 10)], [0, 1], F(1, 20))
+    rep = h_class_two_sided_shadowing(net, 0, F(1, 20), F(1, 10), horizon=2)
+    assert rep.class_nodes == (0, 1)
+    assert not rep.all_shadowable
+    [(node, failure)] = rep.failures
+    assert node == failure.counterexample.points[0]
+    assert failure.reverify_counterexample(net)

@@ -309,6 +309,51 @@ def test_closing_junctions_decide_admissibility(case):
         assert closure is None
 
 
+def test_chain_at_delta_zero_is_the_true_step_or_none():
+    sigma2 = SymbolicSystem.full_shift(2)
+    a = sigma2.point((0, 1))
+    assert sigma2.chain(a, a.shift(1), F(0)) == [a, a.shift(1)]
+    assert sigma2.chain(a, a, F(0)) is None
+
+
+def test_chain_on_a_reducible_shift_needs_both_connecting_paths():
+    zero, two = REDUCIBLE.fixed_point(0), REDUCIBLE.fixed_point(2)
+    # no path leads from 2 back to 0: neither the jump in (2* to 0*) nor
+    # the way back round the splice period (0* to 2*) closes
+    assert REDUCIBLE.chain(two, zero, F(1, 8)) is None
+    assert REDUCIBLE.chain(zero, two, F(1, 8)) is None
+    one = REDUCIBLE.fixed_point(1)
+    assert REDUCIBLE.chain(one, one, F(1, 8)) == [one, one]
+
+
+@st.composite
+def closure_pairs(draw):
+    name = draw(st.sampled_from(sorted(CLOSURE_SYSTEMS)))
+    system = CLOSURE_SYSTEMS[name]
+    words = st.lists(st.integers(0, system.alphabet_size - 1), min_size=1, max_size=5)
+    return system, system.periodic_closure(draw(words)), system.periodic_closure(draw(words))
+
+
+@given(closure_pairs(), st.integers(1, 5))
+@settings(max_examples=300, deadline=None)
+def test_chain_is_a_delta_chain_when_both_paths_exist(case, s):
+    system, a, b = case
+    if a is None or b is None:
+        return
+    delta = F(1, 1 << s)
+    pts = system.chain(a, b, delta)
+    if system.distance(a.shift(1), b) <= delta:
+        assert pts == [a, b]
+        return
+    u, v = a.window(-s + 2, s), b.window(-s + 1, s - 1)
+    closes = (system.connecting_path(u[-1], v[0]) is not None
+              and system.connecting_path(v[-1], u[0]) is not None)
+    assert (pts is not None) == closes
+    if pts is not None:
+        assert pts[0] == a and pts[-1] == b
+        assert system.step_check(pts, delta)[0] is None
+
+
 def test_shift_of_admissible_is_admissible():
     gm = SymbolicSystem.golden_mean()
     p = gm.point((0, 0, 1), word=(0, 1, 0), offset=-1)
