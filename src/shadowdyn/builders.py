@@ -294,11 +294,11 @@ class ExtensionSpace:
     meta: dict = field(default_factory=dict)
 
 
-def extension_builder(lang: SubstitutionLanguage, max_level: int,
-                      base_period: int = 34, minimal_period: int = 13) -> ExtensionSpace:
+def extension_builder(lang: SubstitutionLanguage, max_level: int) -> ExtensionSpace:
     """Build the layered extension of a minimal subshift, truncated at
     ``max_level`` layers, with the exact product max-metric
-    d = max(symbolic distance, embedded minimal coordinate, height gap).
+    d = max(symbolic distance, embedded minimal coordinate, height gap),
+    over a base cycle of period 34 and minimal cycles of period 13.
 
     The input must pass the minimality screen (uniform recurrence plus
     aperiodic complexity at the tested depths).
@@ -309,6 +309,7 @@ def extension_builder(lang: SubstitutionLanguage, max_level: int,
     if not screen.passed:
         raise ValueError("input subshift fails the minimality screen")
 
+    base_period, minimal_period = 34, 13
     base_word = lang.prefix(base_period)
     base_cycle = SymbolicPoint(base_word)
     base_points = tuple(base_cycle.shift(t) for t in range(base_period))
@@ -414,20 +415,20 @@ class ExtensionReport:
                 and all(not r.shadowable for r in self.layer_shadowing.values()))
 
 
-def verify_extension_claims(space: ExtensionSpace,
-                            base_epsilon=F(1), base_delta=F(1, 8),
-                            base_horizon: int = 4,
-                            layer_horizon: int = 12,
-                            base_samples: int = 4) -> ExtensionReport:
+def verify_extension_claims(space: ExtensionSpace) -> ExtensionReport:
     """Three checks at the stamped truncation:
 
-    (a) sampled base points pass the positive shadowing test at the stated
-        constants (the diameter bound makes epsilon = 1 pass by exhaustion);
+    (a) base points a quarter of the base cycle apart pass the positive
+        shadowing test at (epsilon, delta, horizon) = (1, 1/8, 4) (the
+        diameter bound makes epsilon = 1 pass by exhaustion);
     (b) each layer's minimal coordinate admits an explicitly unshadowable
         pseudo-orbit, found by search and lifted to a product pseudo-orbit
         that no point of the whole truncated space shadows;
-    (c) no layer subsystem passes the shadowing test at its own scale.
+    (c) no layer subsystem passes the shadowing test at its own scale, up
+        to horizon 12.
     """
+    base_epsilon, base_delta, base_horizon = F(1), F(1, 8), 4
+    layer_horizon, base_samples = 12, 4
     net = space.net
     base_reports = []
     stride = max(1, len(space.base_indices) // base_samples)

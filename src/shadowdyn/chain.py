@@ -138,22 +138,21 @@ def cycle_of(system: NetSystem, x: int) -> tuple:
     return tuple(orbit[entry:])
 
 
-def nearest_minimal_point(z: int, system: NetSystem, radius,
-                          delta=None, epsilon=None) -> Optional[int]:
+def nearest_minimal_point(z: int, system: NetSystem, radius) -> Optional[int]:
     """A point on a sampled-map cycle near z.
 
-    Realized constructively: build a delta-chain loop through z, shadow its
-    periodic extension, and take the point the shadow orbit visits on its
-    eventual cycle at a multiple of the loop length.  Returns None when no
-    delta-chain loop passes through z.
+    Realized constructively with delta = epsilon = radius/2: build a
+    delta-chain loop through z, shadow its periodic extension at epsilon,
+    and take the point the shadow orbit visits on its eventual cycle at a
+    multiple of the loop length.  Returns None when no delta-chain loop
+    passes through z.
     """
     radius = Fraction(radius)
     if z in cycle_of(system, z):
         return z
-    delta = Fraction(delta) if delta is not None else radius / 2
-    epsilon = Fraction(epsilon) if epsilon is not None else radius / 2
-    if delta >= radius:
-        raise ValueError("need delta < radius")
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    delta = epsilon = radius / 2
     loop = connect(z, z, delta, system)
     if loop is None:
         return None
@@ -215,10 +214,11 @@ def is_equicontinuous_at_resolution(system: NetSystem, nodes: Sequence[int],
                     best = d
         return best
 
+    close = system.closeness(epsilon)
     worst = None
     worst_center = None
     for p in nodes:
-        ball = {q for q in nodes if system.distance_le(p, q, epsilon)}
+        ball = {q for q in nodes if close(p, q)}
         expansion = diam(ball)
         current = set(ball)
         for _ in range(horizon):

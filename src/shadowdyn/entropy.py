@@ -190,10 +190,6 @@ class EntropyEstimate:
     intercept: float
     residuals: list
 
-    def summary(self) -> str:
-        return (f"entropy slope {self.slope:.9f} over n = "
-                f"{self.entries[0][0]}..{self.entries[-1][0]} at eps {self.epsilon}")
-
 
 def entropy_estimate(system, epsilon, n_range: Sequence[int],
                      candidates: Optional[Sequence] = None) -> EntropyEstimate:

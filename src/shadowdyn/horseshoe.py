@@ -122,14 +122,14 @@ def make_family(system, base, loops: Sequence[PseudoOrbit], epsilon,
     return fam
 
 
-def find_loop_family(x, epsilon, delta, n_max: int, k: int, system,
-                     budget: int = 20000) -> Optional[LoopFamily]:
+def find_loop_family(x, epsilon, delta, n_max: int, k: int, system) -> Optional[LoopFamily]:
     """Search k pairwise-separated delta-loops at x of a common length
-    <= n_max.  Assumes x already passed the positive shadowing test at
-    (epsilon, delta); the family itself never certifies that.
+    <= n_max, among at most 20000 candidate excursions.  Assumes x already
+    passed the positive shadowing test at (epsilon, delta); the family
+    itself never certifies that.
     """
     epsilon, delta = Fraction(epsilon), Fraction(delta)
-    candidates = _candidate_loops(system, x, delta, n_max, budget)
+    candidates = _candidate_loops(system, x, delta, n_max, 20000)
     if not candidates:
         return None
     if k == 1:
@@ -371,21 +371,20 @@ def nonminimal_recipe(x, cycle_points: Sequence, delta, system,
 
 
 def sensitive_recipe(x, neighborhood: Sequence, constant, system, delta,
-                     horizon: int = 64, return_budget: int = 512,
-                     epsilon=None) -> LoopFamily:
+                     return_budget: int = 512) -> LoopFamily:
     """Two separated loops from a sensitive minimal class.
 
     Finds a pair of neighborhood points whose orbits diverge past the
-    sensitivity constant within the horizon and later return to the
+    sensitivity constant within 64 steps and later return to the
     neighborhood; the returning orbit segments, closed up through the base
-    point, become the loops.  Requires epsilon < constant/4 (default
-    constant/5).
+    point, become the loops.  The family's epsilon is constant/5, below
+    the constant/4 that the separation needs.
     """
     constant = Fraction(constant)
     delta = Fraction(delta)
-    eps = Fraction(epsilon) if epsilon is not None else constant / 5
-    if not eps < constant / 4:
-        raise ValueError("need epsilon < constant/4")
+    if constant <= 0:
+        raise ValueError("constant must be positive")
+    eps = constant / 5
     pts = list(neighborhood)
     if x not in pts:
         pts = [x] + pts
@@ -393,7 +392,7 @@ def sensitive_recipe(x, neighborhood: Sequence, constant, system, delta,
     div = None
     for a, b in itertools.combinations(pts, 2):
         ca, cb = a, b
-        for n in range(1, horizon + 1):
+        for n in range(1, 64 + 1):
             ca, cb = system.step(ca), system.step(cb)
             if system.distance(ca, cb) > constant:
                 div = (a, b, n)

@@ -269,9 +269,6 @@ class DStarResult:
     tail_bound: Fraction
     terms: int
 
-    def upper(self) -> Fraction:
-        return self.value + self.tail_bound
-
 
 def dstar(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
           family: TestFunctionFamily) -> DStarResult:
@@ -315,9 +312,9 @@ class MeasureApproxReport:
 
 
 def verify_measure_approx(system, family: TestFunctionFamily, trials: int = 1000,
-                          seed: int = 0, eps: Fraction = Fraction(1, 4),
-                          orbit_len: int = 12) -> MeasureApproxReport:
-    """Random instances of the three weak*-approximation inequalities:
+                          seed: int = 0) -> MeasureApproxReport:
+    """Random instances of the three weak*-approximation inequalities, on
+    orbit segments of 12 points with eps = 1/4:
 
     1. averages over two index sets A, B of one sequence differ by at most
        (|A|+|B|)/(|A||B|) |A delta B| + ||A|-|B||/(|A||B|) |A cap B|;
@@ -329,7 +326,7 @@ def verify_measure_approx(system, family: TestFunctionFamily, trials: int = 1000
     import random as _random
 
     rng = _random.Random(seed)
-    eps = Fraction(eps)
+    eps, orbit_len = Fraction(1, 4), 12
     violations = []
     for trial in range(trials):
         # shared random orbit sequence

@@ -64,9 +64,6 @@ class PseudoOrbit:
     def reverify(self) -> bool:
         return self.system.step_check(self.points, self.delta)[0] is None
 
-    def __len__(self) -> int:
-        return len(self.points)
-
 
 def validate(points: Sequence[SystemPoint], delta, system: System,
              kind: Optional[str] = None) -> PseudoOrbit:

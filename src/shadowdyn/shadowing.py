@@ -91,7 +91,7 @@ def has_shadowing_at_resolution(system, delta, epsilon, horizon: int = 10,
 
 
 def uniform_delta_for_set(system, points: Sequence[SystemPoint], epsilon,
-                          horizon: int = 10, budget: int = 10 ** 6,
+                          horizon: int = 10,
                           ladder: Optional[Sequence] = None) -> tuple:
     """A single delta that works for every pseudo-orbit starting within
     delta of the set, found by per-point search then verification over the
@@ -113,7 +113,7 @@ def uniform_delta_for_set(system, points: Sequence[SystemPoint], epsilon,
     for x in points:
         found = None
         for d in ladder:
-            rep = is_positively_shadowable_at(system, x, epsilon, d, horizon, budget)
+            rep = is_positively_shadowable_at(system, x, epsilon, d, horizon)
             if rep.shadowable:
                 found = (d, rep)
                 break
@@ -124,8 +124,7 @@ def uniform_delta_for_set(system, points: Sequence[SystemPoint], epsilon,
         deltas.append(found[0])
 
     delta = min(deltas)
-    while not all(is_positively_shadowable_at(system, y, epsilon, delta, horizon,
-                                              budget).shadowable
+    while not all(is_positively_shadowable_at(system, y, epsilon, delta, horizon).shadowable
                   for y in system.neighborhood(points, delta)):
         delta /= 2
         if delta < system.resolution:
@@ -145,8 +144,7 @@ class ClassShadowabilityReport:
 
 
 def chain_class_shadowability(system, x, epsilon, delta, horizon: int = 10,
-                              depth: Optional[int] = None,
-                              budget: int = 10 ** 6) -> ClassShadowabilityReport:
+                              depth: Optional[int] = None) -> ClassShadowabilityReport:
     """Test every point of the chain class H(x) with the same (epsilon,
     delta): uniform success is what the chain-class theorem predicts, and
     any failure is recorded as a falsification at this resolution."""
@@ -157,7 +155,7 @@ def chain_class_shadowability(system, x, epsilon, delta, horizon: int = 10,
     failures = []
     for node in sorted(cls):
         rep = is_positively_shadowable_at(system, net.point_of(node), epsilon, delta,
-                                          horizon, budget)
+                                          horizon)
         if not rep.shadowable:
             failures.append((node, rep))
     return ClassShadowabilityReport(
@@ -166,8 +164,7 @@ def chain_class_shadowability(system, x, epsilon, delta, horizon: int = 10,
 
 
 def h_class_two_sided_shadowing(system, x, epsilon, delta, horizon: int = 5,
-                                depth: Optional[int] = None,
-                                budget: int = 10 ** 6) -> ClassShadowabilityReport:
+                                depth: Optional[int] = None) -> ClassShadowabilityReport:
     """Two-sided windows [-horizon, horizon] through points of H(x), checked
     for a single epsilon-shadow of the full window.
 
@@ -179,7 +176,7 @@ def h_class_two_sided_shadowing(system, x, epsilon, delta, horizon: int = 5,
     graph = build_chain_graph(system, delta, depth=depth)
     net = graph.system
     cls = chain_class(graph, net.node_of(x))
-    stats = SearchStats(budget=budget)
+    stats = SearchStats()
     starts = [net.point_of(node) for node in sorted(cls)]
     bad = unshadowed_orbit(system, starts, epsilon, delta, 2 * horizon, stats,
                            net.restrict_to(cls))

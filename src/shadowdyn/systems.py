@@ -31,7 +31,7 @@ never test the kind of a system or point:
 * cylinders (shifts only): ``cylinders(lo, hi, x, fixed)`` lists the
   admissible words on a window, each with its periodic closure; every
   symbolic verdict over ``cylinder-candidates`` takes its points from it.
-  A closure, like a splice of ``chain``, closes its word with a shortest
+  A closure, and so a splice of ``chain``, closes its word with a shortest
   connecting path read from a k x k table that each shift fills on first
   use, and checks only the two junctions where word and path meet;
 * chains and loops: ``chain(a, b, delta)`` (breadth-first on nets, spliced
@@ -681,10 +681,6 @@ class SymbolicSystem:
         self._check_alphabet(a, b)
         return symbolic_distance(a, b)
 
-    def distance_le(self, a: SymbolicPoint, b: SymbolicPoint, eps: Fraction) -> bool:
-        self._check_alphabet(a, b)
-        return distance_le(a, b, dyadic_radius(eps))
-
     def closeness(self, eps: Fraction) -> Callable:
         """The test d(a, b) <= eps: equality at 0, agreement on |j| <= t-1
         (2^-t <= eps) below 1, always true from 1 on.  Like ``distance`` it
@@ -782,19 +778,20 @@ class SymbolicSystem:
             return [a, b] if a.shift(1) == b else None
         if self.distance(a.shift(1), b) <= delta:
             return [a, b]
+        # every distance is at most 1, so here delta < 1 and s >= 1
         s = dyadic_radius(delta)
-        if s == 0:
-            return [a, b]
         u = a.window(-s + 2, s)          # forced window of f(a), length 2s-1
         v = b.window(-s + 1, s - 1)      # target window of b, length 2s-1
         p1 = self.connecting_path(u[-1], v[0])
-        p2 = self.connecting_path(v[-1], u[0])
-        if p1 is None or p2 is None:
+        if p1 is None:
             return None
-        period = u + p1[1:-1] + v + p2[1:-1]
-        m0 = SymbolicPoint(period, (), -(s - 1))
-        if not self.admissible(m0):
-            raise AssertionError("splice point must be admissible by construction")
+        m0 = self.periodic_closure(u + p1[1:-1] + v, anchor=-(s - 1))
+        if m0 is None:
+            # p1 joins the windows of f(a) and b, so with a path back the
+            # only way to fail is a window that is not admissible
+            if self.connecting_path(v[-1], u[0]) is not None:
+                raise ValueError("point is not admissible for this system")
+            return None
         r = len(u) + len(p1) - 3
         return [a] + [m0.shift(i) for i in range(r + 1)] + [b]
 
@@ -1029,10 +1026,10 @@ class NetSystem:
     A threshold test d <= eps is then the exact integer test
     d * D <= floor(eps * D).  ``ball_masks(eps)`` holds the closed eps-balls
     as int bitmasks, one per row, built on first use and cached per eps;
-    ``ball``, ``successors``, ``closeness``, ``distance_le`` and
-    ``neighborhood`` read them.  ``row`` and ``distance`` return exact
-    Fractions.  ``resolution`` records the mesh the net guarantees, so
-    downstream claims can be stamped with it.
+    ``ball``, ``successors``, ``closeness`` and ``neighborhood`` read
+    them.  ``row`` and ``distance`` return exact Fractions.  ``resolution``
+    records the mesh the net guarantees, so downstream claims can be
+    stamped with it.
     """
 
     kind = "net"
@@ -1105,9 +1102,6 @@ class NetSystem:
         """Closed eps-balls as int bitmasks: bit q of entry i is set iff
         d(i, q) <= eps.  A row is built on its first lookup and kept."""
         return self._ball_cache.table(eps)
-
-    def distance_le(self, i: int, j: int, eps: Fraction) -> bool:
-        return self.ball_masks(eps)[i] >> j & 1 == 1
 
     def diameter_bound(self) -> Fraction:
         return self._fractions[int(self._imat.max())]
@@ -1217,11 +1211,17 @@ class NetSystem:
 
     def shadow(self, pts: Sequence[int], eps: Fraction) -> Optional[int]:
         """The least net point that eps-traces the sequence, or None: the net
-        is exhausted."""
-        for z in range(self.n):
-            if self.traces(z, pts, eps):
-                return z
-        return None
+        is exhausted in one backward pass over the integer metric, where
+        z traces x_i, x_{i+1}, ... iff d(z, x_i) <= eps and f(z) traces
+        x_{i+1}, ...."""
+        for p in pts:
+            self.check_point(p)
+        t = _threshold(eps, self.denominator)
+        fmap = np.array(self.map)
+        ok = np.ones(self.n, dtype=bool)
+        for x in reversed(pts):
+            ok = (self._imat[:, x] <= t) & ok[fmap]
+        return int(ok.argmax()) if ok.any() else None
 
     def chain(self, a: int, b: int, delta: Fraction,
               max_len: int = 10 ** 6) -> Optional[list]:

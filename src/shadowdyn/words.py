@@ -74,19 +74,19 @@ class MinimalityScreen:
     passed: bool
 
 
-def screen_minimality(lang: SubstitutionLanguage, lengths: Sequence[int] = (1, 2, 3, 5),
-                      window_cap: int = 4096) -> MinimalityScreen:
-    """Uniform recurrence at the tested depths: for each tested factor
-    length, some window size R makes every length-R factor contain every
-    factor of the tested length.  Aperiodicity is the complexity bound
-    p(len) >= len + 1 at the tested depths."""
+def screen_minimality(lang: SubstitutionLanguage) -> MinimalityScreen:
+    """Uniform recurrence at the tested depths 1, 2, 3 and 5: for each
+    tested factor length, some window size R <= 4096 makes every length-R
+    factor contain every factor of the tested length.  Aperiodicity is the
+    complexity bound p(len) >= len + 1 at the tested depths."""
+    lengths = (1, 2, 3, 5)
     windows = {}
     ok = True
     for ell in lengths:
         needed = lang.factors(ell)
         r = 2 * ell
         found = None
-        while r <= window_cap:
+        while r <= 4096:
             if all(_contains_all(u, needed, ell) for u in lang.factors(r)):
                 found = r
                 break
@@ -96,7 +96,7 @@ def screen_minimality(lang: SubstitutionLanguage, lengths: Sequence[int] = (1, 2
             break
         windows[ell] = found
     aperiodic = all(lang.complexity(ell) >= ell + 1 for ell in lengths)
-    return MinimalityScreen(tuple(lengths), windows, aperiodic, ok and aperiodic)
+    return MinimalityScreen(lengths, windows, aperiodic, ok and aperiodic)
 
 
 def _contains_all(window: tuple, needed: frozenset, ell: int) -> bool:

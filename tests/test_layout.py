@@ -1,9 +1,11 @@
 """Layout checks on the package source: the algorithm modules use the
 system protocol instead of testing the kind of a system or point, no module
-imports a name it never uses, the README's Layout table has one row per
-module, and the short demos run."""
+imports a name it never uses, every defaulted parameter of a public
+function has a caller that passes it, the README's Layout table has one row
+per module, and the short demos run."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "shadowdyn"
+CALLER_DIRS = ("src", "tests", "demos", "perfbench")
 
 PROTOCOL_MODULES = ("pseudo_orbits", "shadowing", "shadow_search", "chain", "entropy",
                     "measures", "horseshoe", "approx", "builders")
@@ -58,6 +61,46 @@ def test_no_unused_imports(path):
             used |= set(ast.literal_eval(node.value))
     unused = sorted(set(imported) - used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _passed_arguments() -> dict:
+    """Function or method name -> the keywords and positional indices some
+    call in the repository passes to it ("*" for a starred argument)."""
+    passed: dict = {}
+    for folder in CALLER_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(_parse(path)):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name is None:
+                    continue
+                got = passed.setdefault(name, set())
+                got.update(range(len(node.args)))
+                got.update(k.arg or "*" for k in node.keywords)
+                if any(isinstance(a, ast.Starred) for a in node.args):
+                    got.add("*")
+    return passed
+
+
+def test_every_public_default_has_a_caller():
+    """A defaulted parameter that no call passes is a constant in disguise."""
+    import shadowdyn
+
+    passed = _passed_arguments()
+    idle = []
+    for name in shadowdyn.__all__:
+        func = getattr(shadowdyn, name)
+        if not inspect.isfunction(func):
+            continue
+        got = passed.get(name, set())
+        for i, param in enumerate(inspect.signature(func).parameters.values()):
+            positional = param.kind is not param.KEYWORD_ONLY and i in got
+            if (param.default is not param.empty
+                    and not ("*" in got or param.name in got or positional)):
+                idle.append(f"{name}.{param.name}")
+    assert not idle, f"defaulted parameters no call passes: {idle}"
 
 
 def test_readme_layout_has_one_row_per_module():

@@ -1,13 +1,15 @@
 """The integer net kernel against direct Fraction comparisons.
 
-Threshold tests (balls, successors, closeness, distance_le, neighborhoods)
-are compared with d <= eps on independently computed Fraction distances,
-at thresholds on, between and off the metric's values; the bitmask
-shadowability DFS is compared with an exhaustive preorder enumeration of
-pseudo-orbits and an exhaustive Fraction shadow search.
+Threshold tests (balls, successors, closeness, neighborhoods) are
+compared with d <= eps on independently computed Fraction distances, at
+thresholds on, between and off the metric's values; the one-pass shadow
+search is compared with the stepwise ``traces`` of every net point; the
+bitmask shadowability DFS is compared with an exhaustive preorder
+enumeration of pseudo-orbits and an exhaustive Fraction shadow search.
 """
 
 import gc
+import random
 import weakref
 from fractions import Fraction
 
@@ -95,9 +97,41 @@ def test_thresholds_agree_with_fraction_comparisons(build, denominator, limit):
             assert net.ball(i, eps) == frozenset(near)
             assert net.neighborhood([i], eps) == near
             assert [q for q in range(net.n) if close(i, q)] == near
-            assert [q for q in range(net.n) if net.distance_le(i, q, eps)] == near
             assert net.successors(i, eps) == tuple(balls[net.step(i)])
         assert net.neighborhood([0, net.n - 1], eps) == sorted({*balls[0], *balls[-1]})
+
+
+SHADOW_NETS = {
+    "fig1": lambda: fig1_circle(36),
+    "layered": lambda: dense_shadowable_example(4).net,
+    # not invertible: each third of the circle falls onto its first point
+    "collapsing": lambda: circle_net(12, lambda i: i - i % 4),
+    "cylinder": lambda: _cylinder()[0],
+    "wide": lambda: _wide()[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHADOW_NETS))
+def test_one_pass_shadow_is_the_least_tracing_point(name):
+    """``shadow`` against the stepwise ``traces`` of every net point, on
+    true orbit segments, segments with random jumps and random sequences,
+    at eps = 0, at every metric value and at and beyond the diameter."""
+    net = SHADOW_NETS[name]()
+    rng = random.Random(name)
+    values = sorted({v for i in range(net.n) for v in net.row(i)})
+    seqs = [[]]
+    for _ in range(30):
+        length = rng.randint(1, 8)
+        z = rng.randrange(net.n)
+        orbit = [net.iterate(z, i) for i in range(length)]
+        jumped = [p if rng.random() < 0.7 else rng.randrange(net.n) for p in orbit]
+        seqs += [orbit, jumped, [rng.randrange(net.n) for _ in range(length)]]
+    for eps in [F(0)] + values + [2 * values[-1]]:
+        for pts in seqs:
+            expected = next((z for z in range(net.n) if net.traces(z, pts, eps)), None)
+            assert net.shadow(pts, eps) == expected
+    with pytest.raises(ValueError):
+        net.shadow([0, net.n], values[-1])
 
 
 @pytest.mark.parametrize("delta", [F(1, 24), F(1, 12)])

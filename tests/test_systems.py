@@ -326,6 +326,12 @@ def test_chain_on_a_reducible_shift_needs_both_connecting_paths():
     assert REDUCIBLE.chain(one, one, F(1, 8)) == [one, one]
 
 
+def test_chain_rejects_a_point_that_is_not_admissible():
+    gm = SymbolicSystem.golden_mean()
+    with pytest.raises(ValueError, match="not admissible"):
+        gm.chain(pt((1,)), gm.fixed_point(0), F(1, 8))
+
+
 @st.composite
 def closure_pairs(draw):
     name = draw(st.sampled_from(sorted(CLOSURE_SYSTEMS)))
@@ -561,8 +567,6 @@ def test_distance_and_closeness_reject_symbols_below_the_alphabet():
     for a, b in ((low, high), (high, low), (low.shift(5), high)):
         with pytest.raises(ValueError, match="alphabet mismatch"):
             sigma8.distance(a, b)
-        with pytest.raises(ValueError, match="alphabet mismatch"):
-            sigma8.distance_le(a, b, F(1, 4))
         for eps in (F(0), F(1, 4), F(1)):
             with pytest.raises(ValueError, match="alphabet mismatch"):
                 sigma8.closeness(eps)(a, b)
