@@ -164,10 +164,9 @@ def approximate_by_positive_entropy_ergodic(
 
     # stage 6: the coded measure and the exact four-term bound
     word = tuple(i % fam.k for i in range(word_length))
-    witness = cert.coded[word]
     span = len(word) * fam.n
-    traced = cert.word_orbit(word).points[:span]
-    nu = EmpiricalMeasure.from_orbit(system, witness.shadow_point, span)
+    traced = cert.word_points(word)[:span]
+    nu = EmpiricalMeasure.from_orbit(system, cert.coded[word], span)
     emp_traced = EmpiricalMeasure.from_sequence(traced)
 
     if family is None:

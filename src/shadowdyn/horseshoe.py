@@ -2,12 +2,13 @@
 
 A family of k delta-loops at a common base point, pairwise more than
 4 epsilon apart at some matching index, codes every finite word over k
-symbols by a shadow of the corresponding loop concatenation.  Distinct
+symbols by a shadow of the word's loops joined at the base.  Distinct
 words of equal length then yield (n |w|, epsilon)-separated points, which
-pins the entropy lower bound log(k)/n.  Everything stored is finitely
-re-checkable; no claim is made about the infinite factor map.
-``HorseshoeCertificate.check`` is the one rule for a valid certificate;
-``verify`` runs it on a certificate loaded from a document.
+pins the entropy lower bound log(k)/n.  A certificate stores the loops and
+one coded point per word, and nothing derived from them; everything stored
+is finitely re-checkable, and no claim is made about the infinite factor
+map.  ``HorseshoeCertificate.check`` is the one rule for a valid
+certificate; ``verify`` runs it on a certificate loaded from a document.
 """
 
 from __future__ import annotations
@@ -176,11 +177,11 @@ def loop_words(k: int, word_length_max: int):
 
 @dataclass
 class HorseshoeCertificate:
-    """Shadow witnesses for every loop word up to a stamped length."""
+    """A coded point for every loop word up to a stamped length."""
 
     family: LoopFamily
     word_length_max: int
-    coded: dict  # word tuple -> ShadowWitness
+    coded: dict  # word tuple -> coded point
     entropy_log_arg: int   # k: bound is log(k)/n, kept symbolic
     entropy_divisor: int   # n
 
@@ -188,25 +189,14 @@ class HorseshoeCertificate:
     def entropy_lower_bound(self) -> float:
         return math.log(self.entropy_log_arg) / self.entropy_divisor
 
-    def word_orbit(self, word: tuple) -> PseudoOrbit:
-        lp = self.family.loops
-        po = lp[word[0]]
-        for s in word[1:]:
-            po = concatenate(po, lp[s])
-        return po
-
-    def _untraced(self):
-        """Stored words, in sorted order, whose coded point does not stay
-        within epsilon of the indicated loop blocks."""
-        fam = self.family
-        for word, witness in sorted(self.coded.items()):
-            if shadows(fam.system, witness.shadow_point, self.word_orbit(word),
-                       fam.epsilon) is None:
-                yield word
-
-    def reverify(self) -> bool:
-        """The family and the tracing clause for every stored word."""
-        return self.family.reverify() and next(self._untraced(), None) is None
+    def word_points(self, word: tuple) -> tuple:
+        """The points of the pseudo-orbit a nonempty word codes: its loops'
+        bodies joined, then the last loop's end (the base, in a valid
+        family).  Each junction step is the next loop's first step, which
+        that loop's own validation covers."""
+        loops = self.family.loops
+        return (tuple(itertools.chain.from_iterable(loops[s].points[:-1] for s in word))
+                + loops[word[-1]].points[-1:])
 
     def check(self) -> dict:
         """Re-check every stored invariant: loop validity and separation
@@ -215,7 +205,8 @@ class HorseshoeCertificate:
         the separation counts and the entropy stamp.  The details name the
         untraced words and the first missing words, shortest first."""
         fam = self.family
-        untraced = [list(w) for w in self._untraced()]
+        untraced = [list(w) for w, z in sorted(self.coded.items())
+                    if shadows(fam.system, z, self.word_points(w), fam.epsilon) is None]
         missing = [list(w) for w in itertools.islice(
             (w for w in loop_words(fam.k, self.word_length_max) if w not in self.coded),
             _MISSING_SHOWN)]
@@ -255,21 +246,21 @@ class HorseshoeCertificate:
         if witness is None:
             return False
         time = s * fam.n + witness.index
-        za = fam.system.iterate(self.coded[wa].shadow_point, time)
-        zb = fam.system.iterate(self.coded[wb].shadow_point, time)
+        za = fam.system.iterate(self.coded[wa], time)
+        zb = fam.system.iterate(self.coded[wb], time)
         return fam.system.distance(za, zb) > bound
 
 
 def build_certificate(family: LoopFamily, word_length_max: int) -> HorseshoeCertificate:
     """Shadow every loop word with |w| <= word_length_max at the family's
-    epsilon.  Aborts with the offending word when some concatenation admits
+    epsilon.  Aborts with the offending word when some word's loops admit
     no shadow (a falsification at this resolution)."""
     cert = HorseshoeCertificate(family, word_length_max, {}, family.k, family.n)
     for word in loop_words(family.k, word_length_max):
-        witness = find_shadow(family.system, cert.word_orbit(word), family.epsilon)
+        witness = find_shadow(family.system, cert.word_points(word), family.epsilon)
         if witness is None:
             raise CertificateAborted(word)
-        cert.coded[word] = witness
+        cert.coded[word] = witness.shadow_point
     return cert
 
 
@@ -290,14 +281,12 @@ def verify_semiconjugacy(cert: HorseshoeCertificate) -> SemiconjugacyReport:
     fam = cert.family
     checked = 0
     failures = []
-    for word, witness in sorted(cert.coded.items()):
+    for word, z in sorted(cert.coded.items()):
         if len(word) < 2:
             continue
         checked += 1
-        tail = word[1:]
-        shifted = fam.system.iterate(witness.shadow_point, fam.n)
-        po = cert.word_orbit(tail)
-        if shadows(fam.system, shifted, po, fam.epsilon) is None:
+        shifted = fam.system.iterate(z, fam.n)
+        if shadows(fam.system, shifted, cert.word_points(word[1:]), fam.epsilon) is None:
             failures.append(word)
     return SemiconjugacyReport(checked, failures)
 

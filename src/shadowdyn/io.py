@@ -21,7 +21,6 @@ import numpy as np
 from .horseshoe import HorseshoeCertificate, LoopFamily, SeparationWitness
 from .measures import EmpiricalMeasure
 from .pseudo_orbits import PseudoOrbit, validate
-from .shadow_search import ShadowWitness
 from .systems import NetSystem, SymbolicPoint, SymbolicSystem
 
 SCHEMA_SYSTEM = "shadowdyn/system.v1"
@@ -213,8 +212,8 @@ def certificate_to_json(cert: HorseshoeCertificate) -> dict:
         "witnesses": [{"a": w.loop_a, "b": w.loop_b, "index": w.index,
                        "distance": frac_str(w.distance)} for w in fam.witnesses],
         "word_length_max": cert.word_length_max,
-        "coded": [{"word": list(word), "shadow": point_to_json(wit.shadow_point)}
-                  for word, wit in sorted(cert.coded.items())],
+        "coded": [{"word": list(word), "shadow": point_to_json(z)}
+                  for word, z in sorted(cert.coded.items())],
         "entropy": {"log_arg": cert.entropy_log_arg,
                     "divisor": cert.entropy_divisor},
     }
@@ -274,12 +273,8 @@ def certificate_from_json(doc, system) -> HorseshoeCertificate:
                     and e["word"] and all(_is_index(s, k) for s in e["word"])
                     for e in coded_doc)):
         raise SchemaError(f"coded words must be nonempty lists of loop indices below {k}")
-    coded = {}
-    for entry in coded_doc:
-        word = tuple(entry["word"])
-        span = (0, len(word) * loops[0].step_count)
-        coded[word] = ShadowWitness(point_from_json(entry.get("shadow"), system),
-                                    epsilon, span)
+    coded = {tuple(e["word"]): point_from_json(e.get("shadow"), system)
+             for e in coded_doc}
     return HorseshoeCertificate(fam, doc["word_length_max"], coded,
                                 doc["entropy"]["log_arg"],
                                 doc["entropy"]["divisor"])
@@ -289,12 +284,6 @@ def verify_certificate(doc, system) -> dict:
     """Re-check every stored invariant of a certificate document from the
     document and the system alone (``HorseshoeCertificate.check``)."""
     return certificate_from_json(doc, system).check()
-
-
-def dump(path: str, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
 
 
 def load(path: str) -> dict:

@@ -12,16 +12,15 @@ from typing import Sequence
 class SubstitutionLanguage:
     """Factors of the one-sided fixed point of a substitution.
 
-    The rules must be prolongable on the seed symbol (rules[seed] starts
-    with seed), which makes the iteration converge to a fixed point.
+    The rules must be prolongable on the symbol 0 (rules[0] starts with
+    0), which makes the iteration from 0 converge to a fixed point.
     """
 
-    def __init__(self, rules: dict, seed: int = 0):
+    def __init__(self, rules: dict):
         self.rules = {a: tuple(img) for a, img in rules.items()}
-        self.seed = seed
-        if not self.rules[seed] or self.rules[seed][0] != seed:
-            raise ValueError("substitution must be prolongable on the seed")
-        self._prefix: tuple = (seed,)
+        if not self.rules[0] or self.rules[0][0] != 0:
+            raise ValueError("substitution must be prolongable on 0")
+        self._prefix: tuple = (0,)
         self._factor_cache: dict[int, frozenset] = {}
 
     @classmethod

@@ -284,6 +284,17 @@ def test_certificate_pair_without_witness_fails_verify(tmp_path, certificate_doc
     assert run_cli("verify", str(path), "--system", "fullshift:2") == EXIT_FAIL
 
 
+def test_certificate_loop_off_the_base_fails_verify(tmp_path, certificate_doc):
+    # loop 1 becomes the fixed-point loop at 1*: schema-valid, but not at the
+    # base 0*, so the family, tracing and semiconjugacy checks fail
+    def fixed_point_loop(doc):
+        doc["loops"][1] = [{"period": [1]}] * len(doc["loops"][1])
+
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_rehashed(certificate_doc, fixed_point_loop)))
+    assert run_cli("verify", str(path), "--system", "fullshift:2") == EXIT_FAIL
+
+
 @pytest.mark.parametrize("key, value", [
     ("metric", 0.25),       # d(0, 9) = 1/4 as a float
     ("resolution", True),   # a boolean where a rational belongs

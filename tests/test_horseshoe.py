@@ -5,10 +5,12 @@ import pytest
 
 from shadowdyn.horseshoe import (
     CertificateAborted,
+    HorseshoeCertificate,
     RecipeInapplicable,
     build_certificate,
     equalize,
     find_loop_family,
+    loop_words,
     make_family,
     nonminimal_recipe,
     sensitive_recipe,
@@ -89,7 +91,7 @@ def test_certificate_codes_all_words(sigma2):
     cert = build_certificate(fam, word_length_max=4)
     n_words = sum(2 ** l for l in range(1, 5))
     assert len(cert.coded) == n_words
-    assert cert.reverify()
+    assert cert.check()["ok"]
     assert cert.entropy_log_arg == 2
     assert cert.entropy_divisor == fam.n
     assert cert.entropy_lower_bound == pytest.approx(math.log(2) / fam.n)
@@ -117,14 +119,11 @@ def test_semiconjugacy_pass_and_corruption(sigma2):
 
     # corrupt one coded point: fail at that word
     bad_word = (1, 0, 1)
-    from shadowdyn.shadow_search import ShadowWitness
-
-    corrupted = ShadowWitness(sigma2.fixed_point(1), fam.epsilon, (0, 1))
-    cert.coded[bad_word] = corrupted
+    cert.coded[bad_word] = sigma2.fixed_point(1)
     rep2 = verify_semiconjugacy(cert)
     assert not rep2.ok
     assert bad_word in rep2.failures
-    assert not cert.reverify()
+    assert not cert.check()["checks"]["tracing"]
 
 
 def test_single_word_semiconjugacy_vacuous(sigma2):
@@ -156,6 +155,32 @@ def test_nonminimal_recipe_net_figure_eight():
                             class_nodes=range(size), z=60)
     assert fam.k == 2 and fam.reverify()
     assert fam.epsilon == F(1, 10)
+
+
+def _join_oracle_family(name):
+    if name == "figure-eight":
+        net = circle_net(120, lambda i: i, invertible=True)
+        return nonminimal_recipe(60, [0], F(1, 120), net, class_nodes=range(120), z=60)
+    system, eps, delta = {
+        "fullshift:2": (SymbolicSystem.full_shift(2), F(1, 5), F(1, 32)),
+        "goldenmean": (SymbolicSystem.golden_mean(), F(1, 9), F(1, 64))}[name]
+    return find_loop_family(system.point((0,)), eps, delta, 64, 2, system)
+
+
+@pytest.mark.parametrize("name", ["fullshift:2", "goldenmean", "figure-eight"])
+def test_word_points_is_the_concatenate_chain(name):
+    """A word's one join equals its loops' chain of concatenations, on the
+    families of the tampered-certificate documents and the figure-eight net
+    (where no certificate exists, so none is built)."""
+    from shadowdyn.pseudo_orbits import concatenate
+
+    fam = _join_oracle_family(name)
+    cert = HorseshoeCertificate(fam, 4, {}, fam.k, fam.n)
+    for word in loop_words(fam.k, 4):
+        po = fam.loops[word[0]]
+        for s in word[1:]:
+            po = concatenate(po, fam.loops[s])
+        assert cert.word_points(word) == po.points
 
 
 def test_nonminimal_recipe_inapplicable_on_singleton():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowdyn import cli
 from shadowdyn import io as sio
 from shadowdyn.builders import dense_shadowable_example, fig1_circle
 from shadowdyn.finitize import CylinderNet
@@ -142,7 +143,7 @@ def test_certificate_corrupt_point_fails_with_word(certificate):
 def test_dump_load_roundtrip(tmp_path, certificate):
     sigma2, cert = certificate
     path = tmp_path / "cert.json"
-    sio.dump(str(path), sio.certificate_to_json(cert))
+    cli._emit(sio.certificate_to_json(cert), str(path))
     doc = sio.load(str(path))
     assert sio.verify_certificate(doc, sigma2)["ok"]
 
@@ -207,6 +208,12 @@ def _reverse_length_3_words(doc):
             e["word"].reverse()
 
 
+def _rotate_loop_1(doc):
+    # still a delta-loop, but one that starts off the base
+    loop = doc["loops"][1]
+    doc["loops"][1] = loop[1:] + loop[1:2]
+
+
 ALL_TRUE = dict.fromkeys(("entropy_bound", "family", "semiconjugacy",
                           "separated_counts", "tracing"), True)
 
@@ -229,6 +236,10 @@ TAMPER_REPORTS = {
                                ("semiconjugacy", "separated_counts", "tracing"),
                                {"tracing_failures": [[0, 0, 1], [0, 1, 1],
                                                      [1, 0, 0], [1, 1, 0]]}),
+    "rotate_loop_1": (_rotate_loop_1, ("family", "semiconjugacy", "tracing"),
+                      {"tracing_failures": [[0, 0, 1], [0, 1], [0, 1, 0], [0, 1, 1],
+                                            [1], [1, 0], [1, 0, 0], [1, 0, 1],
+                                            [1, 1], [1, 1, 0], [1, 1, 1]]}),
 }
 
 TAMPER_SYSTEMS = {"fullshift:2": (SymbolicSystem.full_shift(2), F(1, 5), F(1, 32)),

@@ -1,8 +1,8 @@
 """Layout checks on the package source: the algorithm modules use the
 system protocol instead of testing the kind of a system or point, no module
 imports a name it never uses, every defaulted parameter of a public
-function has a caller that passes it, the README's Layout table has one row
-per module, and the short demos run."""
+function, constructor or method has a caller that passes it, the README's
+Layout table has one row per module, and the short demos run."""
 
 import ast
 import inspect
@@ -84,22 +84,41 @@ def _passed_arguments() -> dict:
     return passed
 
 
-def test_every_public_default_has_a_caller():
-    """A defaulted parameter that no call passes is a constant in disguise."""
+def _public_parameters():
+    """(label, name a call uses, parameters a call can pass) for every function
+    of ``shadowdyn.__all__`` and every constructor and method of its classes,
+    dataclass-generated constructors included."""
     import shadowdyn
 
+    for name in shadowdyn.__all__:
+        obj = getattr(shadowdyn, name)
+        if inspect.isfunction(obj):
+            yield name, name, inspect.signature(obj).parameters.values()
+        if not inspect.isclass(obj):
+            continue
+        for attr, member in vars(obj).items():
+            if attr == "__init__" and inspect.isfunction(member):
+                yield f"{name}.__init__", name, inspect.signature(obj).parameters.values()
+            elif isinstance(member, (classmethod, staticmethod)):
+                yield (f"{name}.{attr}", attr,
+                       inspect.signature(getattr(obj, attr)).parameters.values())
+            elif inspect.isfunction(member) and not attr.startswith("__"):
+                # an instance method: a call passes everything after self
+                yield (f"{name}.{attr}", attr,
+                       list(inspect.signature(member).parameters.values())[1:])
+
+
+def test_every_public_default_has_a_caller():
+    """A defaulted parameter that no call passes is a constant in disguise."""
     passed = _passed_arguments()
     idle = []
-    for name in shadowdyn.__all__:
-        func = getattr(shadowdyn, name)
-        if not inspect.isfunction(func):
-            continue
-        got = passed.get(name, set())
-        for i, param in enumerate(inspect.signature(func).parameters.values()):
+    for label, called, params in _public_parameters():
+        got = passed.get(called, set())
+        for i, param in enumerate(params):
             positional = param.kind is not param.KEYWORD_ONLY and i in got
             if (param.default is not param.empty
                     and not ("*" in got or param.name in got or positional)):
-                idle.append(f"{name}.{param.name}")
+                idle.append(f"{label}.{param.name}")
     assert not idle, f"defaulted parameters no call passes: {idle}"
 
 
