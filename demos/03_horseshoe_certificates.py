@@ -16,7 +16,6 @@ from shadowdyn import (
     connect,
     make_family,
     validate,
-    verify_semiconjugacy,
 )
 from shadowdyn.io import certificate_to_json, verify_certificate
 
@@ -37,7 +36,7 @@ cert = build_certificate(family, word_length_max=5)
 print("coded words:", len(cert.coded))
 print("entropy lower bound: log", cert.entropy_log_arg, "/",
       cert.entropy_divisor, "=", round(cert.entropy_lower_bound, 6))
-print("semiconjugacy:", verify_semiconjugacy(cert).ok)
+print("semiconjugacy:", cert.check()["checks"]["semiconjugacy"])
 print("separated points among length-5 words:", cert.separated_pair_count(5))
 
 doc = certificate_to_json(cert)

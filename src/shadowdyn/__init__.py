@@ -46,7 +46,6 @@ from .horseshoe import (
     make_family,
     nonminimal_recipe,
     sensitive_recipe,
-    verify_semiconjugacy,
 )
 from .measures import (
     BlockConcatenation,
@@ -109,5 +108,4 @@ __all__ = [
     "separated_set", "shadows", "symbolic_distance",
     "uniform_delta_for_set", "validate", "verify_empirical_lemma",
     "verify_extension_claims", "verify_measure_approx",
-    "verify_semiconjugacy",
 ]

@@ -186,7 +186,7 @@ def criterion_6() -> CriterionResult:
     """Two-loop certificate on the full shift codes all words of length 8."""
 
     def body():
-        from .horseshoe import build_certificate, make_family, verify_semiconjugacy
+        from .horseshoe import build_certificate, make_family
         from .pseudo_orbits import concatenate, connect, validate
         from .systems import SymbolicSystem
 
@@ -202,7 +202,7 @@ def criterion_6() -> CriterionResult:
         issues = []
         if sum(1 for w in cert.coded if len(w) == 8) != 2 ** 8:
             issues.append("missing words of length 8")
-        if not verify_semiconjugacy(cert).ok:
+        if not cert.check()["checks"]["semiconjugacy"]:
             issues.append("semiconjugacy failed")
         if cert.separated_pair_count(8) != 2 ** 8:
             issues.append("separation count != 2^8")
@@ -221,7 +221,6 @@ def criterion_7() -> CriterionResult:
 
     def body():
         from .approx import approximate_by_positive_entropy_ergodic
-        from .horseshoe import verify_semiconjugacy
         from .systems import SymbolicSystem
 
         sigma2 = SymbolicSystem.full_shift(2)
@@ -234,7 +233,7 @@ def criterion_7() -> CriterionResult:
             issues.append(f"total {res.total} exceeds {res.bound}")
         if res.certificate.entropy_lower_bound <= 0:
             issues.append("certificate entropy not positive")
-        if not verify_semiconjugacy(res.certificate).ok:
+        if not res.certificate.check()["checks"]["semiconjugacy"]:
             issues.append("certificate semiconjugacy failed")
         return not issues, (f"d*(nu, mu) = {float(res.total):.6f} <= 1 = 5 eps "
                             f"(exact {res.total}); entropy log2/"

@@ -22,7 +22,6 @@ from .horseshoe import (
     equalize,
     make_family,
     separation_witness,
-    verify_semiconjugacy,
 )
 from .measures import EmpiricalMeasure, TestFunctionFamily, dstar
 from .pseudo_orbits import PseudoOrbit, concatenate, connect, orbit_segment
@@ -156,9 +155,6 @@ def approximate_by_positive_entropy_ergodic(
     loops = [concatenate(dwell, tail), concatenate(excursion, tail)]
     fam = make_family(system, base, loops, eps_trace, delta)
     cert = build_certificate(fam, word_length_max=word_length)
-    semi = verify_semiconjugacy(cert)
-    if not semi.ok:
-        raise PipelineStageError("certificate", "semiconjugacy failed", stages)
     stage("certificate", {"loop_length": fam.n, "words": len(cert.coded),
                           "entropy": (fam.k, fam.n)})
 

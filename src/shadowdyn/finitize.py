@@ -11,8 +11,10 @@ from fractions import Fraction
 from .systems import (BudgetExceeded, NetSystem, SymbolicPoint, SymbolicSystem,
                       word_ultrametric)
 
-# Largest number of cylinder words a finitization may hold.
-MAX_POINTS = 20000
+# Largest number of cylinder words a finitization may hold.  At this size
+# the net's int16 metric takes 32 MB and its build, with the n x n masks
+# of ``word_ultrametric``, about 100 MB.
+MAX_POINTS = 4096
 
 
 class CylinderNet(NetSystem):

@@ -9,6 +9,8 @@ one coded point per word, and nothing derived from them; everything stored
 is finitely re-checkable, and no claim is made about the infinite factor
 map.  ``HorseshoeCertificate.check`` is the one rule for a valid
 certificate; ``verify`` runs it on a certificate loaded from a document.
+It traces each coded word once and reads the semiconjugacy (the n-th
+iterate of a word's point traces the word's tail) off that pass.
 """
 
 from __future__ import annotations
@@ -203,52 +205,59 @@ class HorseshoeCertificate:
         witnesses, the tracing clause for all coded words (every loop word up
         to ``word_length_max`` must be coded), the semiconjugacy relation,
         the separation counts and the entropy stamp.  The details name the
-        untraced words and the first missing words, shortest first."""
+        untraced words and the first missing words, shortest first.
+
+        When every loop has n steps, a point that traces a word a.w' traces
+        w' from its n-th iterate, so semiconjugacy traces again only the
+        tails of the untraced words, and of every word when the family fails."""
         fam = self.family
-        untraced = [list(w) for w, z in sorted(self.coded.items())
-                    if shadows(fam.system, z, self.word_points(w), fam.epsilon) is None]
+        system, eps = fam.system, fam.epsilon
+        words = sorted(self.coded)
+        untraced = [w for w in words
+                    if shadows(system, self.coded[w], self.word_points(w), eps) is None]
         missing = [list(w) for w in itertools.islice(
             (w for w in loop_words(fam.k, self.word_length_max) if w not in self.coded),
             _MISSING_SHOWN)]
+        family = fam.reverify()
         checks = {
-            "family": fam.reverify(),
+            "family": family,
             "tracing": not untraced and not missing,
-            "semiconjugacy": verify_semiconjugacy(self).ok,
+            "semiconjugacy": all(
+                shadows(system, system.iterate(self.coded[w], fam.n),
+                        self.word_points(w[1:]), eps) is not None
+                for w in (untraced if family else words) if len(w) > 1),
             "separated_counts": all(self.separated_pair_count(length) == fam.k ** length
                                     for length in sorted({len(w) for w in self.coded})),
             "entropy_bound": (self.entropy_log_arg, self.entropy_divisor) == (fam.k, fam.n),
         }
         details = {}
         if untraced:
-            details["tracing_failures"] = untraced
+            details["tracing_failures"] = [list(w) for w in untraced]
         if missing:
             details["missing_words"] = missing
         return {"ok": all(checks.values()), "checks": checks, "details": details}
 
     def separated_pair_count(self, length: int) -> int:
-        """Number of pairwise separated coded points among words of the
-        given length; equals k^length for a sound certificate."""
+        """The number of coded words of the given length (k^length for a sound
+        certificate) when each two are more than 2 epsilon apart at the
+        witness index of the loops where they first differ, else -1."""
         fam = self.family
+        system, n = fam.system, fam.n
+        close = system.closeness(2 * fam.epsilon)
+        index = {}
+        for w in fam.witnesses:
+            index.setdefault((min(w.loop_a, w.loop_b), max(w.loop_a, w.loop_b)), w.index)
         words = [w for w in self.coded if len(w) == length]
-        bound = 2 * fam.epsilon
-        count = 0
         for wa, wb in itertools.combinations(words, 2):
-            if self._pair_separated(wa, wb, bound):
-                count += 1
-        full = len(words) * (len(words) - 1) // 2
-        return len(words) if count == full else -1
-
-    def _pair_separated(self, wa: tuple, wb: tuple, bound: Fraction) -> bool:
-        fam = self.family
-        s = next(i for i in range(len(wa)) if wa[i] != wb[i])
-        witness = next((w for w in fam.witnesses
-                        if {w.loop_a, w.loop_b} == {wa[s], wb[s]}), None)
-        if witness is None:
-            return False
-        time = s * fam.n + witness.index
-        za = fam.system.iterate(self.coded[wa], time)
-        zb = fam.system.iterate(self.coded[wb], time)
-        return fam.system.distance(za, zb) > bound
+            s = next(i for i in range(length) if wa[i] != wb[i])
+            i = index.get((min(wa[s], wb[s]), max(wa[s], wb[s])))
+            if i is None:
+                return -1
+            time = s * n + i
+            if close(system.iterate(self.coded[wa], time),
+                     system.iterate(self.coded[wb], time)):
+                return -1
+        return len(words)
 
 
 def build_certificate(family: LoopFamily, word_length_max: int) -> HorseshoeCertificate:
@@ -262,33 +271,6 @@ def build_certificate(family: LoopFamily, word_length_max: int) -> HorseshoeCert
             raise CertificateAborted(word)
         cert.coded[word] = witness.shadow_point
     return cert
-
-
-@dataclass
-class SemiconjugacyReport:
-    checked: int
-    failures: list  # words whose shifted point fails to trace the tail
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def verify_semiconjugacy(cert: HorseshoeCertificate) -> SemiconjugacyReport:
-    """Coding commutes with the n-step map and the word shift: for every
-    stored word a.w', the n-th iterate of the coded point epsilon-traces the
-    loop sequence of w'."""
-    fam = cert.family
-    checked = 0
-    failures = []
-    for word, z in sorted(cert.coded.items()):
-        if len(word) < 2:
-            continue
-        checked += 1
-        shifted = fam.system.iterate(z, fam.n)
-        if shadows(fam.system, shifted, cert.word_points(word[1:]), fam.epsilon) is None:
-            failures.append(word)
-    return SemiconjugacyReport(checked, failures)
 
 
 # -- recipes -------------------------------------------------------------------

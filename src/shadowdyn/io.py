@@ -65,7 +65,7 @@ def point_to_json(p) -> Union[int, dict]:
 
 
 def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+    return type(v) is int
 
 
 def point_from_json(doc, system):

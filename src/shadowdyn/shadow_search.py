@@ -6,6 +6,11 @@ words: a point z epsilon-shadows (x_i) iff z agrees with each x_i on the
 shifted window |j| <= t-1 (t the dyadic radius of epsilon), so the candidate
 is forced coordinate by coordinate and absence is a proof, not a timeout,
 whenever the transition graph is strongly connected.
+
+The shadowability engines search for the first pseudo-orbit with no
+shadow: ``net_shadowability_dfs`` exhausts a net and
+``symbolic_shadowability_scan`` scans a shift for inconsistent steps.  Each
+system reaches its engine through its ``unshadowed`` method.
 """
 
 from __future__ import annotations
@@ -79,20 +84,6 @@ class SearchStats:
         self.states += 1
         if self.states > self.budget:
             raise BudgetExceeded(f"enumeration exceeded {self.budget} states")
-
-
-def unshadowed_orbit(system, starts: Optional[Sequence], epsilon, delta,
-                     horizon: int, stats: SearchStats, within=None) -> Optional[list]:
-    """First delta-pseudo-orbit (step count <= horizon) from the starts, in
-    DFS/lex order, admitting no epsilon-shadow; None if all are shadowed.
-
-    ``starts=None`` quantifies over every start point of the system;
-    ``within`` (``restrict_to`` of the system's chain net: a test on points)
-    keeps the pseudo-orbits, and the quantified starts, inside a node set.
-    Nets are exhausted, shifts scanned for inconsistent steps.
-    """
-    search = net_shadowability_dfs if system.kind == "net" else symbolic_shadowability_scan
-    return search(system, starts, epsilon, delta, horizon, stats, within)
 
 
 def net_shadowability_dfs(system: NetSystem, starts: Optional[Sequence[int]], epsilon,

@@ -26,8 +26,13 @@ never test the kind of a system or point:
   steps point by point; a shift compares tape bytes for the trace and
   integer first-disagreement depths for the steps;
 * shadow search: ``shadow(pts, eps)`` (the least net point that traces,
-  or on a shift the closure of the one glued word, or None) and
-  ``universe``, the stamp of the quantified universe;
+  or on a shift the closure of the one glued word, or None),
+  ``unshadowed(starts, eps, delta, horizon, stats, within)`` (the first
+  delta-pseudo-orbit of at most ``horizon`` steps from the starts, all
+  points when None, with no eps-shadow, or None; ``within``, a
+  ``restrict_to`` test, keeps starts and steps inside a node set; a net is
+  exhausted, a shift scanned for inconsistent steps, by the engines of
+  ``shadow_search``) and ``universe``, the stamp of the quantified universe;
 * cylinders (shifts only): ``cylinders(lo, hi, x, fixed)`` lists the
   admissible words on a window, each with its periodic closure; every
   symbolic verdict over ``cylinder-candidates`` takes its points from it.
@@ -429,11 +434,14 @@ def distance_le(a: SymbolicPoint, b: SymbolicPoint, t: int) -> bool:
 def word_ultrametric(words: Sequence[tuple], radius: int) -> np.ndarray:
     """The dyadic distances 2^-a between words on [-radius, radius] (a the
     least |j| where two words disagree, 0 for equal words) as integer
-    numerators over 2^radius, settled one level a at a time."""
+    numerators over 2^radius, settled one level a at a time.  The matrix has
+    the type ``NetSystem`` keeps: the narrowest signed one that holds the
+    sum of two numerators, or Python ints when 64 bits are too few."""
     cols = np.asarray(words, dtype=np.int8).reshape(len(words), 2 * radius + 1)
     n = len(cols)
-    # Python ints once 2^radius outgrows int64
-    out = np.zeros((n, n), dtype=np.int64 if radius < 63 else object)
+    dtype = next((t for t in (np.int16, np.int32, np.int64)
+                  if 2 << radius <= np.iinfo(t).max), object)
+    out = np.zeros((n, n), dtype=dtype)
     open_pairs = np.ones((n, n), dtype=bool)
     for a in range(radius + 1):
         differ = cols[:, radius - a, None] != cols[None, :, radius - a]
@@ -766,6 +774,13 @@ class SymbolicSystem:
             "glued candidate must shadow by construction"
         return z
 
+    def unshadowed(self, starts, eps, delta, horizon: int, stats, within=None):
+        """The first pseudo-orbit with no shadow, by a scan for inconsistent
+        steps (see the module docstring)."""
+        from .shadow_search import symbolic_shadowability_scan  # it imports this module
+
+        return symbolic_shadowability_scan(self, starts, eps, delta, horizon, stats, within)
+
     def chain(self, a: SymbolicPoint, b: SymbolicPoint, delta: Fraction) -> Optional[list]:
         """Points of a delta-chain from a to b.
 
@@ -990,7 +1005,7 @@ def _int_matrix(nums, denominator: int) -> tuple:
     bound = 2 * max(-int(mat.min(initial=0)), int(mat.max(initial=0)))
     for dtype in (np.int16, np.int32, np.int64):
         if bound <= np.iinfo(dtype).max:
-            return mat.astype(dtype), denominator // g
+            return mat.astype(dtype, copy=False), denominator // g
     return mat.astype(object), denominator // g
 
 
@@ -1222,6 +1237,13 @@ class NetSystem:
         for x in reversed(pts):
             ok = (self._imat[:, x] <= t) & ok[fmap]
         return int(ok.argmax()) if ok.any() else None
+
+    def unshadowed(self, starts, eps, delta, horizon: int, stats, within=None):
+        """The first pseudo-orbit with no shadow, the net exhausted (see the
+        module docstring)."""
+        from .shadow_search import net_shadowability_dfs  # it imports this module
+
+        return net_shadowability_dfs(self, starts, eps, delta, horizon, stats, within)
 
     def chain(self, a: int, b: int, delta: Fraction,
               max_len: int = 10 ** 6) -> Optional[list]:

@@ -7,7 +7,6 @@ from shadowdyn.approx import (
     approximate_by_positive_entropy_ergodic,
     orbit_measure,
 )
-from shadowdyn.horseshoe import verify_semiconjugacy
 from shadowdyn.measures import EmpiricalMeasure, TestFunctionFamily, dstar
 from shadowdyn.systems import SymbolicSystem
 
@@ -47,7 +46,7 @@ def test_two_component_pipeline(sigma2, family):
     assert res.total <= res.bound
     # both loops visited: the coded word alternates
     assert set(res.coded_word) == {0, 1}
-    assert verify_semiconjugacy(res.certificate).ok
+    assert res.certificate.check()["checks"]["semiconjugacy"]
     # the distinguishing prefix keeps positive entropy on the certificate
     assert res.certificate.entropy_log_arg == 2
 

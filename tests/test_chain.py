@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from shadowdyn.chain import (
@@ -12,8 +13,14 @@ from shadowdyn.chain import (
     nearest_minimal_point,
     strongly_connected_components,
 )
-from shadowdyn.finitize import CylinderNet
-from shadowdyn.systems import NetSystem, SymbolicSystem, circle_net
+from shadowdyn.finitize import MAX_POINTS, CylinderNet
+from shadowdyn.systems import (
+    BudgetExceeded,
+    NetSystem,
+    SymbolicSystem,
+    circle_net,
+    word_ultrametric,
+)
 
 F = Fraction
 
@@ -68,6 +75,28 @@ def test_full_shift_finitization_single_class():
     assert g.depth_stamp == 3
     assert chain_recurrent_set(g) == frozenset(range(g.n))
     assert len(decomposition(g).classes) == 1
+
+
+def test_finitization_budget():
+    with pytest.raises(BudgetExceeded):
+        SymbolicSystem.full_shift(3).chain_net(4)  # 3^9 words
+    net = SymbolicSystem.full_shift(2).chain_net(5)  # 2^11 = 2,048 words
+    assert net.n <= MAX_POINTS and net._imat.dtype == np.int16
+
+
+@pytest.mark.parametrize("radius, dtype", [(1, np.int16), (13, np.int16), (14, np.int32),
+                                           (29, np.int32), (30, np.int64), (61, np.int64),
+                                           (62, object)])
+def test_word_ultrametric_is_built_in_the_kept_type(radius, dtype):
+    """The narrowest type holding the sum of two numerators 2^radius, so the
+    net keeps the matrix without a copy."""
+    width = 2 * radius + 1
+    words = [(0,) * width, (0,) * (width - 1) + (1,), (1,) + (0,) * (width - 1)]
+    dist = word_ultrametric(words, radius)
+    assert dist.dtype == dtype
+    assert dist.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    outer = [(0,) * width, (0,) * radius + (1,) + (0,) * radius]
+    assert word_ultrametric(outer, radius).tolist() == [[0, 1 << radius], [1 << radius, 0]]
 
 
 def test_chain_classes_partition():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from shadowdyn import io as sio
-from shadowdyn.cli import EXIT_FAIL, EXIT_OK, EXIT_SCHEMA, main
+from shadowdyn.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_SCHEMA, main
 from shadowdyn.measures import EmpiricalMeasure
 from shadowdyn.systems import SymbolicSystem
 
@@ -40,6 +40,12 @@ def test_chain_on_fig1(tmp_path):
                    "--out", str(out)) == EXIT_OK
     doc = json.loads(out.read_text())
     assert doc["classes"] == [[0], [12], [24]]
+
+
+def test_chain_past_the_finitization_budget_exits_3():
+    # 3^9 = 19,683 cylinder words on [-4, 4]: refused before the metric is built
+    assert run_cli("chain", "--system", "fullshift:3", "--delta", "1/16",
+                   "--depth", "4") == EXIT_BUDGET
 
 
 def test_shadow_point_and_counterexample(tmp_path):

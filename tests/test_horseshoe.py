@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from shadowdyn.horseshoe import (
     CertificateAborted,
     HorseshoeCertificate,
+    LoopFamily,
     RecipeInapplicable,
     build_certificate,
     equalize,
@@ -14,10 +17,9 @@ from shadowdyn.horseshoe import (
     make_family,
     nonminimal_recipe,
     sensitive_recipe,
-    verify_semiconjugacy,
 )
-from shadowdyn.pseudo_orbits import connect, orbit_segment, validate
-from shadowdyn.shadow_search import shadows
+from shadowdyn.pseudo_orbits import connect, orbit_segment, repeat, validate
+from shadowdyn.shadow_search import find_shadow, shadows
 from shadowdyn.systems import SymbolicSystem, circle_net
 
 F = Fraction
@@ -114,23 +116,24 @@ def test_certificate_word_length_zero(sigma2):
 def test_semiconjugacy_pass_and_corruption(sigma2):
     fam = two_loop_family(sigma2)
     cert = build_certificate(fam, word_length_max=3)
-    rep = verify_semiconjugacy(cert)
-    assert rep.ok and rep.checked == 4 + 8
+    assert cert.check()["checks"]["semiconjugacy"]
 
     # corrupt one coded point: fail at that word
-    bad_word = (1, 0, 1)
-    cert.coded[bad_word] = sigma2.fixed_point(1)
-    rep2 = verify_semiconjugacy(cert)
-    assert not rep2.ok
-    assert bad_word in rep2.failures
-    assert not cert.check()["checks"]["tracing"]
+    cert.coded[(1, 0, 1)] = sigma2.fixed_point(1)
+    rep = cert.check()
+    assert not rep["checks"]["semiconjugacy"]
+    assert not rep["checks"]["tracing"]
+    assert rep["details"]["tracing_failures"] == [[1, 0, 1]]
 
 
 def test_single_word_semiconjugacy_vacuous(sigma2):
     fam = two_loop_family(sigma2)
     cert = build_certificate(fam, word_length_max=1)
-    rep = verify_semiconjugacy(cert)
-    assert rep.ok and rep.checked == 0
+    assert cert.check()["checks"]["semiconjugacy"]
+    # one-letter words have no tail, so an untraced one breaks only tracing
+    cert.coded[(1,)] = sigma2.fixed_point(1)
+    checks = cert.check()["checks"]
+    assert checks["semiconjugacy"] and not checks["tracing"]
 
 
 def test_nonminimal_recipe_golden_mean():
@@ -143,7 +146,7 @@ def test_nonminimal_recipe_golden_mean():
     assert fam.epsilon == gm.distance(z, k_point) / 5
     assert fam.reverify()
     cert = build_certificate(fam, word_length_max=2)
-    assert verify_semiconjugacy(cert).ok
+    assert cert.check()["checks"]["semiconjugacy"]
 
 
 def test_nonminimal_recipe_net_figure_eight():
@@ -181,6 +184,125 @@ def test_word_points_is_the_concatenate_chain(name):
         for s in word[1:]:
             po = concatenate(po, fam.loops[s])
         assert cert.word_points(word) == po.points
+
+
+# -- the certificate rule against the rules it replaced ---------------------------
+
+
+def _tail_rule(cert):
+    """Semiconjugacy as a separate pass: the n-th iterate of every coded
+    point of a word a.w' traces w'."""
+    fam = cert.family
+    return all(shadows(fam.system, fam.system.iterate(z, fam.n),
+                       cert.word_points(w[1:]), fam.epsilon) is not None
+               for w, z in sorted(cert.coded.items()) if len(w) > 1)
+
+
+def _fraction_separation_rule(cert):
+    """Separation counts with a Fraction distance per pair, checked against
+    2 epsilon at the witness index of the first differing loops."""
+    fam, system = cert.family, cert.family.system
+
+    def count(length):
+        words = [w for w in cert.coded if len(w) == length]
+        separated = 0
+        for wa, wb in itertools.combinations(words, 2):
+            s = next(i for i in range(length) if wa[i] != wb[i])
+            witness = next((w for w in fam.witnesses
+                            if {w.loop_a, w.loop_b} == {wa[s], wb[s]}), None)
+            if witness is not None:
+                time = s * fam.n + witness.index
+                d = system.distance(system.iterate(cert.coded[wa], time),
+                                    system.iterate(cert.coded[wb], time))
+                separated += d > 2 * fam.epsilon
+        return len(words) if separated == len(words) * (len(words) - 1) // 2 else -1
+
+    return all(count(length) == fam.k ** length
+               for length in sorted({len(w) for w in cert.coded}))
+
+
+def _assert_rules_agree(cert):
+    checks = cert.check()["checks"]
+    assert checks["semiconjugacy"] == _tail_rule(cert)
+    assert checks["separated_counts"] == _fraction_separation_rule(cert)
+    return checks
+
+
+def _tampered(cert, rng):
+    """A copy of the certificate with one to three random edits: swap two
+    coded points, shift one, replace one by the base, copy one onto another
+    word, or double one loop."""
+    fam = cert.family
+    coded = dict(cert.coded)
+    loops = list(fam.loops)
+    words = sorted(coded)
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.randrange(5)
+        a, b = rng.sample(words, 2)
+        if edit == 0:
+            coded[a], coded[b] = coded[b], coded[a]
+        elif edit == 1:
+            coded[a] = fam.system.iterate(coded[a], rng.choice([-2, -1, 1, 2, fam.n]))
+        elif edit == 2:
+            coded[a] = fam.base
+        elif edit == 3:
+            coded[a] = coded[b]
+        else:
+            i = rng.randrange(len(loops))
+            loops[i] = repeat(loops[i], 2)
+    family = LoopFamily(fam.system, fam.base, tuple(loops), fam.delta, fam.epsilon,
+                        fam.witnesses)
+    return HorseshoeCertificate(family, cert.word_length_max, coded,
+                                cert.entropy_log_arg, cert.entropy_divisor)
+
+
+@pytest.mark.parametrize("name", ["fullshift:2", "goldenmean"])
+def test_check_agrees_with_the_separate_rules_on_tampered_certificates(name):
+    cert = build_certificate(_join_oracle_family(name), word_length_max=3)
+    assert all(_assert_rules_agree(cert).values())
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(150):
+        checks = _assert_rules_agree(_tampered(cert, rng))
+        seen.add((checks["semiconjugacy"], checks["separated_counts"]))
+    assert seen == {(a, b) for a in (True, False) for b in (True, False)}
+
+
+def test_check_agrees_with_the_separate_rules_on_a_net():
+    """Coded points drawn from the figure-eight net (the identity on 120
+    circle points), so that the net's closeness test decides the
+    separation.  Every other draw spreads the words of each length around
+    the circle, with gaps on both sides of 2 epsilon = 24/120."""
+    fam = _join_oracle_family("figure-eight")
+    size = fam.system.n
+    rng = random.Random(19)
+    seen = set()
+    for trial in range(40):
+        coded = {w: rng.randrange(size) for w in loop_words(fam.k, 2)}
+        if trial % 2:
+            for length in (1, 2):
+                words = [w for w in coded if len(w) == length]
+                start = rng.randrange(size)
+                for j, w in enumerate(words):
+                    coded[w] = (start + j * size // len(words) + rng.randint(-4, 4)) % size
+        checks = _assert_rules_agree(HorseshoeCertificate(fam, 2, coded, fam.k, fam.n))
+        seen.add(checks["separated_counts"])
+    assert seen == {True, False}
+
+
+def test_doubled_loop_breaks_semiconjugacy_though_every_word_traces(sigma2):
+    """Loop 1 replaced by itself twice and every word shadowed again: each
+    coded point traces its word, but a word starting with 1 has its tail
+    2n steps on, not n, so only the family check tells the tail apart."""
+    fam = two_loop_family(sigma2)
+    doubled = LoopFamily(sigma2, fam.base, (fam.loops[0], repeat(fam.loops[1], 2)),
+                         fam.delta, fam.epsilon, fam.witnesses)
+    cert = HorseshoeCertificate(doubled, 3, {}, fam.k, fam.n)
+    for word in loop_words(fam.k, 3):
+        cert.coded[word] = find_shadow(sigma2, cert.word_points(word), fam.epsilon).shadow_point
+    assert _assert_rules_agree(cert) == {
+        "family": False, "tracing": True, "semiconjugacy": False,
+        "separated_counts": False, "entropy_bound": True}
 
 
 def test_nonminimal_recipe_inapplicable_on_singleton():

@@ -20,6 +20,7 @@ CALLER_DIRS = ("src", "tests", "demos", "perfbench")
 PROTOCOL_MODULES = ("pseudo_orbits", "shadowing", "shadow_search", "chain", "entropy",
                     "measures", "horseshoe", "approx", "builders")
 KIND_TYPES = {"SymbolicSystem", "NetSystem", "SymbolicPoint", "CylinderNet"}
+KIND_NAMES = {"net", "symbolic"}
 
 # Demos 02 and 05 take long enough to stay out of the default run.
 QUICK_DEMOS = ("01_systems_and_pseudo_orbits", "03_horseshoe_certificates",
@@ -39,6 +40,13 @@ def test_no_kind_tests_in_algorithm_modules(module):
             names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
             names |= {n.attr for n in ast.walk(node.args[1]) if isinstance(n, ast.Attribute)}
             if names & KIND_TYPES:
+                found.append(node.lineno)
+        elif isinstance(node, ast.Compare):
+            # an attribute ``kind`` compared with a kind name
+            operands = [node.left, *node.comparators]
+            if (any(isinstance(o, ast.Attribute) and o.attr == "kind" for o in operands)
+                    and any(isinstance(o, ast.Constant) and o.value in KIND_NAMES
+                            for o in operands)):
                 found.append(node.lineno)
     assert not found, f"{module}.py tests a system or point kind on lines {found}"
 

@@ -13,7 +13,6 @@ from shadowdyn.shadow_search import (
     find_shadow,
     shadows,
     symbolic_successor_candidates,
-    unshadowed_orbit,
 )
 from shadowdyn.shadowing import (
     chain_class_shadowability,
@@ -244,13 +243,12 @@ def test_within_restricts_both_engines(name, eps, delta, horizon):
         system = SymbolicSystem.full_shift(2)
         net = system.chain_net(2)
         half = [i for i, w in enumerate(net.words_) if w[2] == 1]
-    free = unshadowed_orbit(system, None, eps, delta, horizon, SearchStats())
+    free = system.unshadowed(None, eps, delta, horizon, SearchStats())
     assert free is not None
     every = net.restrict_to(range(net.n))
-    assert unshadowed_orbit(system, None, eps, delta, horizon, SearchStats(),
-                            every) == free
+    assert system.unshadowed(None, eps, delta, horizon, SearchStats(), every) == free
     within = net.restrict_to(half)
-    bad = unshadowed_orbit(system, None, eps, delta, horizon, SearchStats(), within)
+    bad = system.unshadowed(None, eps, delta, horizon, SearchStats(), within)
     assert bad is not None and bad != free
     assert all(within(p) for p in bad)
     assert find_shadow(system, validate(bad, delta, system), eps) is None
