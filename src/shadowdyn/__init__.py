@@ -61,7 +61,6 @@ from .pseudo_orbits import (
     concatenate,
     connect,
     orbit_segment,
-    periodic_extension,
     repeat,
     validate,
 )
@@ -103,7 +102,7 @@ __all__ = [
     "has_shadowing_at_resolution", "is_equicontinuous_at_resolution",
     "is_positively_shadowable_at", "make_family", "max_separated_cylinders",
     "nearest_minimal_point", "nonminimal_recipe", "orbit_measure",
-    "orbit_segment", "periodic_extension", "repeat",
+    "orbit_segment", "repeat",
     "reverse_base_pseudo_orbit", "screen_minimality", "sensitive_recipe",
     "separated_set", "shadows", "symbolic_distance",
     "uniform_delta_for_set", "validate", "verify_empirical_lemma",

@@ -69,9 +69,7 @@ def approximate_by_positive_entropy_ergodic(
         system: SymbolicSystem,
         components: Sequence,           # (periodic point, rational weight)
         epsilon,
-        family: Optional[TestFunctionFamily] = None,
-        word_length: int = 3,
-        segment_floor: int = 32) -> ApproximationResult:
+        word_length: int = 3) -> ApproximationResult:
     """Run the full construction and stamp the achieved bound.
 
     ``components`` lists periodic points with rational weights summing
@@ -133,8 +131,7 @@ def approximate_by_positive_entropy_ergodic(
     period_lcm = math.lcm(*(g.least_period() for g in generics))
     link = connector(base, generics[0], "chain class is not spliceable")
     rough_r = link.step_count + dwell.step_count + 8
-    n = period_lcm * max(segment_floor // period_lcm + 1,
-                         int(3 * rough_r / eps_trace) // period_lcm + 1)
+    n = period_lcm * (int(3 * rough_r / eps_trace) // period_lcm + 1)
     tail: Optional[PseudoOrbit] = None
     cursor = base
     max_connector = 0
@@ -165,8 +162,7 @@ def approximate_by_positive_entropy_ergodic(
     nu = EmpiricalMeasure.from_orbit(system, cert.coded[word], span)
     emp_traced = EmpiricalMeasure.from_sequence(traced)
 
-    if family is None:
-        family = TestFunctionFamily.for_system(system, size=24, depth=2)
+    family = TestFunctionFamily.for_system(system, size=24, depth=2)
     terms = {
         "nu_vs_coded_orbit": F(0),  # nu is that empirical measure by definition
         "coded_orbit_vs_traced": dstar(nu, emp_traced, family).value,

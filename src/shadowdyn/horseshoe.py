@@ -2,7 +2,9 @@
 
 A family of k delta-loops at a common base point, pairwise more than
 4 epsilon apart at some matching index, codes every finite word over k
-symbols by a shadow of the word's loops joined at the base.  Distinct
+symbols by a shadow of the word's loops joined at the base.
+``make_family`` is the one place that builds a family from loops: the
+search ``find_loop_family`` and both recipes end in it.  Distinct
 words of equal length then yield (n |w|, epsilon)-separated points, which
 pins the entropy lower bound log(k)/n.  A certificate stores the loops and
 one coded point per word, and nothing derived from them; everything stored
@@ -97,22 +99,25 @@ def equalize(loops: Sequence[PseudoOrbit]) -> list:
 
 def separation_witness(system, a: PseudoOrbit, b: PseudoOrbit,
                        threshold: Fraction) -> Optional[tuple]:
-    """First index with d(a_i, b_i) > threshold (strict)."""
-    for i in range(len(a.points)):
-        d = system.distance(a.points[i], b.points[i])
-        if d > threshold:
-            return i, d
+    """(i, d(a_i, b_i)) for the first index i with d(a_i, b_i) > threshold
+    (strict), found with the system's closeness test, or None."""
+    close = system.closeness(threshold)
+    for i, (p, q) in enumerate(zip(a.points, b.points)):
+        if not close(p, q):
+            return i, system.distance(p, q)
     return None
 
 
 def make_family(system, base, loops: Sequence[PseudoOrbit], epsilon,
-                delta=None) -> LoopFamily:
-    """Length-equalize candidate loops and certify pairwise separation."""
+                delta) -> LoopFamily:
+    """Length-equalize delta-loops at the base and certify pairwise
+    separation: each pair's witness is the first index of the equalized
+    loops more than 4 epsilon apart.  Raises ``ValueError`` when a pair has
+    none.  This is the one constructor of a family from loops."""
     epsilon = Fraction(epsilon)
     if not loops:
         raise ValueError("need at least one loop")
     eq = equalize(loops)
-    delta = Fraction(delta) if delta is not None else max(lp.delta for lp in eq)
     witnesses = []
     for i in range(len(eq)):
         for j in range(i + 1, len(eq)):
@@ -120,48 +125,35 @@ def make_family(system, base, loops: Sequence[PseudoOrbit], epsilon,
             if w is None:
                 raise ValueError(f"loops {i} and {j} have no 4-epsilon separation index")
             witnesses.append(SeparationWitness(i, j, w[0], w[1]))
-    fam = LoopFamily(system, base, tuple(eq), delta, epsilon, tuple(witnesses))
+    fam = LoopFamily(system, base, tuple(eq), Fraction(delta), epsilon, tuple(witnesses))
     assert fam.reverify()
     return fam
 
 
 def find_loop_family(x, epsilon, delta, n_max: int, k: int, system) -> Optional[LoopFamily]:
     """Search k pairwise-separated delta-loops at x of a common length
-    <= n_max, among at most 20000 candidate excursions.  Assumes x already
-    passed the positive shadowing test at (epsilon, delta); the family
-    itself never certifies that.
+    <= n_max, among at most 20000 candidate excursions.  Candidates are
+    taken shortest first, and each is kept when, equalized with the loops
+    already kept, it is separated from every one of them.  Kept pairs need
+    no second test: equalizing repeats a loop, which keeps every prefix, and
+    a witness index lies below the loop length.  Assumes x already passed
+    the positive shadowing test at (epsilon, delta); the family itself never
+    certifies that.
     """
     epsilon, delta = Fraction(epsilon), Fraction(delta)
-    candidates = _candidate_loops(system, x, delta, n_max, 20000)
-    if not candidates:
-        return None
-    if k == 1:
-        lp = candidates[0]
-        return LoopFamily(system, x, (lp,), delta, epsilon, ())
-
-    # greedy: grow a pairwise-separated subfamily, preferring short loops
+    candidates = sorted((pts for pts in system.loop_candidates(x, delta, n_max, 20000)
+                         if len(pts) - 1 <= n_max), key=len)
     chosen: list[PseudoOrbit] = []
-    for cand in candidates:
-        trial = chosen + [cand]
-        eq = equalize(trial)
-        if eq[0].step_count > n_max:
+    for pts in candidates:
+        loop = validate(pts, delta, system)
+        *eq, new = equalize(chosen + [loop])
+        if new.step_count > n_max:
             continue
-        ok = all(separation_witness(system, a, b, 4 * epsilon) is not None
-                 for a, b in itertools.combinations(eq, 2))
-        if ok:
-            chosen = trial
+        if all(separation_witness(system, a, new, 4 * epsilon) is not None for a in eq):
+            chosen.append(loop)
             if len(chosen) == k:
                 return make_family(system, x, chosen, epsilon, delta)
     return None
-
-
-def _candidate_loops(system, x, delta: Fraction, n_max: int, budget: int) -> list:
-    """Delta-loops at x of at most n_max steps, shortest first."""
-    out = [validate(pts, delta, system)
-           for pts in system.loop_candidates(x, delta, n_max, budget)
-           if len(pts) - 1 <= n_max]
-    out.sort(key=lambda lp: lp.step_count)
-    return out
 
 
 # Loop words a failed certificate check names as missing, shortest first.
@@ -282,9 +274,11 @@ def nonminimal_recipe(x, cycle_points: Sequence, delta, system,
     """Two separated loops from a chain class strictly containing a cycle.
 
     One loop dwells near a point z of the class off the cycle set, the other
-    runs to the cycle, winds there long enough to cover a multiple of the
-    first loop's length, and returns.  The separation scale is
-    epsilon = d(z, cycle)/5, with 4 delta < epsilon required.
+    runs to the cycle, winds there for more than the first loop's length,
+    and returns.  The separation scale is epsilon = d(z, cycle)/5, with
+    4 delta < epsilon required.  ``make_family`` certifies the pair at the
+    first index of the equalized loops more than 4 epsilon apart, and raises
+    ``ValueError`` when there is none.
     """
     delta = Fraction(delta)
     cyc = list(cycle_points)
@@ -324,21 +318,7 @@ def nonminimal_recipe(x, cycle_points: Sequence, delta, system,
         c2 = concatenate(c2, a3)
     c2 = concatenate(c2, a1)
 
-    fam_loops = equalize([c1, c2])
-    x1, x2 = fam_loops
-    witness = None
-    for i in range(a2.step_count, a2.step_count + dwell_reps * a3.step_count + 1):
-        if i % n1 == 0 and i < len(x2.points):
-            d = system.distance(x1.points[i], x2.points[i])
-            if d > 4 * eps:
-                witness = (i, d)
-                break
-    if witness is None:
-        raise RecipeInapplicable("no dwell index aligned with the z-loop")
-    fam = LoopFamily(system, z, (x1, x2), delta, eps,
-                     (SeparationWitness(0, 1, witness[0], witness[1]),))
-    assert fam.reverify()
-    return fam
+    return make_family(system, z, [c1, c2], eps, delta)
 
 
 def sensitive_recipe(x, neighborhood: Sequence, constant, system, delta,
@@ -349,7 +329,10 @@ def sensitive_recipe(x, neighborhood: Sequence, constant, system, delta,
     sensitivity constant within 64 steps and later return to the
     neighborhood; the returning orbit segments, closed up through the base
     point, become the loops.  The family's epsilon is constant/5, below
-    the constant/4 that the separation needs.
+    the constant/4 that the separation needs.  ``make_family`` certifies
+    the pair at the first index of the equalized loops more than 4 epsilon
+    apart, which is at most the divergence index when that index still
+    separates them, and raises ``ValueError`` when there is none.
     """
     constant = Fraction(constant)
     delta = Fraction(delta)
@@ -389,11 +372,4 @@ def sensitive_recipe(x, neighborhood: Sequence, constant, system, delta,
     seg_b, nb = returning_orbit(b)
     c1 = validate([x] + seg_a[:na - 1] + [x], delta, system, kind="loop")
     c2 = validate([x] + seg_b[:nb - 1] + [x], delta, system, kind="loop")
-    x1, x2 = equalize([c1, c2])
-    d = system.distance(x1.points[n], x2.points[n])
-    if not d > 4 * eps:
-        raise RecipeInapplicable("diverging index lost after equalization")
-    fam = LoopFamily(system, x, (x1, x2), delta, eps,
-                     (SeparationWitness(0, 1, n, d),))
-    assert fam.reverify()
-    return fam
+    return make_family(system, x, [c1, c2], eps, delta)

@@ -74,7 +74,7 @@ def point_from_json(doc, system):
     if isinstance(doc, dict):
         period, word, offset = doc.get("period"), doc.get("word", []), doc.get("offset", 0)
         if not (isinstance(period, list) and isinstance(word, list) and _is_int(offset)
-                and all(_is_int(s) for s in period + word)):
+                and {*map(type, period), *map(type, word)} <= {int}):
             raise SchemaError("a symbolic point needs integer lists 'period' and "
                               "'word' and an integer 'offset'")
         doc = SymbolicPoint(period, word, offset)

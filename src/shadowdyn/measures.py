@@ -117,12 +117,6 @@ class EmpiricalMeasure:
             atoms.extend((p, scale * c) for p, c in zip(mu.points, mu.counts))
         return cls._from_counts(atoms, den)
 
-    def weight_of(self, point) -> Fraction:
-        for p, c in zip(self.points, self.counts):
-            if p == point:
-                return Fraction(c, self.denominator)
-        return ZERO
-
     def __eq__(self, other):
         if not isinstance(other, EmpiricalMeasure):
             return NotImplemented

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .systems import System, SystemPoint
 
@@ -128,17 +128,6 @@ def repeat(loop: PseudoOrbit, times: int) -> PseudoOrbit:
     body = loop.points[:-1]
     pts = body * times + (loop.points[0],)
     return PseudoOrbit(loop.system, pts, loop.delta, LOOP)
-
-
-def periodic_extension(loop: PseudoOrbit) -> Iterator[SystemPoint]:
-    """Generator yielding points[i mod step_count] indefinitely."""
-    if loop.kind != LOOP:
-        raise ValueError("periodic extension requires a loop")
-    n = loop.step_count
-    i = 0
-    while True:
-        yield loop.points[i % n]
-        i += 1
 
 
 def connect(a: SystemPoint, b: SystemPoint, delta, system: System) -> Optional[PseudoOrbit]:

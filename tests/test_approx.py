@@ -26,8 +26,7 @@ def family(sigma2):
 def test_point_mass_pipeline(sigma2, family):
     fixed = sigma2.fixed_point(0)
     res = approximate_by_positive_entropy_ergodic(
-        sigma2, [(fixed, F(1))], F(1, 5), family=family, word_length=2,
-        segment_floor=16)
+        sigma2, [(fixed, F(1))], F(1, 5), word_length=2)
     assert res.ok
     assert res.certificate.entropy_lower_bound > 0
     assert res.terms["uniform_average_vs_target"] == 0
@@ -36,12 +35,11 @@ def test_point_mass_pipeline(sigma2, family):
     assert again <= res.bound
 
 
-def test_two_component_pipeline(sigma2, family):
+def test_two_component_pipeline(sigma2):
     fixed = sigma2.fixed_point(0)
     two = sigma2.point((0, 1))
     res = approximate_by_positive_entropy_ergodic(
-        sigma2, [(fixed, F(1, 2)), (two, F(1, 2))], F(1, 5), family=family,
-        word_length=2, segment_floor=16)
+        sigma2, [(fixed, F(1, 2)), (two, F(1, 2))], F(1, 5), word_length=2)
     assert res.ok
     assert res.total <= res.bound
     # both loops visited: the coded word alternates
@@ -51,12 +49,11 @@ def test_two_component_pipeline(sigma2, family):
     assert res.certificate.entropy_log_arg == 2
 
 
-def test_self_approximation_near_zero(sigma2, family):
+def test_self_approximation_near_zero(sigma2):
     # a target that is a single orbit measure is reproduced almost exactly
     two = sigma2.point((0, 1))
     res = approximate_by_positive_entropy_ergodic(
-        sigma2, [(two, F(1))], F(1, 5), family=family, word_length=2,
-        segment_floor=16)
+        sigma2, [(two, F(1))], F(1, 5), word_length=2)
     assert res.total < F(1, 50)
 
 

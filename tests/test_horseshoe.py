@@ -1,7 +1,9 @@
+import importlib.util
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from shadowdyn.horseshoe import (
     make_family,
     nonminimal_recipe,
     sensitive_recipe,
+    separation_witness,
 )
 from shadowdyn.pseudo_orbits import connect, orbit_segment, repeat, validate
 from shadowdyn.shadow_search import find_shadow, shadows
@@ -347,3 +350,124 @@ def test_sensitive_recipe_budget_error(sigma2):
     with pytest.raises(BudgetExceeded):
         sensitive_recipe(x, [x, q], constant=F(1, 2), system=sigma2,
                          delta=F(1, 4), return_budget=3)
+
+
+# -- the search against the eager rule it replaced ----------------------------------
+
+
+def _perfbench_jobs():
+    """The benchmark's job templates (plain data, no library imports)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+JOBS = _perfbench_jobs()
+SEARCH_N_MAX = 64  # the CLI default the benchmark's horseshoe jobs run at
+
+
+def _named_system(name):
+    if name == "goldenmean":
+        return SymbolicSystem.golden_mean()
+    return SymbolicSystem.full_shift(int(name.split(":")[1]))
+
+
+def _fraction_witness(system, a, b, threshold):
+    """First index of two equal-length loops with a Fraction distance above
+    the threshold, and that distance."""
+    for i, (p, q) in enumerate(zip(a.points, b.points)):
+        d = system.distance(p, q)
+        if d > threshold:
+            return i, d
+    return None
+
+
+def _eager_search(system, candidates, eps, n_max, k, tested):
+    """The search as first written, on the candidates validated and sorted
+    by step count: take the first for k = 1, else grow a greedy subfamily
+    whose every pair is tested again on each trial.  Returns (equalized
+    loops, witnesses as (a, b, index, distance)) or None, and appends each
+    tested pair with its Fraction witness to ``tested``."""
+    if not candidates:
+        return None
+    if k == 1:
+        return (candidates[0],), ()
+    chosen = []
+    for cand in candidates:
+        eq = equalize(chosen + [cand])
+        if eq[0].step_count > n_max:
+            continue
+        pairs = list(itertools.combinations(range(len(eq)), 2))
+        found = [_fraction_witness(system, eq[i], eq[j], 4 * eps) for i, j in pairs]
+        tested.extend((eq[i], eq[j], w) for (i, j), w in zip(pairs, found))
+        if all(w is not None for w in found):
+            chosen.append(cand)
+            if len(chosen) == k:
+                return tuple(eq), tuple((i, j, *w) for (i, j), w in zip(pairs, found))
+    return None
+
+
+def _assert_search_matches_eager_rule(system, x, eps, delta, n_max):
+    """find_loop_family against the eager rule for k = 1, 2, 3, and
+    separation_witness against the Fraction rule on every pair the eager
+    rule tested.  Returns the k that found a family."""
+    eps, delta = F(eps), F(delta)
+    candidates = sorted((validate(pts, delta, system)
+                         for pts in system.loop_candidates(x, delta, n_max, 20000)
+                         if len(pts) - 1 <= n_max), key=lambda lp: lp.step_count)
+    tested = []
+    found = set()
+    for k in (1, 2, 3):
+        expected = _eager_search(system, candidates, eps, n_max, k, tested)
+        fam = find_loop_family(x, eps, delta, n_max, k, system)
+        if expected is None:
+            assert fam is None
+            continue
+        loops, witnesses = expected
+        assert fam.k == k and fam.reverify()
+        assert [lp.points for lp in fam.loops] == [lp.points for lp in loops]
+        assert [(w.loop_a, w.loop_b, w.index, w.distance) for w in fam.witnesses] \
+            == list(witnesses)
+        assert (fam.n, fam.delta, fam.epsilon) == (loops[0].step_count, delta, eps)
+        found.add(k)
+    for a, b, w in tested:
+        assert separation_witness(system, a, b, 4 * eps) == w
+    return found
+
+
+@pytest.mark.parametrize("ed", [JOBS.ED_COARSE, JOBS.ED_FINE], ids=["coarse", "fine"])
+@pytest.mark.parametrize("cls", sorted(JOBS.BASES))
+def test_search_matches_eager_rule_on_benchmark_bases(cls, ed):
+    name, periods = JOBS.BASES[cls]
+    system = _named_system(name)
+    for period in periods:
+        _assert_search_matches_eager_rule(system, system.point(tuple(period)), *ed,
+                                          SEARCH_N_MAX)
+
+
+def test_search_matches_eager_rule_on_nets():
+    """On fig1, the figure-eight, the contracting net, and an identity net on
+    a segment whose tip at 5/40 has a twin at 9/80: the loops to the two tips
+    are 1/80 apart at every index, so the third loop must be tested against
+    the second one kept, not only the first."""
+    from shadowdyn.builders import fig1_circle
+    from shadowdyn.systems import NetSystem
+
+    assert _assert_search_matches_eager_rule(fig1_circle(120), 0, "1/40", "1/40", 30) \
+        == {1, 2, 3}
+    figure_eight = circle_net(120, lambda i: i, invertible=True)
+    assert _assert_search_matches_eager_rule(figure_eight, 60, "1/40", "1/120", 30) \
+        == {1, 2, 3}
+
+    def step(i):
+        return i if i in (0, 18) else i - 1 if i > 18 else i + 1
+
+    contracting = circle_net(36, lambda i: step(i) % 36)
+    assert _assert_search_matches_eager_rule(contracting, 0, "1/10", "1/200", 10) == {1}
+
+    tips = [F(p, 40) for p in (0, 1, 2, 3, 4, F(9, 2), 5, -1, -2, -3, -4, -5)]
+    segment = NetSystem(tips, [[abs(a - b) for b in tips] for a in tips], range(len(tips)),
+                        resolution=F(1, 80))
+    assert _assert_search_matches_eager_rule(segment, 0, "1/40", "1/40", 12) == {1, 2, 3}

@@ -328,6 +328,10 @@ def test_no_float_or_bool_enters_a_claim(value):
                    "atoms": [[{"period": [0]}, value], [{"period": [1]}, "1/2"]]}
     with pytest.raises(sio.SchemaError):
         sio.measure_from_json(measure_doc, sigma2)
+    for point_doc in ({"period": [0, value]}, {"period": [0], "word": [value]},
+                      {"period": [0], "offset": value}):
+        with pytest.raises(sio.SchemaError):
+            sio.point_from_json(point_doc, sigma2)
 
 
 # -- integer net documents ---------------------------------------------------------

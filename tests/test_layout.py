@@ -1,7 +1,8 @@
 """Layout checks on the package source: the algorithm modules use the
 system protocol instead of testing the kind of a system or point, no module
 imports a name it never uses, every defaulted parameter of a public
-function, constructor or method has a caller that passes it, the README's
+function, constructor or method has a caller that passes it, loop families
+are built only by ``make_family`` (and the certificate loader), the README's
 Layout table has one row per module, and the short demos run."""
 
 import ast
@@ -128,6 +129,24 @@ def test_every_public_default_has_a_caller():
                     and not ("*" in got or param.name in got or positional)):
                 idle.append(f"{label}.{param.name}")
     assert not idle, f"defaulted parameters no call passes: {idle}"
+
+
+# (module, function) pairs that may construct a LoopFamily: the one rule that
+# certifies loops, and the loader, which checks stored witnesses instead of
+# recomputing them.
+FAMILY_BUILDERS = {("horseshoe", "make_family"), ("io", "certificate_from_json")}
+
+
+def test_loop_families_come_from_make_family():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in _parse(path).body:
+            if (path.stem, getattr(top, "name", None)) in FAMILY_BUILDERS:
+                continue
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and "LoopFamily" in (
+                          getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert not found, f"LoopFamily built outside make_family: {found}"
 
 
 def test_readme_layout_has_one_row_per_module():

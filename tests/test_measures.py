@@ -45,8 +45,8 @@ def test_empirical_measure_merges_multiplicity(sigma2):
 
     # weights 2/3 on x and 1/3 on f(x) for the period-2 point at n = 3
     rho = EmpiricalMeasure.from_orbit(sigma2, p, 3)
-    assert rho.weight_of(p) == F(2, 3)
-    assert rho.weight_of(p.shift(1)) == F(1, 3)
+    assert dict(rho.atoms)[p] == F(2, 3)
+    assert dict(rho.atoms)[p.shift(1)] == F(1, 3)
 
 
 def test_empirical_measure_rejects_bad_weights(sigma2):

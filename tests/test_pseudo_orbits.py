@@ -13,7 +13,6 @@ from shadowdyn.pseudo_orbits import (
     concatenate,
     connect,
     orbit_segment,
-    periodic_extension,
     repeat,
     validate,
 )
@@ -100,19 +99,6 @@ def test_repeat_equals_self_concatenation(sigma2):
     p = sigma2.point((0, 1))
     loop = validate([p, p.shift(1), p], 0, sigma2)
     assert repeat(loop, 3).points == concatenate(concatenate(loop, loop), loop).points
-
-
-def test_periodic_extension(sigma2):
-    a = sigma2.fixed_point(0)
-    const = validate([a, a], 0, sigma2)
-    gen = periodic_extension(const)
-    assert [next(gen) for _ in range(5)] == [a] * 5
-
-    p = sigma2.point((0, 1))
-    two = validate([p, p.shift(1), p], 0, sigma2)
-    gen = periodic_extension(two)
-    prefix = [next(gen) for _ in range(two.step_count + 1)]
-    assert prefix == list(two.points)
 
 
 def flow_circle(size=36):
