@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from shadowdyn.cli import _named_system
 from shadowdyn.horseshoe import (
     CertificateAborted,
     HorseshoeCertificate,
@@ -368,12 +369,6 @@ JOBS = _perfbench_jobs()
 SEARCH_N_MAX = 64  # the CLI default the benchmark's horseshoe jobs run at
 
 
-def _named_system(name):
-    if name == "goldenmean":
-        return SymbolicSystem.golden_mean()
-    return SymbolicSystem.full_shift(int(name.split(":")[1]))
-
-
 def _fraction_witness(system, a, b, threshold):
     """First index of two equal-length loops with a Fraction distance above
     the threshold, and that distance."""
@@ -450,8 +445,8 @@ def test_search_matches_eager_rule_on_benchmark_bases(cls, ed):
 def test_search_matches_eager_rule_on_nets():
     """On fig1, the figure-eight, the contracting net, and an identity net on
     a segment whose tip at 5/40 has a twin at 9/80: the loops to the two tips
-    are 1/80 apart at every index, so the third loop must be tested against
-    the second one kept, not only the first."""
+    are at most 1/80 apart at every index, so the third loop must be tested
+    against the second one kept, not only the first."""
     from shadowdyn.builders import fig1_circle
     from shadowdyn.systems import NetSystem
 
