@@ -134,14 +134,14 @@ def test_every_public_default_has_a_caller():
 # (module, function) pairs that may construct a LoopFamily: the one rule that
 # certifies loops, and the loader, which checks stored witnesses instead of
 # recomputing them.
-FAMILY_BUILDERS = {("horseshoe", "make_family"), ("io", "certificate_from_json")}
+FAMILY_CONSTRUCTORS = {("horseshoe", "make_family"), ("io", "certificate_from_json")}
 
 
 def test_loop_families_come_from_make_family():
     found = []
     for path in sorted(SRC.glob("*.py")):
         for top in _parse(path).body:
-            if (path.stem, getattr(top, "name", None)) in FAMILY_BUILDERS:
+            if (path.stem, getattr(top, "name", None)) in FAMILY_CONSTRUCTORS:
                 continue
             found += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
                       if isinstance(node, ast.Call) and "LoopFamily" in (
