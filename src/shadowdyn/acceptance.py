@@ -76,7 +76,7 @@ def criterion_2() -> CriterionResult:
     def body():
         import random
 
-        from .shadow_search import find_shadow, shadows, symbolic_successor_candidates
+        from .shadow_search import find_shadow, shadows
         from .shadowing import has_shadowing_at_resolution
         from .pseudo_orbits import validate
         from .systems import SymbolicSystem, dyadic_radius
@@ -96,7 +96,7 @@ def criterion_2() -> CriterionResult:
             for _ in range(5):
                 pts = [start]
                 for _ in range(12):
-                    cands = symbolic_successor_candidates(gm, pts[-1].shift(1), s, s)
+                    cands = gm.successor_candidates(pts[-1].shift(1), s, s)
                     pts.append(rng.choice(cands))
                 po = validate(pts, delta, gm)
                 w = find_shadow(gm, po, eps)

@@ -12,8 +12,9 @@ from .systems import (BudgetExceeded, NetSystem, SymbolicPoint, SymbolicSystem,
                       word_ultrametric)
 
 # Largest number of cylinder words a finitization may hold.  At this size
-# the net's int16 metric takes 32 MB and its build, with the n x n masks
-# of ``word_ultrametric``, about 100 MB.
+# the net's int16 metric takes 32 MB, and its build, with the two n x n
+# bool masks of ``word_ultrametric``, peaks near 96 MB of process memory
+# (32 MB of it the interpreter and imports).
 MAX_POINTS = 4096
 
 
@@ -24,8 +25,8 @@ class CylinderNet(NetSystem):
     net holds them as numerators over 2^depth (``word_ultrametric``).
 
     Net nodes stand for symbolic points: ``node_of`` and ``point_of``
-    translate, and ``restrict_to`` keeps the symbolic shadowability scan
-    inside a node set."""
+    translate, and ``restrict_to`` keeps the shadowability search on the
+    shift inside a node set."""
 
     def __init__(self, system: SymbolicSystem, depth: int):
         if depth < 0:

@@ -7,10 +7,11 @@ shifted window |j| <= t-1 (t the dyadic radius of epsilon), so the candidate
 is forced coordinate by coordinate and absence is a proof, not a timeout,
 whenever the transition graph is strongly connected.
 
-The shadowability engines search for the first pseudo-orbit with no
-shadow: ``net_shadowability_dfs`` exhausts a net and
-``symbolic_shadowability_scan`` scans a shift for inconsistent steps.  Each
-system reaches its engine through its ``unshadowed`` method.
+One search, ``unshadowed``, looks for the first pseudo-orbit with no
+shadow on either kind of system.  It walks (point, shadow state) pairs
+with the steps the system gives through ``shadow_steps``: on a net the
+state is the set of positions a shadow may still hold, on a shift it
+records whether the glued windows are still consistent.
 """
 
 from __future__ import annotations
@@ -20,14 +21,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .pseudo_orbits import PseudoOrbit
-from .systems import (
-    BudgetExceeded,
-    NetSystem,
-    SymbolicPoint,
-    SymbolicSystem,
-    SystemPoint,
-    dyadic_radius,
-)
+from .systems import BudgetExceeded, SystemPoint
 
 
 @dataclass(frozen=True)
@@ -72,7 +66,7 @@ def find_shadow(system, orbit, epsilon) -> Optional[ShadowWitness]:
     return None if z is None else ShadowWitness(z, epsilon, (0, len(pts) - 1))
 
 
-# -- shadowability engines ----------------------------------------------------
+# -- the shadowability search -------------------------------------------------
 
 
 @dataclass
@@ -86,166 +80,64 @@ class SearchStats:
             raise BudgetExceeded(f"enumeration exceeded {self.budget} states")
 
 
-def net_shadowability_dfs(system: NetSystem, starts: Optional[Sequence[int]], epsilon,
-                          delta, horizon: int, stats: SearchStats,
-                          within: Optional[Callable] = None) -> Optional[list]:
-    """Lexicographically first delta-pseudo-orbit from the starts (all nodes
-    passing ``within`` when None) admitting no epsilon-shadow; successors
-    failing ``within`` are skipped.
+def unshadowed(system, starts: Optional[Sequence], epsilon, delta, horizon: int,
+               stats: SearchStats, within: Optional[Callable] = None) -> Optional[list]:
+    """Lexicographically first delta-pseudo-orbit of at most ``horizon``
+    steps from the starts (the system's candidates passing ``within`` when
+    None) admitting no epsilon-shadow, or None; successors failing
+    ``within`` are skipped.
 
-    Tracks the surviving shadow positions along each path, as an int bitmask
-    (bit w: the shadow may sit at w); a path fails exactly when that set
-    empties.  Safe (point, candidate-set) states are memoized, across the
-    starts, with the depth they were verified to; supersets of safe sets
-    are safe.
+    Depth-first over (point, shadow state) pairs, with the steps the system
+    gives (``shadow_steps``); a path fails exactly when its state becomes 0.
+    Safe (point, state) pairs are memoized, across the starts, with the
+    depth they were verified to; a state whose bits include a safe one's is
+    safe.
     """
-    epsilon = Fraction(epsilon)
-    delta = Fraction(delta)
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    steps = system.shadow_steps(Fraction(epsilon), Fraction(delta))
+    if steps is None:
+        return None
+    candidates, start_state, expand = steps
     if starts is None:
-        starts = range(system.n) if within is None else list(filter(within, range(system.n)))
-    balls = system.ball_masks(epsilon)
-    fmap = system.map
+        starts = candidates if within is None else filter(within, candidates)
     memo: dict = {}
 
-    def succ(p: int):
-        out = system.successors(p, delta)
-        if within is None:
-            return out
-        return [q for q in out if within(q)]
-
-    def image(tset: int) -> int:
-        out = 0
-        while tset:
-            low = tset & -tset
-            out |= 1 << fmap[low.bit_length() - 1]
-            tset ^= low
-        return out
-
-    def is_safe(p: int, tset: int, remaining: int) -> bool:
+    def is_safe(p, state: int, remaining: int) -> bool:
         for s, r in memo.get(p, ()):
-            if r >= remaining and not s & ~tset:
+            if r >= remaining and not s & ~state:
                 return True
         return False
 
-    def mark_safe(p: int, tset: int, remaining: int):
+    def mark_safe(p, state: int, remaining: int):
         lst = memo.setdefault(p, [])
-        lst[:] = [(s, r) for s, r in lst if tset & ~s or r > remaining]
-        lst.append((tset, remaining))
+        lst[:] = [(s, r) for s, r in lst if state & ~s or r > remaining]
+        lst.append((state, remaining))
 
     path: list = []
 
-    def dfs(p: int, tset: int, remaining: int) -> Optional[list]:
+    def dfs(p, state: int, remaining: int) -> Optional[list]:
         if remaining == 0:
             return None
-        if is_safe(p, tset, remaining):
+        if is_safe(p, state, remaining):
             return None
         stats.tick()
-        advanced = image(tset)
-        for q in succ(p):
-            filtered = advanced & balls[q]
-            path.append(q)
-            if not filtered:
-                return list(path)
-            bad = dfs(q, filtered, remaining - 1)
-            if bad is not None:
-                return bad
-            path.pop()
-        mark_safe(p, tset, remaining)
-        return None
-
-    for start in starts:
-        t0 = balls[start]
-        if not t0:
-            return [start]  # cannot happen: start shadows itself
-        path = [start]
-        bad = dfs(start, t0, horizon)
-        if bad is not None:
-            return bad
-    return None
-
-
-def symbolic_successor_candidates(system: SymbolicSystem, image: SymbolicPoint,
-                                  s: int, window_radius: int) -> list:
-    """Admissible periodic representatives q with d(image, q) <= 2^-s: the
-    closures of the cylinders on the window that agree with the image on
-    |j| <= s-1 (every cylinder when s = 0)."""
-    fixed = (-(s - 1), s - 1) if s >= 1 else None
-    return [q for _, q in system.cylinders(-window_radius, window_radius, image, fixed)
-            if q is not None]
-
-
-def symbolic_edge_good(system: SymbolicSystem, p: SymbolicPoint,
-                       q: SymbolicPoint, rho: int) -> bool:
-    """Whether the step p -> q keeps glued shadow windows consistent.
-
-    For rho >= 1 this is agreement of f(p) and q on coordinates
-    [-rho, rho-1]; for rho = 0 it is admissibility of the glued transition."""
-    if rho == 0:
-        return system.allowed(p.coord(0), q.coord(0))
-    return p.window(1 - rho, rho) == q.window(-rho, rho - 1)
-
-
-def symbolic_shadowability_scan(system: SymbolicSystem,
-                                starts: Optional[Sequence[SymbolicPoint]],
-                                epsilon, delta, horizon: int, stats: SearchStats,
-                                within: Optional[Callable] = None) -> Optional[list]:
-    """First (in DFS/lex order) delta-pseudo-orbit from the given start
-    points with no epsilon-shadow, or None.  ``starts=None`` quantifies over
-    the cylinder candidates: periodic closures of every admissible word on
-    the candidate window.  Points failing ``within`` are skipped, as starts
-    and as successors.
-
-    Exact for strongly connected transition graphs: a path is unshadowable
-    iff it contains an inconsistent step, so the scan looks for the first
-    reachable bad edge within the horizon.
-    """
-    epsilon = Fraction(epsilon)
-    delta = Fraction(delta)
-    if epsilon >= 1:
-        return None  # everything is shadowed by any point
-    t = dyadic_radius(epsilon)
-    rho = t - 1
-    s = dyadic_radius(delta) if delta > 0 else None
-    if s is None:
-        # delta = 0: pseudo-orbits are orbits, shadowed by their start point
-        return None
-    window_radius = max(s, rho + 1)
-
-    if (rho >= 1 and s - 1 >= rho) or (rho == 0 and s >= 1):
-        # every delta-step forces agreement beyond the shadow window:
-        # all edges are consistent, so every pseudo-orbit glues to a shadow
-        return None
-    if starts is None:
-        starts = [p for _, p in system.cylinders(-window_radius, window_radius)
-                  if p is not None and (within is None or within(p))]
-
-    seen: dict = {}
-    path: list = []
-
-    def dfs(p: SymbolicPoint, remaining: int) -> Optional[list]:
-        if remaining == 0:
-            return None
-        prev = seen.get(p)
-        if prev is not None and prev >= remaining:
-            return None
-        seen[p] = remaining
-        stats.tick()
-        img = p.shift(1)
-        for q in symbolic_successor_candidates(system, img, s, window_radius):
+        for q, nxt in expand(p, state):
             if within is not None and not within(q):
                 continue
             path.append(q)
-            if not symbolic_edge_good(system, p, q, rho):
+            if not nxt:
                 return list(path)
-            bad = dfs(q, remaining - 1)
+            bad = dfs(q, nxt, remaining - 1)
             if bad is not None:
                 return bad
             path.pop()
+        mark_safe(p, state, remaining)
         return None
 
-    for x in starts:
-        path = [x]
-        bad = dfs(x, horizon)
+    for start in starts:
+        path = [start]
+        bad = dfs(start, start_state(start), horizon)
         if bad is not None:
             return bad
     return None

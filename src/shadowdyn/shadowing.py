@@ -3,7 +3,9 @@
 Every verdict is quantified over a finite, explicitly described universe of
 pseudo-orbits (the delta-transition graph up to a horizon) and carries the
 (epsilon, delta, horizon) stamp; a "counterexample" verdict never claims to
-refute an infinite-precision statement.
+refute an infinite-precision statement.  Each verdict is one run of the
+shadowability search ``shadow_search.unshadowed``, whose counterexample is
+the lexicographically first failing pseudo-orbit on nets and shifts alike.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Optional, Sequence
 
 from .chain import build_chain_graph, chain_class
 from .pseudo_orbits import PseudoOrbit, validate
-from .shadow_search import SearchStats, find_shadow
+from .shadow_search import SearchStats, find_shadow, unshadowed
 from .systems import SystemPoint
 
 SHADOWABLE = "shadowable"
@@ -64,7 +66,7 @@ def is_positively_shadowable_at(system, x: SystemPoint, epsilon, delta,
     system.check_point(x)
     epsilon, delta = Fraction(epsilon), Fraction(delta)
     stats = SearchStats(budget=budget)
-    bad = system.unshadowed([x], epsilon, delta, horizon, stats)
+    bad = unshadowed(system, [x], epsilon, delta, horizon, stats)
     stamps = {"universe": system.universe, "states": stats.states}
     return _report(system, x, epsilon, delta, horizon, bad, stamps)
 
@@ -85,7 +87,7 @@ def has_shadowing_at_resolution(system, delta, epsilon, horizon: int = 10,
             raise ValueError("two-sided shadowing needs an invertible system")
         span = 2 * horizon
     stats = SearchStats(budget=budget)
-    bad = system.unshadowed(None, epsilon, delta, span, stats, within)
+    bad = unshadowed(system, None, epsilon, delta, span, stats, within)
     stamps = {"universe": system.universe, "states": stats.states, "two_sided": two_sided}
     return _report(system, "all", epsilon, delta, horizon, bad, stamps)
 
@@ -178,8 +180,8 @@ def h_class_two_sided_shadowing(system, x, epsilon, delta, horizon: int = 5,
     cls = chain_class(graph, net.node_of(x))
     stats = SearchStats()
     starts = [net.point_of(node) for node in sorted(cls)]
-    bad = system.unshadowed(starts, epsilon, delta, 2 * horizon, stats,
-                            net.restrict_to(cls))
+    bad = unshadowed(system, starts, epsilon, delta, 2 * horizon, stats,
+                     net.restrict_to(cls))
     failures = []
     if bad is not None:
         po = validate(bad, delta, system)

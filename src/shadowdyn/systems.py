@@ -27,15 +27,17 @@ never test the kind of a system or point:
   integer first-disagreement depths for the steps;
 * shadow search: ``shadow(pts, eps)`` (the least net point that traces,
   or on a shift the closure of the one glued word, or None),
-  ``unshadowed(starts, eps, delta, horizon, stats, within)`` (the first
-  delta-pseudo-orbit of at most ``horizon`` steps from the starts, all
-  points when None, with no eps-shadow, or None; ``within``, a
-  ``restrict_to`` test, keeps starts and steps inside a node set; a net is
-  exhausted, a shift scanned for inconsistent steps, by the engines of
-  ``shadow_search``) and ``universe``, the stamp of the quantified universe;
+  ``shadow_steps(eps, delta)`` (the steps of the one shadowability search,
+  ``shadow_search.unshadowed``: the candidate starts, the shadow state of a
+  start and the ordered (successor, next state) pairs of a step; on a net
+  the state is the set of positions a shadow may still hold, on a shift
+  whether the glued windows are still consistent; None when every
+  pseudo-orbit is shadowed) and ``universe``, the stamp of the quantified
+  universe;
 * cylinders (shifts only): ``cylinders(lo, hi, x, fixed)`` lists the
-  admissible words on a window, each with its periodic closure; every
-  symbolic verdict over ``cylinder-candidates`` takes its points from it.
+  admissible words on a window, each with its periodic closure, and
+  ``successor_candidates`` those near a point's image; every symbolic
+  verdict over ``cylinder-candidates`` takes its points from it.
   A closure, and so a splice of ``chain``, closes its word with a shortest
   connecting path read from a k x k table that each shift fills on first
   use, and checks only the two junctions where word and path meet;
@@ -434,22 +436,23 @@ def distance_le(a: SymbolicPoint, b: SymbolicPoint, t: int) -> bool:
 def word_ultrametric(words: Sequence[tuple], radius: int) -> np.ndarray:
     """The dyadic distances 2^-a between words on [-radius, radius] (a the
     least |j| where two words disagree, 0 for equal words) as integer
-    numerators over 2^radius, settled one level a at a time.  The matrix has
-    the type ``NetSystem`` keeps: the narrowest signed one that holds the
-    sum of two numerators, or Python ints when 64 bits are too few."""
+    numerators over 2^radius, written one level a at a time from the
+    deepest to the shallowest, so the last write at a pair is its first
+    disagreement.  The matrix has the type ``NetSystem`` keeps: the
+    narrowest signed one that holds the sum of two numerators, or Python
+    ints when 64 bits are too few."""
     cols = np.asarray(words, dtype=np.int8).reshape(len(words), 2 * radius + 1)
     n = len(cols)
     dtype = next((t for t in (np.int16, np.int32, np.int64)
                   if 2 << radius <= np.iinfo(t).max), object)
     out = np.zeros((n, n), dtype=dtype)
-    open_pairs = np.ones((n, n), dtype=bool)
-    for a in range(radius + 1):
-        differ = cols[:, radius - a, None] != cols[None, :, radius - a]
-        differ |= cols[:, radius + a, None] != cols[None, :, radius + a]
-        first = open_pairs & differ
-        if first.any():
-            out[first] = 1 << (radius - a)
-        open_pairs &= ~differ
+    differ = np.empty((n, n), dtype=bool)
+    other = np.empty((n, n), dtype=bool)
+    for a in range(radius, -1, -1):
+        np.not_equal(cols[:, radius - a, None], cols[None, :, radius - a], out=differ)
+        np.not_equal(cols[:, radius + a, None], cols[None, :, radius + a], out=other)
+        differ |= other
+        out[differ] = 1 << (radius - a)
     return out
 
 
@@ -774,12 +777,53 @@ class SymbolicSystem:
             "glued candidate must shadow by construction"
         return z
 
-    def unshadowed(self, starts, eps, delta, horizon: int, stats, within=None):
-        """The first pseudo-orbit with no shadow, by a scan for inconsistent
-        steps (see the module docstring)."""
-        from .shadow_search import symbolic_shadowability_scan  # it imports this module
+    def shadow_steps(self, eps: Fraction, delta: Fraction):
+        """The steps of the shadowability search (``shadow_search.unshadowed``),
+        or None when every delta-pseudo-orbit is eps-shadowed: eps >= 1,
+        delta = 0 (pseudo-orbits are orbits), or every delta-step forces
+        agreement beyond the shadow window (s >= t, 2^-s <= delta and
+        2^-t <= eps).
 
-        return symbolic_shadowability_scan(self, starts, eps, delta, horizon, stats, within)
+        Otherwise (candidates, start state, expand): the candidates are the
+        periodic closures of the words on [-t, t]; the state is 1 while the
+        glued windows |j| <= t-1 of the path agree and 0 once a step breaks
+        them, and ``expand(p, 1)`` pairs each successor candidate q of f(p)
+        with the state after p -> q.  For t >= 2 the step keeps the glue iff
+        f(p) and q agree on [-(t-1), t-2]; for t = 1 iff the transition
+        p_0 -> q_0 is allowed.  Exact for strongly connected transition
+        graphs: a path has no shadow iff it contains an inconsistent step.
+        """
+        if eps >= 1:
+            return None
+        t = dyadic_radius(eps)
+        s = dyadic_radius(delta) if delta > 0 else None
+        if s is None or s >= t:
+            return None
+        rho = t - 1
+        transitions = self.transitions
+
+        def candidates():
+            for _, p in self.cylinders(-t, t):
+                if p is not None:
+                    yield p
+
+        def expand(p: SymbolicPoint, state: int) -> list:
+            succ = self.successor_candidates(p.shift(1), s, t)
+            if rho == 0:
+                row = transitions[p.coord(0)]
+                return [(q, row[q.coord(0)]) for q in succ]
+            head = p.window(1 - rho, rho)
+            return [(q, int(q.window(-rho, rho - 1) == head)) for q in succ]
+
+        return candidates(), lambda p: 1, expand
+
+    def successor_candidates(self, image: SymbolicPoint, s: int, window_radius: int) -> list:
+        """Admissible periodic representatives q with d(image, q) <= 2^-s: the
+        closures of the cylinders on the window that agree with the image on
+        |j| <= s-1 (every cylinder when s = 0)."""
+        fixed = (-(s - 1), s - 1) if s >= 1 else None
+        return [q for _, q in self.cylinders(-window_radius, window_radius, image, fixed)
+                if q is not None]
 
     def chain(self, a: SymbolicPoint, b: SymbolicPoint, delta: Fraction) -> Optional[list]:
         """Points of a delta-chain from a to b.
@@ -1238,12 +1282,28 @@ class NetSystem:
             ok = (self._imat[:, x] <= t) & ok[fmap]
         return int(ok.argmax()) if ok.any() else None
 
-    def unshadowed(self, starts, eps, delta, horizon: int, stats, within=None):
-        """The first pseudo-orbit with no shadow, the net exhausted (see the
-        module docstring)."""
-        from .shadow_search import net_shadowability_dfs  # it imports this module
+    def shadow_steps(self, eps: Fraction, delta: Fraction):
+        """The steps of the shadowability search (``shadow_search.unshadowed``):
+        every point is a candidate start, and the state is the int bitmask of
+        the positions a shadow may still hold (bit w: the shadow may sit at
+        w), first the eps-ball of the start.  ``expand(p, T)`` pairs each
+        delta-successor q of p with f(T) & B_eps(q)."""
+        balls = self.ball_masks(eps)
+        fmap = self.map
+        images: dict = {}  # f(T) of each state T the search has met
 
-        return net_shadowability_dfs(self, starts, eps, delta, horizon, stats, within)
+        def expand(p: int, tset: int) -> list:
+            image = images.get(tset)
+            if image is None:
+                image, rest = 0, tset
+                while rest:
+                    low = rest & -rest
+                    image |= 1 << fmap[low.bit_length() - 1]
+                    rest ^= low
+                images[tset] = image
+            return [(q, image & balls[q]) for q in self.successors(p, delta)]
+
+        return range(self.n), balls.__getitem__, expand
 
     def chain(self, a: int, b: int, delta: Fraction,
               max_len: int = 10 ** 6) -> Optional[list]:

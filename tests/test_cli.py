@@ -210,6 +210,20 @@ def test_missing_net_point_exit_code(fig1_file, command, flag, point):
                    "--delta", "1/72") == EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("system, point, eps, delta", [
+    ("fig1", "5", "1/9", "1/100"),
+    ("fig1", None, "1/9", "1/100"),
+    ("fullshift:2", json.dumps({"period": [0]}), "1/4", "1/2"),
+])
+def test_negative_horizon_exit_code(fig1_file, system, point, eps, delta, capsys):
+    argv = ["shadow", "--system", fig1_file if system == "fig1" else system,
+            "--eps", eps, "--delta", delta, "--horizon", "-1"]
+    if point is not None:
+        argv += ["--point", point]
+    assert run_cli(*argv) == EXIT_SCHEMA
+    assert capsys.readouterr().out == ""
+
+
 def test_horseshoe_aborted_certificate_is_a_verdict(fig1_file, capsys):
     code = run_cli("horseshoe", "--system", fig1_file, "--base", "0",
                    "--eps", "1/36", "--delta", "1/6", "--n-max", "20", "--words", "3")

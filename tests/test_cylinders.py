@@ -17,13 +17,7 @@ from shadowdyn.entropy import (
 )
 from shadowdyn.finitize import CylinderNet
 from shadowdyn.pseudo_orbits import validate
-from shadowdyn.shadow_search import (
-    SearchStats,
-    find_shadow,
-    net_shadowability_dfs,
-    symbolic_shadowability_scan,
-    symbolic_successor_candidates,
-)
+from shadowdyn.shadow_search import SearchStats, find_shadow, unshadowed
 from shadowdyn.systems import SymbolicSystem, dyadic_radius
 
 F = Fraction
@@ -111,7 +105,7 @@ def test_expansivity_witness_long_horizon():
 def test_successor_candidates_at_zero_radius():
     # delta >= 1 forces no coordinate: every word on [-R, R] is a candidate
     sigma2 = SymbolicSystem.full_shift(2)
-    cands = symbolic_successor_candidates(sigma2, sigma2.fixed_point(0), 0, 2)
+    cands = sigma2.successor_candidates(sigma2.fixed_point(0), 0, 2)
     assert len(cands) == 32
     assert [q.window(-2, 2) for q in cands] == sigma2.words(5)
 
@@ -143,10 +137,8 @@ def test_symbolic_scan_matches_net_dfs_on_the_cylinder_net(name):
     for depth in (1, 2, 3):
         net = CylinderNet(system, depth)
         for eps, delta, horizon in faithful_cases(depth):
-            bad = symbolic_shadowability_scan(system, None, eps, delta, horizon,
-                                              SearchStats())
-            bad_nodes = net_shadowability_dfs(net, None, eps, delta, horizon,
-                                              SearchStats())
+            bad = unshadowed(system, None, eps, delta, horizon, SearchStats())
+            bad_nodes = unshadowed(net, None, eps, delta, horizon, SearchStats())
             assert (bad is None) == (bad_nodes is None), (depth, eps, delta, horizon)
             if bad is None:
                 continue

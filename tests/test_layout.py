@@ -2,8 +2,9 @@
 system protocol instead of testing the kind of a system or point, no module
 imports a name it never uses, every defaulted parameter of a public
 function, constructor or method has a caller that passes it, loop families
-are built only by ``make_family`` (and the certificate loader), the README's
-Layout table has one row per module, and the short demos run."""
+are built only by ``make_family`` (and the certificate loader), ``systems``
+imports nothing from ``shadow_search``, the README's Layout table has one
+row per module, and the short demos run."""
 
 import ast
 import inspect
@@ -147,6 +148,23 @@ def test_loop_families_come_from_make_family():
                       if isinstance(node, ast.Call) and "LoopFamily" in (
                           getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert not found, f"LoopFamily built outside make_family: {found}"
+
+
+def test_systems_imports_nothing_from_shadow_search():
+    """Layer 0 (points, metrics and the system protocol) does not depend on
+    layer 2 (the search engines): a system gives its search steps, and the
+    search runs them."""
+    found = []
+    for node in ast.walk(_parse(SRC / "systems.py")):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(m.split(".")[-1] == "shadow_search" for m in modules):
+            found.append(node.lineno)
+    assert not found, f"systems.py imports from shadow_search on lines {found}"
 
 
 def test_readme_layout_has_one_row_per_module():

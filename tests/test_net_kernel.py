@@ -4,8 +4,10 @@ Threshold tests (balls, successors, closeness, neighborhoods) are
 compared with d <= eps on independently computed Fraction distances, at
 thresholds on, between and off the metric's values; the one-pass shadow
 search is compared with the stepwise ``traces`` of every net point; the
-bitmask shadowability DFS is compared with an exhaustive preorder
-enumeration of pseudo-orbits and an exhaustive Fraction shadow search.
+shadowability search is compared, on nets, with an exhaustive preorder
+enumeration of pseudo-orbits and an exhaustive Fraction shadow search, and
+on shifts with a preorder enumeration of the successor candidates checked
+by ``find_shadow``.
 """
 
 import gc
@@ -20,12 +22,13 @@ from hypothesis import strategies as st
 from shadowdyn.builders import dense_shadowable_example, fig1_circle
 from shadowdyn.finitize import CylinderNet
 from shadowdyn.pseudo_orbits import connect
-from shadowdyn.shadow_search import SearchStats, find_shadow, net_shadowability_dfs
+from shadowdyn.shadow_search import SearchStats, find_shadow, unshadowed
 from shadowdyn.shadowing import is_positively_shadowable_at
 from shadowdyn.systems import (
     NetSystem,
     SymbolicSystem,
     circle_net,
+    dyadic_radius,
     symbolic_distance,
 )
 
@@ -223,7 +226,7 @@ def test_bitmask_dfs_matches_exhaustive_search(net_table, eps, delta, horizon):
     expected = [_first_unshadowed(table, net.map, s, eps, delta, horizon)
                 for s in range(net.n)]
     for s in range(net.n):
-        bad = net_shadowability_dfs(net, [s], eps, delta, horizon, SearchStats())
+        bad = unshadowed(net, [s], eps, delta, horizon, SearchStats())
         assert bad == expected[s]
         if bad is not None:
             assert find_shadow(net, bad, eps) is None
@@ -232,7 +235,58 @@ def test_bitmask_dfs_matches_exhaustive_search(net_table, eps, delta, horizon):
         if bad is not None:
             assert list(rep.counterexample.points) == bad
     first = next((b for b in expected if b is not None), None)
-    assert net_shadowability_dfs(net, None, eps, delta, horizon, SearchStats()) == first
+    assert unshadowed(net, None, eps, delta, horizon, SearchStats()) == first
+
+
+def _first_unshadowed_on_shift(system, start, eps, delta, horizon):
+    """First pseudo-orbit from start, in depth-first preorder over the
+    successor candidates with at most ``horizon`` steps, for which
+    ``find_shadow`` finds no shadow."""
+    s, t = dyadic_radius(delta), dyadic_radius(eps)
+    path = [start]
+
+    def walk():
+        if find_shadow(system, path, eps) is None:
+            return list(path)
+        if len(path) > horizon:
+            return None
+        for q in system.successor_candidates(path[-1].shift(1), s, t):
+            path.append(q)
+            bad = walk()
+            if bad is not None:
+                return bad
+            path.pop()
+        return None
+
+    return walk()
+
+
+def _shift_cases(name):
+    """(eps, delta) with a delta-step that can break the glued windows (s < t);
+    eps = 1/2 only on the golden mean, where a failing path is short (on a
+    full shift every path glues there, and the oracle would walk them all)."""
+    for eps in (F(1, 2), F(1, 4), F(1, 8)):
+        for delta in (F(1), F(1, 2), F(1, 4)):
+            if dyadic_radius(delta) < dyadic_radius(eps) and (
+                    eps < F(1, 2) or name == "goldenmean"):
+                yield eps, delta
+
+
+@pytest.mark.parametrize("name", ["fullshift:2", "goldenmean", "fullshift:3"])
+def test_shift_search_finds_the_lexicographically_first_counterexample(name):
+    system = {"fullshift:2": SymbolicSystem.full_shift(2),
+              "goldenmean": SymbolicSystem.golden_mean(),
+              "fullshift:3": SymbolicSystem.full_shift(3)}[name]
+    found = 0
+    for period in [(0,), (0, 1), (1, 0, 0)]:
+        x = system.point(period)
+        for eps, delta in _shift_cases(name):
+            for horizon in range(1, 6):
+                expected = _first_unshadowed_on_shift(system, x, eps, delta, horizon)
+                bad = unshadowed(system, [x], eps, delta, horizon, SearchStats())
+                assert bad == expected, (period, eps, delta, horizon)
+                found += bad is not None
+    assert found >= 20  # the grid reaches counterexamples, not only trivial verdicts
 
 
 def test_a_dropped_net_is_freed_without_the_cyclic_gc():

@@ -16,7 +16,7 @@ from shadowdyn.pseudo_orbits import (
     repeat,
     validate,
 )
-from shadowdyn.shadow_search import find_shadow, shadows, symbolic_successor_candidates
+from shadowdyn.shadow_search import find_shadow, shadows
 from shadowdyn.systems import SymbolicPoint, SymbolicSystem, circle_net
 
 F = Fraction
@@ -261,7 +261,7 @@ def next_point(system, p, rng):
         return sio.point_from_json(sio.point_to_json(p.shift(1)), system)
     if kind == 2:
         s = rng.randint(0, 4)
-        return rng.choice(symbolic_successor_candidates(system, p.shift(1), s, s))
+        return rng.choice(system.successor_candidates(p.shift(1), s, s))
     if kind == 3:
         return random_point(system, rng)
     return p.shift(rng.choice([-1, 1]) * rng.randint(150, 400))

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from shadowdyn.builders import fig1_circle
 from shadowdyn.pseudo_orbits import orbit_segment, validate
-from shadowdyn.shadow_search import (
-    SearchStats,
-    find_shadow,
-    shadows,
-    symbolic_successor_candidates,
-)
+from shadowdyn.shadow_search import SearchStats, find_shadow, shadows, unshadowed
 from shadowdyn.shadowing import (
     chain_class_shadowability,
     h_class_two_sided_shadowing,
@@ -48,7 +43,7 @@ def random_pseudo_orbit(system, start, delta, length, rng):
     s = dyadic_radius(delta)
     pts = [start]
     for _ in range(length):
-        cands = symbolic_successor_candidates(system, pts[-1].shift(1), s, s)
+        cands = system.successor_candidates(pts[-1].shift(1), s, s)
         pts.append(rng.choice(cands))
     return validate(pts, delta, system)
 
@@ -243,12 +238,12 @@ def test_within_restricts_both_engines(name, eps, delta, horizon):
         system = SymbolicSystem.full_shift(2)
         net = system.chain_net(2)
         half = [i for i, w in enumerate(net.words_) if w[2] == 1]
-    free = system.unshadowed(None, eps, delta, horizon, SearchStats())
+    free = unshadowed(system, None, eps, delta, horizon, SearchStats())
     assert free is not None
     every = net.restrict_to(range(net.n))
-    assert system.unshadowed(None, eps, delta, horizon, SearchStats(), every) == free
+    assert unshadowed(system, None, eps, delta, horizon, SearchStats(), every) == free
     within = net.restrict_to(half)
-    bad = system.unshadowed(None, eps, delta, horizon, SearchStats(), within)
+    bad = unshadowed(system, None, eps, delta, horizon, SearchStats(), within)
     assert bad is not None and bad != free
     assert all(within(p) for p in bad)
     assert find_shadow(system, validate(bad, delta, system), eps) is None
