@@ -356,5 +356,7 @@ ALL = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 
 def run_all(only: Optional[int] = None) -> list:
     if only is not None:
+        if not 1 <= only <= len(ALL):
+            raise ValueError(f"no acceptance criterion {only}: they are 1 to {len(ALL)}")
         return [ALL[only - 1]()]
     return [fn() for fn in ALL]

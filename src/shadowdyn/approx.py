@@ -76,6 +76,8 @@ def approximate_by_positive_entropy_ergodic(
     to 1; the target is the corresponding convex combination of orbit
     measures, all inside the (single, irreducible) chain class.
     """
+    if word_length < 1:
+        raise ValueError("word_length must be at least 1")
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")

@@ -3,6 +3,9 @@
 Subcommands: construct, chain, shadow, horseshoe, entropy, dstar, approx,
 verify, accept.  Rationals are parsed exactly ("p/q" or integers); outputs
 are deterministic JSON (sorted keys) with every claimed number exact.
+Every document goes through ``_emit``: the text of ``json.dumps(doc,
+sort_keys=True, indent=1, default=str)``, written by ``_dumps`` with the
+stdlib's C encoder, to stdout or, the same bytes, to the ``--out`` file.
 
 Exit codes: 0 success / verdict holds, 1 verdict fails (counterexample or
 failed verification), 2 schema or argument error, 3 budget exhaustion.
@@ -42,8 +45,60 @@ def _frac(s: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {s!r}") from err
 
 
+def _dumps(doc) -> str:
+    """The text of ``json.dumps(doc, sort_keys=True, indent=1, default=str)``.
+
+    Any ``indent`` makes the stdlib encode element by element in Python, so
+    only the containers that hold other containers are walked here.  Every
+    container that holds none is encoded in C with the indented separators
+    of its level, which gives the indented text once its brackets are
+    rewrapped; scalars, keys and ``default`` go through the same encoders.
+    """
+    encoders = {}
+
+    def encode(o, level=0):
+        if level not in encoders:
+            encoders[level] = json.JSONEncoder(
+                separators=(",\n" + " " * (level + 1), ": "), sort_keys=True, default=str)
+        return encoders[level].encode(o)
+
+    out = []
+    _write(doc, 0, encode, out)
+    return "".join(out)
+
+
+def _write(o, level, encode, out):
+    """Append the text of ``o`` at nesting ``level`` to ``out``.  (A module
+    function, not a closure of ``_dumps``: a recursive closure is a reference
+    cycle, which would keep ``out`` alive until the cyclic GC runs.)"""
+    is_dict = isinstance(o, dict)
+    if not (is_dict or isinstance(o, (list, tuple))):
+        out.append(encode(o))
+        return
+    inner, outer = "\n" + " " * (level + 1), "\n" + " " * level
+    values = o.values() if is_dict else o
+    if not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values))):
+        text = encode(o, level)
+        out.append(text if len(text) == 2 else text[0] + inner + text[1:-1] + outer + text[-1])
+        return
+    pairs = ([(_key(k, encode), v) for k, v in sorted(o.items())] if is_dict
+             else [("", v) for v in o])
+    out.append("{" if is_dict else "[")
+    for i, (prefix, v) in enumerate(pairs):
+        out.append(("," if i else "") + inner + prefix)
+        _write(v, level + 1, encode, out)
+    out.append(outer + ("}" if is_dict else "]"))
+
+
+def _key(k, encode) -> str:
+    if not isinstance(k, (str, int, float)) and k is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {k.__class__.__name__}")
+    return encode(k if isinstance(k, str) else encode(k)) + ": "
+
+
 def _emit(doc, path=None):
-    text = json.dumps(doc, sort_keys=True, indent=1, default=str)
+    text = _dumps(doc)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")

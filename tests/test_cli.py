@@ -5,9 +5,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowdyn import io as sio
-from shadowdyn.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_SCHEMA, main
+from shadowdyn.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_SCHEMA, _dumps, main
 from shadowdyn.measures import EmpiricalMeasure
 from shadowdyn.systems import SymbolicSystem
 
@@ -330,3 +332,86 @@ def test_net_file_with_a_float_or_bool_exit_code(tmp_path, fig1_file, key, value
     path.write_text(json.dumps(doc))
     assert run_cli("shadow", "--system", str(path), "--eps", "1/36",
                    "--delta", "1/72", "--point", "3") == EXIT_SCHEMA
+
+
+@pytest.mark.parametrize("only", ["0", "11", "-1"])
+def test_accept_criterion_out_of_range_exit_code(only):
+    assert run_cli("accept", "--only", only) == EXIT_SCHEMA
+
+
+@pytest.mark.parametrize("words", ["0", "-1"])
+def test_approx_without_coded_words_exit_code(tmp_path, words, capsys):
+    comp = tmp_path / "components.json"
+    comp.write_text(json.dumps({"components": [[{"period": [0]}, "1"]]}))
+    assert run_cli("approx", "--system", "fullshift:2", "--components", str(comp),
+                   "--eps", "1/5", "--words", words) == EXIT_SCHEMA
+    assert "word_length" in capsys.readouterr().err
+
+
+# -- the document writer ------------------------------------------------------
+
+_LEAVES = st.one_of(
+    st.integers(), st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+    st.booleans(), st.none(),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300]),
+    st.fractions(), st.text(), st.sampled_from(['"\\\n\t\x00', "é ü ∞", "\U0001f600"]))
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5), st.lists(children, max_size=5).map(tuple),
+        *(st.dictionaries(keys, children, max_size=5)
+          for keys in (st.text(), st.integers(), st.floats(), st.booleans())))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(_LEAVES, _containers, max_leaves=30))
+def test_document_writer_matches_indented_json_dumps(doc):
+    assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=1, default=str)
+
+
+@pytest.fixture(scope="module")
+def document_inputs(tmp_path_factory):
+    """The input files of one run of each subcommand that writes a document."""
+    root = tmp_path_factory.mktemp("documents")
+    sigma2 = SymbolicSystem.full_shift(2)
+    files = {"mu": root / "mu.json", "nu": root / "nu.json",
+             "components": root / "components.json", "cert": root / "cert.json"}
+    files["mu"].write_text(json.dumps(sio.measure_to_json(
+        EmpiricalMeasure.point_mass(sigma2.fixed_point(0)))))
+    files["nu"].write_text(json.dumps(sio.measure_to_json(
+        EmpiricalMeasure.from_orbit(sigma2, sigma2.point((0, 1)), 2))))
+    files["components"].write_text(json.dumps({
+        "components": [[{"period": [0]}, "1/2"], [{"period": [0, 1]}, "1/2"]]}))
+    run_cli("horseshoe", "--system", "fullshift:2", "--base", json.dumps({"period": [0]}),
+            "--eps", "1/5", "--delta", "1/16", "--n-max", "40", "--words", "2",
+            "--out", str(files["cert"]))
+    return {k: str(v) for k, v in files.items()}
+
+
+DOCUMENT_RUNS = {
+    "construct": lambda f: ["construct", "fig1", "--net", "12"],
+    "chain": lambda f: ["chain", "--system", "goldenmean", "--delta", "1/8", "--depth", "2"],
+    "shadow": lambda f: ["shadow", "--system", "fullshift:2", "--eps", "1/4", "--delta", "1/2",
+                         "--point", json.dumps({"period": [0]}), "--horizon", "4"],
+    "horseshoe": lambda f: ["horseshoe", "--system", "goldenmean",
+                            "--base", json.dumps({"period": [0]}), "--eps", "1/9",
+                            "--delta", "1/64", "--words", "2"],
+    "entropy": lambda f: ["entropy", "--system", "fullshift:2", "--eps", "3/4", "--n", "1..4"],
+    "dstar": lambda f: ["dstar", "--system", "fullshift:2", "--mu", f["mu"], "--nu", f["nu"]],
+    "approx": lambda f: ["approx", "--system", "fullshift:2", "--components", f["components"],
+                         "--eps", "1/5", "--words", "1"],
+    "verify": lambda f: ["verify", f["cert"], "--system", "fullshift:2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DOCUMENT_RUNS))
+def test_documents_are_indented_json_on_both_sinks(command, document_inputs, tmp_path, capsys):
+    argv = DOCUMENT_RUNS[command](document_inputs)
+    code = main(argv)
+    stdout = capsys.readouterr().out
+    assert stdout == json.dumps(json.loads(stdout), sort_keys=True, indent=1) + "\n"
+    out = tmp_path / "doc.json"
+    assert main(argv + ["--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()

@@ -3,8 +3,9 @@ system protocol instead of testing the kind of a system or point, no module
 imports a name it never uses, every defaulted parameter of a public
 function, constructor or method has a caller that passes it, loop families
 are built only by ``make_family`` (and the certificate loader), ``systems``
-imports nothing from ``shadow_search``, the README's Layout table has one
-row per module, and the short demos run."""
+imports nothing from ``shadow_search``, no JSON call in the package passes
+``indent`` (``cli._emit`` indents documents itself), the README's Layout
+table has one row per module, and the short demos run."""
 
 import ast
 import inspect
@@ -165,6 +166,20 @@ def test_systems_imports_nothing_from_shadow_search():
         if any(m.split(".")[-1] == "shadow_search" for m in modules):
             found.append(node.lineno)
     assert not found, f"systems.py imports from shadow_search on lines {found}"
+
+
+def test_no_indented_json_calls():
+    """An ``indent`` turns the stdlib's C encoder off, so documents have one
+    writer, ``cli._emit``, which indents them itself."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if (isinstance(node, ast.Call)
+                    and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+                    in ("dump", "dumps", "JSONEncoder")
+                    and any(k.arg == "indent" for k in node.keywords)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"JSON calls that pass indent: {found}"
 
 
 def test_readme_layout_has_one_row_per_module():
