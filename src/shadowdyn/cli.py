@@ -186,6 +186,8 @@ def cmd_shadow(args) -> int:
 
 
 def cmd_horseshoe(args) -> int:
+    if min(args.k, args.n_max, args.words) < 1:
+        raise ValueError("--k, --n-max and --words must be at least 1")
     system = _system_arg(args.system)
     base = _point_arg(args.base, system)
     fam = find_loop_family(base, args.eps, args.delta, args.n_max, args.k, system)

@@ -13,6 +13,17 @@ map.  ``HorseshoeCertificate.check`` is the one rule for a valid
 certificate; ``verify`` runs it on a certificate loaded from a document.
 It traces each coded word once and reads the semiconjugacy (the n-th
 iterate of a word's point traces the word's tail) off that pass.
+
+A word's pseudo-orbit is a chain of junction pieces: loop s's body
+followed by the point the word goes to next (the next loop's first point,
+or loop s's own end after the last letter), so a family has at most
+k^2 + k pieces.  On a shift (the system's ``piece_coding``) each piece is
+glued once, a word's shadow is the closure of its pieces' joined glue and
+a trace is one byte comparison against it; and since the shift's distance
+is an ultrametric, two traced words of a verified family are more than
+4 eps - 2 eps = 2 eps apart at their loops' witness index, so the
+separation check tests points only for pairs with an untraced word.  A net
+traces each word point by point and tests every pair.
 """
 
 from __future__ import annotations
@@ -70,7 +81,7 @@ class LoopFamily:
         return self.loops[0].step_count
 
     def reverify(self) -> bool:
-        if any(lp.kind != "loop" or lp.start != self.base for lp in self.loops):
+        if any(lp.kind != "loop" or not lp.start == lp.end == self.base for lp in self.loops):
             return False
         if len({lp.step_count for lp in self.loops}) != 1:
             return False
@@ -192,6 +203,41 @@ class HorseshoeCertificate:
         return (tuple(itertools.chain.from_iterable(loops[s].points[:-1] for s in word))
                 + loops[word[-1]].points[-1:])
 
+    def _coding(self) -> tuple:
+        """(shadow(word), traces(z, word), witnessed) at the family's epsilon.
+
+        Each word is the chain of its junction pieces, keyed (s, x) for
+        loop s's body followed by the point x the word goes to next; two
+        consecutive pieces share x, as every loop has a step.  With
+        the system's ``piece_coding`` (a shift) each piece is glued once
+        and ``witnessed`` is True: two traced words of a verified family
+        are separated at their loops' witness index.  Otherwise each word's
+        points are shadowed and traced one by one."""
+        fam = self.family
+        system, eps = fam.system, fam.epsilon
+        heads = [lp.points[0] for lp in fam.loops]
+        ends = [lp.points[-1] for lp in fam.loops]
+        pieces = {(s, x): lp.points[:-1] + (x,)
+                  for s, lp in enumerate(fam.loops) for x in (*heads, ends[s])}
+        coding = system.piece_coding(pieces, eps)
+        if coding is None:
+            def shadow(word):
+                witness = find_shadow(system, self.word_points(word), eps)
+                return None if witness is None else witness.shadow_point
+
+            def traces(z, word) -> bool:
+                return shadows(system, z, self.word_points(word), eps) is not None
+
+            return shadow, traces, False
+        shadow_chain, traces_chain = coding
+
+        def chain(word) -> list:
+            return ([(s, heads[t]) for s, t in zip(word, word[1:])]
+                    + [(word[-1], ends[word[-1]])])
+
+        return (lambda word: shadow_chain(chain(word)),
+                lambda z, word: traces_chain(z, chain(word)), True)
+
     def check(self) -> dict:
         """Re-check every stored invariant: loop validity and separation
         witnesses, the tracing clause for all coded words (every loop word up
@@ -199,26 +245,31 @@ class HorseshoeCertificate:
         the separation counts and the entropy stamp.  The details name the
         untraced words and the first missing words, shortest first.
 
-        When every loop has n steps, a point that traces a word a.w' traces
-        w' from its n-th iterate, so semiconjugacy traces again only the
-        tails of the untraced words, and of every word when the family fails."""
+        Each coded point is traced once (``_coding``: on a shift one byte
+        comparison against its word's joined piece glue).  When every loop
+        has n steps, a point that traces a word a.w' traces w' from its
+        n-th iterate, so semiconjugacy traces again only the tails of the
+        untraced words, and of every word when the family fails.  On a
+        witnessed coding with a valid family, separation tests points only
+        for the pairs with an untraced word; otherwise it tests every
+        pair."""
         fam = self.family
-        system, eps = fam.system, fam.epsilon
+        system = fam.system
+        _, traces, witnessed = self._coding()
         words = sorted(self.coded)
-        untraced = [w for w in words
-                    if shadows(system, self.coded[w], self.word_points(w), eps) is None]
+        untraced = [w for w in words if not traces(self.coded[w], w)]
         missing = [list(w) for w in itertools.islice(
             (w for w in loop_words(fam.k, self.word_length_max) if w not in self.coded),
             _MISSING_SHOWN)]
         family = fam.reverify()
+        traced = set(words).difference(untraced) if family and witnessed else set()
         checks = {
             "family": family,
             "tracing": not untraced and not missing,
             "semiconjugacy": all(
-                shadows(system, system.iterate(self.coded[w], fam.n),
-                        self.word_points(w[1:]), eps) is not None
+                traces(system.iterate(self.coded[w], fam.n), w[1:])
                 for w in (untraced if family else words) if len(w) > 1),
-            "separated_counts": all(self.separated_pair_count(length) == fam.k ** length
+            "separated_counts": all(self._separated_count(length, traced) == fam.k ** length
                                     for length in sorted({len(w) for w in self.coded})),
             "entropy_bound": (self.entropy_log_arg, self.entropy_divisor) == (fam.k, fam.n),
         }
@@ -233,6 +284,12 @@ class HorseshoeCertificate:
         """The number of coded words of the given length (k^length for a sound
         certificate) when each two are more than 2 epsilon apart at the
         witness index of the loops where they first differ, else -1."""
+        return self._separated_count(length, set())
+
+    def _separated_count(self, length: int, traced: set) -> int:
+        """``separated_pair_count`` with no test of a pair of two words in
+        ``traced``: words known to be traced by their coded points, on a
+        witnessed coding of a family that verifies."""
         fam = self.family
         system, n = fam.system, fam.n
         close = system.closeness(2 * fam.epsilon)
@@ -240,7 +297,10 @@ class HorseshoeCertificate:
         for w in fam.witnesses:
             index.setdefault((min(w.loop_a, w.loop_b), max(w.loop_a, w.loop_b)), w.index)
         words = [w for w in self.coded if len(w) == length]
-        for wa, wb in itertools.combinations(words, 2):
+        tested = [w for w in words if w not in traced]
+        pairs = itertools.chain(itertools.combinations(tested, 2),
+                                itertools.product(tested, [w for w in words if w in traced]))
+        for wa, wb in pairs:
             s = next(i for i in range(length) if wa[i] != wb[i])
             i = index.get((min(wa[s], wb[s]), max(wa[s], wb[s])))
             if i is None:
@@ -254,14 +314,17 @@ class HorseshoeCertificate:
 
 def build_certificate(family: LoopFamily, word_length_max: int) -> HorseshoeCertificate:
     """Shadow every loop word with |w| <= word_length_max at the family's
-    epsilon.  Aborts with the offending word when some word's loops admit
-    no shadow (a falsification at this resolution)."""
+    epsilon (``HorseshoeCertificate._coding``: on a shift the closure of
+    the word's joined piece glue).  Aborts with the offending word when
+    some word's loops admit no shadow (a falsification at this
+    resolution)."""
     cert = HorseshoeCertificate(family, word_length_max, {}, family.k, family.n)
+    shadow, _, _ = cert._coding()
     for word in loop_words(family.k, word_length_max):
-        witness = find_shadow(family.system, cert.word_points(word), family.epsilon)
-        if witness is None:
+        z = shadow(word)
+        if z is None:
             raise CertificateAborted(word)
-        cert.coded[word] = witness.shadow_point
+        cert.coded[word] = z
     return cert
 
 

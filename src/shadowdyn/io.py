@@ -227,16 +227,17 @@ def _is_index(v, n: int) -> bool:
 
 def certificate_from_json(doc, system) -> HorseshoeCertificate:
     """The certificate a document holds.  Beyond the schema and the hash,
-    every index it carries is checked: at least one loop, a witness when
-    there are two or more, witness loops and indices inside the loops, and
-    coded words that are nonempty lists of loop indices."""
+    every index it carries is checked: a word length of at least 1, at
+    least one loop, a witness when there are two or more, witness loops and
+    indices inside the loops, and coded words that are nonempty lists of
+    loop indices."""
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_CERT:
         raise SchemaError("not a horseshoe certificate document")
     body = {k: v for k, v in doc.items() if k != "sha256"}
     if doc.get("sha256") != _payload_hash(body):
         raise SchemaError("certificate payload hash mismatch")
-    if not _is_int(doc.get("word_length_max")):
-        raise SchemaError("'word_length_max' must be an integer")
+    if not (_is_int(doc.get("word_length_max")) and doc["word_length_max"] >= 1):
+        raise SchemaError("'word_length_max' must be an integer of at least 1")
     entropy = doc.get("entropy")
     if not (isinstance(entropy, dict) and _is_int(entropy.get("log_arg"))
             and _is_int(entropy.get("divisor"))):

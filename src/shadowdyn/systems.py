@@ -34,6 +34,11 @@ never test the kind of a system or point:
   whether the glued windows are still consistent; None when every
   pseudo-orbit is shadowed) and ``universe``, the stamp of the quantified
   universe;
+* chains of pieces: ``piece_coding(pieces, eps)`` shadows and traces
+  sequences built by chaining point sequences that share their junction
+  points (a horseshoe word is its loops' junction pieces), on a shift from
+  each piece's glued word, joined; None on a net, which traces point by
+  point and whose metric may be unchecked;
 * cylinders (shifts only): ``cylinders(lo, hi, x, fixed)`` lists the
   admissible words on a window, each with its periodic closure, and
   ``successor_candidates`` those near a point's image; every symbolic
@@ -777,6 +782,48 @@ class SymbolicSystem:
             "glued candidate must shadow by construction"
         return z
 
+    def piece_coding(self, pieces: dict, eps: Fraction) -> Optional[tuple]:
+        """(shadow, traces) for chains of pieces at 0 < eps < 1, else None.
+
+        ``pieces`` maps a key to a point sequence; a chain is a nonempty
+        list of keys, each piece starting at the point where the one
+        before it ends, and stands for the first piece followed by each
+        later one without its first point.  ``shadow(chain)`` is
+        ``shadow(points, eps)`` and ``traces(z, chain)`` is
+        ``traces(z, points, eps)`` of those points.
+
+        The shared junction point fixes the window |j| <= rho on both of
+        its sides, so ``glue_constraints`` of a chain is the first piece's
+        glue followed by each later piece's glue without its first
+        2 rho + 1 bytes, and None iff some piece's glue is None, whatever
+        the pieces' lengths.  Each piece is glued once here, and a chain
+        costs one join; every piece point is checked against the alphabet
+        once, and a traced point on each call.  The shift's distance is
+        an ultrametric, so points that trace two sequences more than
+        4 eps apart at an index are more than 2 eps apart there.
+        """
+        if not 0 < eps < 1:
+            return None
+        self._check_symbols([p for pts in pieces.values() for p in pts])
+        rho = dyadic_radius(eps) - 1
+        glued = {key: glue_constraints(pts, rho) for key, pts in pieces.items()}
+        tails = {key: word[2 * rho + 1:] for key, word in glued.items() if word is not None}
+
+        def glue(chain) -> Optional[bytes]:
+            parts = [glued[chain[0]], *map(tails.get, chain[1:])]
+            return None if None in parts else b"".join(parts)
+
+        def shadow(chain) -> Optional[SymbolicPoint]:
+            word = glue(chain)
+            return None if word is None else self.periodic_closure(word, anchor=-rho)
+
+        def traces(z: SymbolicPoint, chain) -> bool:
+            self._check_alphabet(z, z)
+            word = glue(chain)
+            return word is not None and z._symbols(-rho, len(word)) == word
+
+        return shadow, traces
+
     def shadow_steps(self, eps: Fraction, delta: Fraction):
         """The steps of the shadowability search (``shadow_search.unshadowed``),
         or None when every delta-pseudo-orbit is eps-shadowed: eps >= 1,
@@ -1281,6 +1328,12 @@ class NetSystem:
         for x in reversed(pts):
             ok = (self._imat[:, x] <= t) & ok[fmap]
         return int(ok.argmax()) if ok.any() else None
+
+    def piece_coding(self, pieces: dict, eps: Fraction) -> None:
+        """None: a net shadows and traces each chain's points one by one
+        (``shadow``, ``traces``), and with ``metric_check="skip"`` its
+        distances need not satisfy the triangle inequality."""
+        return None
 
     def shadow_steps(self, eps: Fraction, delta: Fraction):
         """The steps of the shadowability search (``shadow_search.unshadowed``):

@@ -348,6 +348,31 @@ def test_approx_without_coded_words_exit_code(tmp_path, words, capsys):
     assert "word_length" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--words", "0"), ("--words", "-2"), ("--k", "0"),
+                                        ("--k", "-1"), ("--n-max", "0")])
+def test_horseshoe_counts_below_one_exit_code(flag, value, capsys):
+    # a wordless certificate would verify vacuously, and no family has no loop
+    assert run_cli("horseshoe", "--system", "goldenmean", "--base", json.dumps({"period": [0]}),
+                   "--eps", "1/9", "--delta", "1/64", flag, value) == EXIT_SCHEMA
+    out = capsys.readouterr()
+    assert out.out == "" and "at least 1" in out.err
+
+
+@pytest.mark.parametrize("word_length_max", [0, -2])
+def test_verify_rejects_a_wordless_certificate(tmp_path, word_length_max, capsys):
+    cert = tmp_path / "cert.json"
+    assert run_cli("horseshoe", "--system", "goldenmean", "--base", json.dumps({"period": [0]}),
+                   "--eps", "1/9", "--delta", "1/64", "--words", "1",
+                   "--out", str(cert)) == EXIT_OK
+    doc = json.loads(cert.read_text())
+    doc["word_length_max"], doc["coded"] = word_length_max, []
+    doc["sha256"] = sio._payload_hash({k: v for k, v in doc.items() if k != "sha256"})
+    cert.write_text(json.dumps(doc))
+    assert run_cli("verify", str(cert), "--system", "goldenmean") == EXIT_SCHEMA
+    out = capsys.readouterr()
+    assert out.out == "" and "word_length_max" in out.err
+
+
 # -- the document writer ------------------------------------------------------
 
 _LEAVES = st.one_of(

@@ -6,7 +6,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shadowdyn import systems
 from shadowdyn.cli import _named_system
 from shadowdyn.horseshoe import (
     CertificateAborted,
@@ -22,9 +25,9 @@ from shadowdyn.horseshoe import (
     sensitive_recipe,
     separation_witness,
 )
-from shadowdyn.pseudo_orbits import connect, orbit_segment, repeat, validate
+from shadowdyn.pseudo_orbits import PseudoOrbit, connect, orbit_segment, repeat, validate
 from shadowdyn.shadow_search import find_shadow, shadows
-from shadowdyn.systems import SymbolicSystem, circle_net
+from shadowdyn.systems import SymbolicPoint, SymbolicSystem, circle_net, glue_constraints
 
 F = Fraction
 
@@ -307,6 +310,92 @@ def test_doubled_loop_breaks_semiconjugacy_though_every_word_traces(sigma2):
     assert _assert_rules_agree(cert) == {
         "family": False, "tracing": True, "semiconjugacy": False,
         "separated_counts": False, "entropy_bound": True}
+
+
+# -- the piece coding against the per-word glue ------------------------------------
+
+
+def _points(draw, alphabet):
+    """A list of 2 to 5 symbolic points (a loop has at least one step):
+    mostly consecutive shifts of one drawn point, so that their windows
+    glue, with some drawn afresh, so that windows conflict."""
+    word = draw(st.lists(st.integers(0, alphabet - 1), max_size=10))
+    period = draw(st.lists(st.integers(0, alphabet - 1), min_size=1, max_size=3))
+    p = SymbolicPoint(period, word, draw(st.integers(-6, 6)))
+    pts = []
+    for _ in range(draw(st.integers(2, 5))):
+        if draw(st.integers(0, 4)) == 0:
+            p = SymbolicPoint(draw(st.lists(st.integers(0, alphabet - 1), min_size=1,
+                                            max_size=3)), (), draw(st.integers(-3, 3)))
+        pts.append(p)
+        p = p.shift(1)
+    return pts
+
+
+@st.composite
+def _loose_families(draw):
+    """(family, rho): one to three point lists of unequal lengths taken as
+    loops at the first one's start, unvalidated, so loops leave the base
+    and windows conflict, at eps = 2^-(rho + 1)."""
+    name = draw(st.sampled_from(["fullshift:2", "fullshift:3", "goldenmean"]))
+    system = _named_system(name)
+    rho = draw(st.integers(0, 3))
+    loops = tuple(PseudoOrbit(system, tuple(_points(draw, system.alphabet_size)), F(1), "loop")
+                  for _ in range(draw(st.integers(1, 3))))
+    return LoopFamily(system, loops[0].start, loops, F(1), F(1, 2 ** (rho + 1)), ()), rho
+
+
+@settings(max_examples=300, deadline=None)
+@given(_loose_families())
+def test_piece_coding_equals_the_per_word_glue(family_rho):
+    """A word's joined piece glue is ``glue_constraints`` of its points: the
+    shadow is the closure of that glue, whose bytes on the full window are
+    the glue itself (None exactly when the glue or its closure is None), and
+    a point traces the word iff it does so point by point."""
+    fam, rho = family_rho
+    system = fam.system
+    cert = HorseshoeCertificate(fam, 3, {}, fam.k, 1)
+    shadow, traces, witnessed = cert._coding()
+    assert witnessed
+    probes = [pt for lp in fam.loops for pt in lp.points]
+    for word in loop_words(fam.k, 3):
+        pts = cert.word_points(word)
+        glued = glue_constraints(pts, rho)
+        z = shadow(word)
+        if glued is None:
+            assert z is None
+        else:
+            assert z == system.periodic_closure(glued, anchor=-rho)
+            assert z is None or z._symbols(-rho, len(glued)) == glued
+        assert z == system.shadow(pts, fam.epsilon)
+        if z is not None:
+            probes.append(z)
+        for p in probes[-6:]:
+            assert traces(p, word) == system.traces(p, pts, fam.epsilon)
+
+
+def test_certificate_glues_each_piece_once(monkeypatch):
+    """On the benchmark's repeated goldenmean 0* (1/9, 1/64) --words 4
+    family, building and checking each glue at most k^2 + k pieces, and a
+    valid certificate makes no point comparison to count separated words."""
+    gm = SymbolicSystem.golden_mean()
+    fam = find_loop_family(gm.point((0,)), F(1, 9), F(1, 64), 64, 2, gm)
+    glue, closeness = systems.glue_constraints, SymbolicSystem.closeness
+    glued, compared = [], []
+    monkeypatch.setattr(systems, "glue_constraints",
+                        lambda pts, rho: glued.append(len(pts)) or glue(pts, rho))
+
+    def counting_closeness(self, eps):
+        close = closeness(self, eps)
+        return lambda a, b: compared.append(eps) or close(a, b)
+
+    monkeypatch.setattr(SymbolicSystem, "closeness", counting_closeness)
+    cert = build_certificate(fam, word_length_max=4)
+    assert len(cert.coded) == 30 and len(glued) <= fam.k ** 2 + fam.k
+    glued.clear()
+    assert cert.check()["ok"]
+    assert len(glued) <= fam.k ** 2 + fam.k
+    assert compared == []
 
 
 def test_nonminimal_recipe_inapplicable_on_singleton():

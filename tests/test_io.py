@@ -1,5 +1,7 @@
 import copy
+import itertools
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -11,10 +13,18 @@ from shadowdyn import cli
 from shadowdyn import io as sio
 from shadowdyn.builders import dense_shadowable_example, fig1_circle
 from shadowdyn.finitize import CylinderNet
-from shadowdyn.horseshoe import build_certificate, find_loop_family, make_family
+from shadowdyn.horseshoe import (
+    HorseshoeCertificate,
+    LoopFamily,
+    build_certificate,
+    find_loop_family,
+    loop_words,
+    make_family,
+)
 from shadowdyn.measures import EmpiricalMeasure
-from shadowdyn.pseudo_orbits import concatenate, connect, validate
-from shadowdyn.systems import NetSystem, SymbolicSystem, circle_net
+from shadowdyn.pseudo_orbits import PseudoOrbit, concatenate, connect, validate
+from shadowdyn.shadow_search import shadows
+from shadowdyn.systems import NetSystem, SymbolicPoint, SymbolicSystem, circle_net
 
 F = Fraction
 
@@ -267,6 +277,110 @@ def test_verify_report_on_tampered_certificate(words3_documents, name, edit):
     checks = dict(ALL_TRUE, **dict.fromkeys(failing, False))
     assert sio.verify_certificate(doc, TAMPER_SYSTEMS[name][0]) == {
         "ok": not failing, "checks": checks, "details": details}
+
+
+def _per_word_report(cert):
+    """The certificate check with one trace of every word's own points and
+    a point test of every pair of words of each length (the rule before
+    junction pieces and witness-read separation)."""
+    fam = cert.family
+    system, eps = fam.system, fam.epsilon
+    words = sorted(cert.coded)
+    untraced = [w for w in words
+                if shadows(system, cert.coded[w], cert.word_points(w), eps) is None]
+    missing = [list(w) for w in itertools.islice(
+        (w for w in loop_words(fam.k, cert.word_length_max) if w not in cert.coded), 8)]
+    family = fam.reverify()
+
+    def separated(length):
+        close = system.closeness(2 * eps)
+        index = {}
+        for w in fam.witnesses:
+            index.setdefault((min(w.loop_a, w.loop_b), max(w.loop_a, w.loop_b)), w.index)
+        same = [w for w in cert.coded if len(w) == length]
+        for wa, wb in itertools.combinations(same, 2):
+            s = next(i for i in range(length) if wa[i] != wb[i])
+            i = index.get((min(wa[s], wb[s]), max(wa[s], wb[s])))
+            if i is None or close(system.iterate(cert.coded[wa], s * fam.n + i),
+                                  system.iterate(cert.coded[wb], s * fam.n + i)):
+                return -1
+        return len(same)
+
+    checks = {
+        "family": family,
+        "tracing": not untraced and not missing,
+        "semiconjugacy": all(
+            shadows(system, system.iterate(cert.coded[w], fam.n),
+                    cert.word_points(w[1:]), eps) is not None
+            for w in (untraced if family else words) if len(w) > 1),
+        "separated_counts": all(separated(length) == fam.k ** length
+                                for length in sorted({len(w) for w in cert.coded})),
+        "entropy_bound": (cert.entropy_log_arg, cert.entropy_divisor) == (fam.k, fam.n),
+    }
+    details = {}
+    if untraced:
+        details["tracing_failures"] = [list(w) for w in untraced]
+    if missing:
+        details["missing_words"] = missing
+    return {"ok": all(checks.values()), "checks": checks, "details": details}
+
+
+def _flip(p, j):
+    """The binary point p with the symbol at coordinate j flipped."""
+    m = len(p.period)
+    lo = p.offset - m * (1 + max(0, p.offset - j) // m)
+    hi = p.offset + len(p.word) + m * (1 + max(0, j - p.offset - len(p.word)) // m)
+    word = list(p.window(lo, hi - 1))
+    word[j - lo] ^= 1
+    return SymbolicPoint(p.period, word, lo)
+
+
+def _one_symbol_edits(cert, system, rng):
+    """A copy of the certificate with one to three admissible one-symbol
+    edits of coded points (anywhere on their word's window) or of loop
+    points (near coordinate 0, first and last points included)."""
+    fam = cert.family
+    coded = dict(cert.coded)
+    loops = [list(lp.points) for lp in fam.loops]
+    for _ in range(rng.randint(1, 3)):
+        if rng.randrange(2):
+            w = rng.choice(sorted(coded))
+            q = _flip(coded[w], rng.randint(-4, len(w) * fam.n + 4))
+            if system.admissible(q):
+                coded[w] = q
+        else:
+            pts = rng.choice(loops)
+            i = rng.randrange(len(pts))
+            q = _flip(pts[i], rng.randint(-4, 4))
+            if system.admissible(q):
+                pts[i] = q
+    family = LoopFamily(system, fam.base,
+                        tuple(PseudoOrbit(system, tuple(pts), fam.delta, "loop") for pts in loops),
+                        fam.delta, fam.epsilon, fam.witnesses)
+    return HorseshoeCertificate(family, cert.word_length_max, coded,
+                                cert.entropy_log_arg, cert.entropy_divisor)
+
+
+@pytest.mark.parametrize("name", TAMPER_SYSTEMS)
+def test_check_equals_the_per_word_report(words3_documents, name):
+    """On every tampered document and on random one-symbol edits of coded
+    and loop points, the report is the one the per-word rule gives."""
+    system = TAMPER_SYSTEMS[name][0]
+    for apply, _, _ in TAMPER_REPORTS.values():
+        doc = copy.deepcopy(words3_documents[name])
+        apply(doc)
+        doc["sha256"] = sio._payload_hash({k: v for k, v in doc.items() if k != "sha256"})
+        cert = sio.certificate_from_json(doc, system)
+        assert cert.check() == _per_word_report(cert)
+    cert = sio.certificate_from_json(words3_documents[name], system)
+    rng = random.Random(28)
+    seen = set()
+    for _ in range(120):
+        edited = _one_symbol_edits(cert, system, rng)
+        report = edited.check()
+        assert report == _per_word_report(edited)
+        seen.add(tuple(report["checks"].values()))
+    assert len(seen) > 3
 
 
 # -- the rational grammar --------------------------------------------------------

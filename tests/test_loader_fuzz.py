@@ -124,6 +124,25 @@ def test_mutated_documents_load_or_raise_value_error(name, data):
         pass
 
 
+# name -> (loader, edit): documents that load without a crash but must be
+# refused, since their check would pass vacuously
+REFUSED = {
+    "wordless-certificate": ("certificate", lambda d: d.update(word_length_max=0, coded=[])),
+    "negative-word-length": ("certificate", lambda d: d.update(word_length_max=-2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_refused_documents_raise_schema_errors(name):
+    loader, edit = REFUSED[name]
+    doc, load = LOADERS[loader]
+    doc = copy.deepcopy(doc)
+    edit(doc)
+    doc["sha256"] = sio._payload_hash({k: v for k, v in doc.items() if k != "sha256"})
+    with pytest.raises(sio.SchemaError):
+        load(doc)
+
+
 @pytest.mark.parametrize("name", sorted(LOADERS))
 def test_valid_documents_load(name):
     doc, load = LOADERS[name]
