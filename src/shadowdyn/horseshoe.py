@@ -14,16 +14,14 @@ certificate; ``verify`` runs it on a certificate loaded from a document.
 It traces each coded word once and reads the semiconjugacy (the n-th
 iterate of a word's point traces the word's tail) off that pass.
 
-A word's pseudo-orbit is a chain of junction pieces: loop s's body
-followed by the point the word goes to next (the next loop's first point,
-or loop s's own end after the last letter), so a family has at most
-k^2 + k pieces.  On a shift (the system's ``piece_coding``) each piece is
-glued once, a word's shadow is the closure of its pieces' joined glue and
-a trace is one byte comparison against it; and since the shift's distance
-is an ultrametric, two traced words of a verified family are more than
-4 eps - 2 eps = 2 eps apart at their loops' witness index, so the
-separation check tests points only for pairs with an untraced word.  A net
-traces each word point by point and tests every pair.
+A word's pseudo-orbit is a chain of at most k^2 + k junction pieces:
+loop s's body followed by the point the word goes to next.  On a shift
+(``piece_coding``) each piece is glued once, and a word's shadow and trace
+come from its pieces' joined glue.  The shift's distance is an
+ultrametric, so two traced words of a verified family are more than
+4 eps - 2 eps = 2 eps apart at their loops' witness index, and separation
+tests points only for pairs with an untraced word.  A net traces each
+word point by point and tests every pair.
 """
 
 from __future__ import annotations
@@ -208,18 +206,20 @@ class HorseshoeCertificate:
 
         Each word is the chain of its junction pieces, keyed (s, x) for
         loop s's body followed by the point x the word goes to next; two
-        consecutive pieces share x, as every loop has a step.  With
-        the system's ``piece_coding`` (a shift) each piece is glued once
-        and ``witnessed`` is True: two traced words of a verified family
-        are separated at their loops' witness index.  Otherwise each word's
-        points are shadowed and traced one by one."""
+        consecutive pieces share x when every loop has a step.  With the
+        system's ``piece_coding`` (a shift) each piece is glued once and
+        ``witnessed`` is True: two traced words of a verified family are
+        separated at their loops' witness index.  Otherwise, or when a
+        loop has no step, each word's points are shadowed and traced one
+        by one."""
         fam = self.family
         system, eps = fam.system, fam.epsilon
         heads = [lp.points[0] for lp in fam.loops]
         ends = [lp.points[-1] for lp in fam.loops]
         pieces = {(s, x): lp.points[:-1] + (x,)
                   for s, lp in enumerate(fam.loops) for x in (*heads, ends[s])}
-        coding = system.piece_coding(pieces, eps)
+        coding = (system.piece_coding(pieces, eps)
+                  if all(lp.step_count for lp in fam.loops) else None)
         if coding is None:
             def shadow(word):
                 witness = find_shadow(system, self.word_points(word), eps)

@@ -785,23 +785,18 @@ class SymbolicSystem:
     def piece_coding(self, pieces: dict, eps: Fraction) -> Optional[tuple]:
         """(shadow, traces) for chains of pieces at 0 < eps < 1, else None.
 
-        ``pieces`` maps a key to a point sequence; a chain is a nonempty
-        list of keys, each piece starting at the point where the one
-        before it ends, and stands for the first piece followed by each
-        later one without its first point.  ``shadow(chain)`` is
-        ``shadow(points, eps)`` and ``traces(z, chain)`` is
-        ``traces(z, points, eps)`` of those points.
-
-        The shared junction point fixes the window |j| <= rho on both of
-        its sides, so ``glue_constraints`` of a chain is the first piece's
-        glue followed by each later piece's glue without its first
-        2 rho + 1 bytes, and None iff some piece's glue is None, whatever
-        the pieces' lengths.  Each piece is glued once here, and a chain
-        costs one join; every piece point is checked against the alphabet
-        once, and a traced point on each call.  The shift's distance is
-        an ultrametric, so points that trace two sequences more than
-        4 eps apart at an index are more than 2 eps apart there.
-        """
+        ``pieces`` maps keys to point sequences.  A chain, a list of keys
+        whose each piece starts where the one before it ends, stands for
+        the first piece followed by each later one without its first
+        point; ``shadow(chain)`` and ``traces(z, chain)`` are ``shadow``
+        and ``traces`` of those points.  The shared junction point fixes
+        the window |j| <= rho on both of its sides, so the chain's glue is
+        the first piece's glue followed by each later one's without its
+        first 2 rho + 1 bytes, and None iff some piece's glue is None,
+        whatever the pieces' lengths: each piece is glued, and its points
+        checked against the alphabet, once.  The shift's distance is an
+        ultrametric, so points tracing two sequences more than 4 eps apart
+        at an index are more than 2 eps apart there."""
         if not 0 < eps < 1:
             return None
         self._check_symbols([p for pts in pieces.values() for p in pts])

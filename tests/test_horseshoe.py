@@ -316,14 +316,14 @@ def test_doubled_loop_breaks_semiconjugacy_though_every_word_traces(sigma2):
 
 
 def _points(draw, alphabet):
-    """A list of 2 to 5 symbolic points (a loop has at least one step):
-    mostly consecutive shifts of one drawn point, so that their windows
-    glue, with some drawn afresh, so that windows conflict."""
+    """A list of 1 to 5 symbolic points: mostly consecutive shifts of one
+    drawn point, so that their windows glue, with some drawn afresh, so
+    that windows conflict."""
     word = draw(st.lists(st.integers(0, alphabet - 1), max_size=10))
     period = draw(st.lists(st.integers(0, alphabet - 1), min_size=1, max_size=3))
     p = SymbolicPoint(period, word, draw(st.integers(-6, 6)))
     pts = []
-    for _ in range(draw(st.integers(2, 5))):
+    for _ in range(draw(st.integers(1, 5))):
         if draw(st.integers(0, 4)) == 0:
             p = SymbolicPoint(draw(st.lists(st.integers(0, alphabet - 1), min_size=1,
                                             max_size=3)), (), draw(st.integers(-3, 3)))
@@ -335,8 +335,8 @@ def _points(draw, alphabet):
 @st.composite
 def _loose_families(draw):
     """(family, rho): one to three point lists of unequal lengths taken as
-    loops at the first one's start, unvalidated, so loops leave the base
-    and windows conflict, at eps = 2^-(rho + 1)."""
+    loops at the first one's start, unvalidated, so loops leave the base,
+    windows conflict and a loop may have no step, at eps = 2^-(rho + 1)."""
     name = draw(st.sampled_from(["fullshift:2", "fullshift:3", "goldenmean"]))
     system = _named_system(name)
     rho = draw(st.integers(0, 3))
@@ -356,7 +356,7 @@ def test_piece_coding_equals_the_per_word_glue(family_rho):
     system = fam.system
     cert = HorseshoeCertificate(fam, 3, {}, fam.k, 1)
     shadow, traces, witnessed = cert._coding()
-    assert witnessed
+    assert witnessed == all(lp.step_count for lp in fam.loops)
     probes = [pt for lp in fam.loops for pt in lp.points]
     for word in loop_words(fam.k, 3):
         pts = cert.word_points(word)
