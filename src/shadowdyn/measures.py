@@ -8,16 +8,19 @@ checked on it are implied by the exact statements.
 
 The arithmetic is exact and integer.  A measure holds its weights as
 integer counts over one denominator (the lcm of its weights'
-denominators).  A test family keeps one cache, per point y: the tent
-vector, for every function j (radius a/b, centre p) the numerator
+denominators).  A test family keeps two memos.  Per point y it keeps the
+tent vector: for every function j (radius a/b, centre p) the numerator
 max(0, a D - b n) of phi_j(y) = max(0, a D - b n) / (D (a + b)), where
-n / D is d(y, p) over the lcm D of y's distances to the centres.
-``integrals`` reads a measure in one pass: it scales each atom's vector to
-one common denominator and adds count x vector, giving the integrals of all
-functions as integers.  ``dstar`` compares the two measures' vectors in one
-``zip`` against per-family weights 2^-(j+1) / (a + b) over a common
-denominator, and builds a single ``Fraction`` at the end, equal to the
-rational sum; ``value`` and ``integral`` read the same cache.
+n / D is d(y, p) over the lcm D of y's distances to the centres.  Per
+measure, keyed by its ``(points, counts)`` (which fix its denominator), it
+keeps the integral vector: ``integrals`` reads a measure once, scaling each
+atom's tent vector to one common denominator and adding count x vector,
+which gives the integrals of all functions as integers, and returns the
+kept tuple for every equal measure after that.  ``dstar`` compares the two
+measures' vectors in one ``zip`` against per-family weights
+2^-(j+1) / (a + b) over a common denominator, and builds a single
+``Fraction`` at the end, equal to the rational sum; ``value`` and
+``integral`` read the same memos.
 """
 
 from __future__ import annotations
@@ -153,7 +156,12 @@ class TestFunctionFamily:
                  size: int = 24):
         self.system = system
         self.centers = tuple(centers)
-        self.radii = tuple(Fraction(r) for r in (radii or (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))))
+        self.radii = (tuple(map(Fraction, radii)) if radii is not None
+                      else (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)))
+        if not self.radii:
+            raise ValueError("the family needs at least one radius")
+        if min(self.radii) <= 0:
+            raise ValueError("radii must be positive")
         if size < 1:
             raise ValueError("family size must be positive")
         if size > len(self.centers) * len(self.radii):
@@ -173,6 +181,8 @@ class TestFunctionFamily:
         # the one vector of every point whose tents all vanish
         self._zero = ((0,) * size, 1)
         self._tents: dict = {}
+        # (points, counts) of a measure -> its integrals
+        self._integrals: dict = {}
 
     @classmethod
     def for_system(cls, system, size: int = 24, depth: int = 2,
@@ -211,11 +221,20 @@ class TestFunctionFamily:
         return Fraction(tents[j - 1], den * (r.numerator + r.denominator))
 
     def integrals(self, mu: EmpiricalMeasure) -> tuple:
-        """(sums, s): the integrals of all functions against mu in one pass
-        over its atoms, function j's (radius a/b) being
-        sums[j-1] / (s (a + b)); sums adds count x (D / D_y) x tents over
-        the atoms y, D the lcm of their vectors' denominators D_y.  Atoms
-        whose tents all vanish add nothing and are skipped."""
+        """(sums, s): the integrals of all functions against mu, function
+        j's (radius a/b) being sums[j-1] / (s (a + b)), with sums a tuple.
+        Computed once per measure: equal measures share the result."""
+        key = (mu.points, mu.counts)
+        result = self._integrals.get(key)
+        if result is None:
+            result = self._integrals[key] = self._integrate(mu)
+        return result
+
+    def _integrate(self, mu: EmpiricalMeasure) -> tuple:
+        """``integrals`` in one pass over mu's atoms: sums adds
+        count x (D / D_y) x tents over the atoms y, D the lcm of their
+        vectors' denominators D_y.  Atoms whose tents all vanish add
+        nothing and are skipped."""
         zero = self._zero
         live = [(count, vector) for count, vector
                 in zip(mu.counts, map(self._tent_vector, mu.points)) if vector is not zero]
@@ -223,8 +242,8 @@ class TestFunctionFamily:
             return zero[0], mu.denominator
         den = math.lcm(*(d for _, (_, d) in live))
         scales = [count * (den // d) for count, (_, d) in live]
-        sums = [sum(map(mul, scales, column))
-                for column in zip(*(tents for _, (tents, _) in live))]
+        sums = tuple([sum(map(mul, scales, column))
+                      for column in zip(*(tents for _, (tents, _) in live))])
         return sums, mu.denominator * den
 
     def integral(self, j: int, mu: EmpiricalMeasure) -> Fraction:

@@ -54,7 +54,9 @@ never test the kind of a system or point:
   turns a node set into the point test that keeps a shadowability search
   inside it;
 * measures and entropy: ``test_centers``, ``sample_point``,
-  ``nearby_point``, ``separated_count`` and ``dynamical_ball``.
+  ``nearby_point``, ``separated_count`` and ``dynamical_ball``.  A shift's
+  nearby point is the closure of a window, kept per window; a net's is a
+  draw from the rng.
 
 Symbolic points are immutable: a shift is a view that shares its parent's
 word and period tuples and moves only the offset.  The parent and all its
@@ -552,6 +554,8 @@ class SymbolicSystem:
         # successor lists, not over the system, so that no cycle holds it
         succ = self._succ
         self._paths = _Lazy(lambda ab: _shortest_path(succ, *ab))
+        # window bytes -> their closure (or None), kept by ``nearby_point``
+        self._nearby: dict = {}
 
     @classmethod
     def full_shift(cls, k: int) -> "SymbolicSystem":
@@ -958,10 +962,17 @@ class SymbolicSystem:
                 return p
 
     def nearby_point(self, x: SymbolicPoint, eps: Fraction, rng) -> SymbolicPoint:
-        """A point at distance < eps from x (strict)."""
+        """A point at distance < eps from x (strict): the periodic closure of
+        x's window on [-t-1, t+1], 2^-t <= eps, or x itself when the window
+        has none.  It draws nothing from rng.  The window's length fixes t,
+        so the system keeps one closure per window: equal windows give the
+        same immutable point, whose hash and canonical form are built once."""
         t = dyadic_radius(eps)  # 2^-t <= eps; agreement to radius t gives d < eps
-        w = x.window(-t - 1, t + 1)
-        p = self.periodic_closure(w, anchor=-t - 1)
+        w = x._symbols(-t - 1, 2 * t + 3)
+        try:
+            p = self._nearby[w]
+        except KeyError:
+            p = self._nearby[w] = self.periodic_closure(w, anchor=-t - 1)
         return p if p is not None else x
 
     def separated_count(self, n: int, eps: Fraction) -> int:

@@ -19,7 +19,7 @@ from shadowdyn.measures import (
     verify_measure_approx,
 )
 from shadowdyn.pseudo_orbits import connect
-from shadowdyn.systems import SymbolicSystem, circle_net
+from shadowdyn.systems import SymbolicSystem, circle_net, dyadic_radius
 
 F = Fraction
 
@@ -241,6 +241,172 @@ def test_family_reads_only_the_centres_it_uses(size, radii):
     assert dstar(mu, nu, family).value == reference_dstar(mu, nu, family)
     used = math.ceil(size / len(family.radii))
     assert len(centres) == 243 and system.centres == set(centres[:used])
+
+
+@pytest.mark.parametrize("radii", [(), (0, F(-1, 2)), (-1,)])
+def test_family_rejects_radii_it_cannot_use(sigma2, radii):
+    """An empty list used to fall back to the default radii, radii 0 and
+    -1/2 made every tent vanish (d* of two distinct point masses read 0)
+    and -1 divided by zero."""
+    with pytest.raises(ValueError):
+        TestFunctionFamily.for_system(sigma2, size=2, radii=radii)
+
+
+def test_integrals_are_kept_per_measure(sigma2, family):
+    """Equal measures built from distinct point objects share one result;
+    the same points with other counts get their own."""
+    def near_centres():
+        return sigma2.fixed_point(0), sigma2.point((0, 0, 0, 0, 1)).shift(2)
+
+    a, b = near_centres()
+    mu = EmpiricalMeasure.from_sequence([a, b, b])
+    twin = EmpiricalMeasure.from_sequence([near_centres()[1], *near_centres()])
+    assert twin.points[0] is not mu.points[0]
+    assert family.integrals(twin) == family.integrals(mu)
+    other = EmpiricalMeasure.from_sequence([a, a, b])
+    assert other.points == mu.points and other.counts != mu.counts
+    assert family.integrals(other) != family.integrals(mu)
+    for m in (mu, other):
+        sums, _ = family.integrals(m)
+        assert type(sums) is tuple and any(sums)
+        assert [family.integral(j, m) for j in range(1, 25)] == \
+            [reference_integral(family, j, m) for j in range(1, 25)]
+
+
+# -- the lemma suite against a copy that builds everything afresh --------------
+
+
+def fresh_nearby_point(system, x, eps, rng):
+    """``nearby_point`` with a new closure on every call (a net's draws from
+    rng as before)."""
+    if not isinstance(system, SymbolicSystem):
+        return system.nearby_point(x, eps, rng)
+    t = dyadic_radius(eps)
+    p = system.periodic_closure(x.window(-t - 1, t + 1), anchor=-t - 1)
+    return p if p is not None else x
+
+
+def reference_measure_approx(system, centres, trials, seed):
+    """The lemma suite as it was before closures and integrals were kept:
+    fresh closures, and every d* on a new family, so that nothing computed
+    for one measure serves another.  Returns the report and the d* values
+    in order."""
+    values = []
+
+    def fresh_dstar(mu, nu):
+        values.append(dstar(mu, nu, TestFunctionFamily(system, centres, size=24)).value)
+        return values[-1]
+
+    rng = random.Random(seed)
+    eps, orbit_len = F(1, 4), 12
+    violations = []
+    for trial in range(trials):
+        base = system.sample_point(rng)
+        seq = [base]
+        for _ in range(orbit_len - 1):
+            seq.append(system.step(seq[-1]))
+
+        idx = range(orbit_len)
+        a_set = sorted(rng.sample(idx, rng.randint(1, orbit_len)))
+        b_set = sorted(rng.sample(idx, rng.randint(1, orbit_len)))
+        mu_a = EmpiricalMeasure.from_sequence([seq[i] for i in a_set])
+        mu_b = EmpiricalMeasure.from_sequence([seq[i] for i in b_set])
+        na, nb = len(a_set), len(b_set)
+        sym_diff = len(set(a_set) ^ set(b_set))
+        inter = len(set(a_set) & set(b_set))
+        rhs = (F(na + nb, na * nb) * sym_diff + F(abs(na - nb), na * nb) * inter)
+        lhs = fresh_dstar(mu_a, mu_b)
+        if lhs > rhs:
+            violations.append(measures.LemmaViolation(1, trial, lhs, rhs,
+                                                      {"A": a_set, "B": b_set}))
+
+        m = rng.randint(1, orbit_len)
+        xs = seq[:m]
+        ys = [fresh_nearby_point(system, x, eps, rng) for x in xs]
+        mu_x = EmpiricalMeasure.from_sequence(xs)
+        mu_y = EmpiricalMeasure.from_sequence(ys)
+        lhs = fresh_dstar(mu_x, mu_y)
+        if lhs >= eps:
+            violations.append(measures.LemmaViolation(2, trial, lhs, eps, {"m": m}))
+
+        k = rng.randint(1, 4)
+        parts = []
+        for _ in range(k):
+            ys = [fresh_nearby_point(system, x, eps, rng) for x in xs]
+            parts.append(EmpiricalMeasure.from_sequence(ys))
+        if all(fresh_dstar(p, mu_x) < eps for p in parts):
+            cuts = sorted(rng.randint(0, 24) for _ in range(k - 1))
+            raw = [a - b for a, b in zip(cuts + [24], [0] + cuts)]
+            weights = [F(r, 24) for r in raw]
+            if sum(weights) == 1 and all(w >= 0 for w in weights):
+                mix = EmpiricalMeasure.mix(parts, weights)
+                lhs = fresh_dstar(mix, mu_x)
+                if lhs >= eps:
+                    violations.append(measures.LemmaViolation(3, trial, lhs, eps, {"k": k}))
+    return measures.MeasureApproxReport(trials, seed, violations), values
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+@pytest.mark.parametrize("seed", [3, 17])
+def test_measure_approx_matches_fresh_reference(monkeypatch, name, seed):
+    """The report and every d* value of a batch, with closures and integrals
+    kept, equal those of the suite that rebuilds them on every call."""
+    system = ORACLE_SYSTEMS[name]
+    family = TestFunctionFamily.for_system(system, size=24)
+    want, want_values = reference_measure_approx(system, family.centers, 25, seed)
+    library_dstar = measures.dstar
+    values = []
+
+    def recording_dstar(mu, nu, fam):
+        res = library_dstar(mu, nu, fam)
+        values.append(res.value)
+        return res
+
+    monkeypatch.setattr(measures, "dstar", recording_dstar)
+    report = verify_measure_approx(system, family, trials=25, seed=seed)
+    assert report == want
+    assert values == want_values
+
+
+def test_measure_approx_builds_each_closure_and_integral_once(monkeypatch):
+    """One 50-trial batch on fullshift:3: ``nearby_point`` closes each
+    distinct window once, and ``integrals`` computes each distinct
+    (points, counts) once, however often the trials ask again."""
+    system = SymbolicSystem.full_shift(3)
+    family = TestFunctionFamily.for_system(system, size=24, depth=2)
+    inside, windows, nearby_calls = [False], [], [0]
+    keys, integral_calls = [], [0]
+    nearby_point, closure = SymbolicSystem.nearby_point, SymbolicSystem.periodic_closure
+    integrals, integrate = TestFunctionFamily.integrals, TestFunctionFamily._integrate
+
+    def counting_nearby(self, x, eps, rng):
+        nearby_calls[0] += 1
+        inside[0] = True
+        try:
+            return nearby_point(self, x, eps, rng)
+        finally:
+            inside[0] = False
+
+    def counting_closure(self, word, anchor=0):
+        if inside[0]:
+            windows.append(tuple(word))
+        return closure(self, word, anchor)
+
+    def counting_integrals(self, mu):
+        integral_calls[0] += 1
+        return integrals(self, mu)
+
+    def counting_integrate(self, mu):
+        keys.append((mu.points, mu.counts))
+        return integrate(self, mu)
+
+    monkeypatch.setattr(SymbolicSystem, "nearby_point", counting_nearby)
+    monkeypatch.setattr(SymbolicSystem, "periodic_closure", counting_closure)
+    monkeypatch.setattr(TestFunctionFamily, "integrals", counting_integrals)
+    monkeypatch.setattr(TestFunctionFamily, "_integrate", counting_integrate)
+    assert verify_measure_approx(system, family, trials=50, seed=31).ok
+    assert windows and len(windows) == len(set(windows)) < nearby_calls[0]
+    assert keys and len(keys) == len(set(keys)) < integral_calls[0]
 
 
 # -- block concatenation lemma -------------------------------------------------
