@@ -7,8 +7,9 @@
 * the extension of a minimal subshift by vertex-shift layers, whose
   positively shadowable set collapses onto the base copy.
 
-Everything is truncated to finite nets with exact product metrics; every
-claim checked against these objects carries the truncation stamps.
+Everything is truncated to finite nets with exact product metrics, which
+are metrics by construction and are not checked again; every claim checked
+against these objects carries the truncation stamps.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def dense_shadowable_example(levels: int, base_size: int = 120) -> LayeredSpace:
     dist = np.maximum(np.abs(heights_d[:, None] - heights_d), circle_arcs(angles_d, D))
     net = NetSystem(labels, dist, step_map,
                     resolution=F(1, 2 * base_size * levels),
-                    invertible=True, denominator=D)
+                    invertible=True, metric_check=False, denominator=D)
 
     gaps = {}
     for n, members in layers.items():
@@ -358,7 +359,7 @@ def extension_builder(lang: SubstitutionLanguage, max_level: int) -> ExtensionSp
     dist, denominator = _extension_metric(labels)
     net = NetSystem(labels, dist, step_map,
                     resolution=F(1, 1 << (base_period + 1)),
-                    invertible=True, metric_check="sample", denominator=denominator)
+                    invertible=True, metric_check=False, denominator=denominator)
 
     return ExtensionSpace(net, tuple(base_idx), base_points, levels, screen,
                           meta={"base_period": base_period,
@@ -398,7 +399,8 @@ def minimal_layer_net(space: ExtensionSpace, level: int) -> NetSystem:
     dist = np.abs(values[:, None] - values)
     smallest = F(int(dist[~np.eye(k, dtype=bool)].min()), D)
     return NetSystem(list(range(k)), dist, [(i + 1) % k for i in range(k)],
-                     resolution=smallest / 2, invertible=True, denominator=D)
+                     resolution=smallest / 2, invertible=True, metric_check=False,
+                     denominator=D)
 
 
 @dataclass

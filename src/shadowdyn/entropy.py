@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .systems import SymbolicSystem, dyadic_radius
+from .systems import BudgetExceeded, SymbolicSystem, dyadic_radius
 
 # Largest candidate list searched exactly for a maximum separated set.
 CLIQUE_LIMIT = 4096
@@ -28,7 +28,6 @@ class SeparatedSetResult:
     epsilon: Fraction
     cardinality: int
     witness: tuple  # points (possibly empty when only the count is materialized)
-    exact: bool
     universe: str = "candidates"
 
     def reverify(self, system) -> bool:
@@ -105,16 +104,17 @@ def max_clique(neighbors: Sequence[int], n: int) -> list:
 
 
 def separated_set(system, candidates: Sequence, n: int, epsilon) -> SeparatedSetResult:
-    """Largest pairwise (n, epsilon)-separated subset of the candidates.
-
-    Exact (clique search) up to ``CLIQUE_LIMIT`` candidates; greedy lower
-    bound beyond, flagged as such.
+    """Largest pairwise (n, epsilon)-separated subset of the candidates,
+    by exact clique search.  More than ``CLIQUE_LIMIT`` candidates raise
+    ``BudgetExceeded``.
     """
     epsilon = Fraction(epsilon)
     cands = list(candidates)
     m = len(cands)
     if m == 0:
         raise ValueError("need at least one candidate")
+    if m > CLIQUE_LIMIT:
+        raise BudgetExceeded(f"{m} candidates exceed the clique search budget of {CLIQUE_LIMIT}")
 
     # orbits once, then pairwise separation tests on stored iterates
     orbits = []
@@ -125,27 +125,14 @@ def separated_set(system, candidates: Sequence, n: int, epsilon) -> SeparatedSet
         orbits.append(orb)
 
     close = system.closeness(epsilon)
-
-    def sep(i: int, j: int) -> bool:
-        return not all(map(close, orbits[i], orbits[j]))
-
-    if m <= CLIQUE_LIMIT:
-        neighbors = [0] * m
-        for i in range(m):
-            for j in range(i + 1, m):
-                if sep(i, j):
-                    neighbors[i] |= 1 << j
-                    neighbors[j] |= 1 << i
-        chosen = max_clique(neighbors, m)
-        witness = tuple(cands[i] for i in chosen)
-        return SeparatedSetResult(n, epsilon, len(chosen), witness, True)
-
-    chosen_idx: list[int] = []
+    neighbors = [0] * m
     for i in range(m):
-        if all(sep(i, j) for j in chosen_idx):
-            chosen_idx.append(i)
-    witness = tuple(cands[i] for i in chosen_idx)
-    return SeparatedSetResult(n, epsilon, len(chosen_idx), witness, False)
+        for j in range(i + 1, m):
+            if not all(map(close, orbits[i], orbits[j])):
+                neighbors[i] |= 1 << j
+                neighbors[j] |= 1 << i
+    chosen = max_clique(neighbors, m)
+    return SeparatedSetResult(n, epsilon, len(chosen), tuple(cands[i] for i in chosen))
 
 
 def separation_window(epsilon) -> Optional[int]:
@@ -169,8 +156,7 @@ def max_separated_cylinders(system: SymbolicSystem, n: int, epsilon) -> Separate
     if tp is None:
         # no pair of points is ever further apart than epsilon
         single = system.cylinders(0, 0)[0][1]
-        return SeparatedSetResult(n, epsilon, 1, (single,), True,
-                                  universe="whole system")
+        return SeparatedSetResult(n, epsilon, 1, (single,), universe="whole system")
     count = system.separated_count(n, epsilon)
     witness: tuple = ()
     if count <= MATERIALIZE_LIMIT:
@@ -178,8 +164,7 @@ def max_separated_cylinders(system: SymbolicSystem, n: int, epsilon) -> Separate
         if len(witness) != count:
             raise ValueError("cylinder word admits no periodic closure; "
                              "exact count needs an irreducible system")
-    return SeparatedSetResult(n, epsilon, count, witness, True,
-                              universe="whole system")
+    return SeparatedSetResult(n, epsilon, count, witness, universe="whole system")
 
 
 @dataclass

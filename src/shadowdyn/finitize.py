@@ -21,8 +21,9 @@ MAX_POINTS = 4096
 class CylinderNet(NetSystem):
     """Net of one periodic representative per admissible word on the window
     [-depth, depth].  Distances between distinct representatives are the
-    exact symbolic distances, which are determined by the words alone; the
-    net holds them as numerators over 2^depth (``word_ultrametric``).
+    exact symbolic distances, determined by the words alone: an ultrametric
+    by construction, not checked again, held as numerators over 2^depth
+    (``word_ultrametric``).
 
     Net nodes stand for symbolic points: ``node_of`` and ``point_of``
     translate, and ``restrict_to`` keeps the shadowability search on the
@@ -43,11 +44,9 @@ class CylinderNet(NetSystem):
         self.reps = tuple(q for _, q in cells)
         self.word_index = {w: i for i, w in enumerate(self.words_)}
         step_map = [self.word_index[w[1:] + (q.coord(depth + 1),)] for w, q in cells]
-        # the ultrametric needs no triangle check; small nets get one anyway
         super().__init__(self.words_, word_ultrametric(self.words_, depth), step_map,
                          resolution=Fraction(1, 1 << (depth + 1)), invertible=False,
-                         metric_check="full" if len(cells) <= 512 else "skip",
-                         denominator=1 << depth)
+                         metric_check=False, denominator=1 << depth)
 
     def node_of(self, p: SymbolicPoint) -> int:
         """Net point whose cylinder contains p (same central window)."""

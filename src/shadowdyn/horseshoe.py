@@ -78,12 +78,26 @@ class LoopFamily:
     def n(self) -> int:
         return self.loops[0].step_count
 
+    def loop_faults(self) -> list:
+        """The loops whose steps make no delta-loop: {"loop": i, "steps": 0}
+        for a loop with no step, and {"loop": i, "step": j} for one whose
+        first step above delta is j."""
+        faults = []
+        for i, lp in enumerate(self.loops):
+            if not lp.step_count:
+                faults.append({"loop": i, "steps": 0})
+            elif (j := self.system.step_check(lp.points, self.delta)[0]) is not None:
+                faults.append({"loop": i, "step": j})
+        return faults
+
     def reverify(self) -> bool:
+        """No loop faults, every loop at the base with one step count, and
+        a witness per pair, more than 4 epsilon at the distance it states."""
+        if self.loop_faults():
+            return False
         if any(lp.kind != "loop" or not lp.start == lp.end == self.base for lp in self.loops):
             return False
         if len({lp.step_count for lp in self.loops}) != 1:
-            return False
-        if any(not lp.reverify() for lp in self.loops):
             return False
         bound = 4 * self.epsilon
         seen = set()
@@ -239,11 +253,12 @@ class HorseshoeCertificate:
                 lambda z, word: traces_chain(z, chain(word)), True)
 
     def check(self) -> dict:
-        """Re-check every stored invariant: loop validity and separation
-        witnesses, the tracing clause for all coded words (every loop word up
-        to ``word_length_max`` must be coded), the semiconjugacy relation,
-        the separation counts and the entropy stamp.  The details name the
-        untraced words and the first missing words, shortest first.
+        """Re-check every stored invariant: the family (``reverify``, the one
+        judge of the loops), the tracing clause for all coded words (every
+        loop word up to ``word_length_max`` must be coded), the
+        semiconjugacy relation, the separation counts and the entropy
+        stamp.  The details name the loop faults, the untraced words and the
+        first missing words, shortest first.
 
         Each coded point is traced once (``_coding``: on a shift one byte
         comparison against its word's joined piece glue).  When every loop
@@ -274,6 +289,8 @@ class HorseshoeCertificate:
             "entropy_bound": (self.entropy_log_arg, self.entropy_divisor) == (fam.k, fam.n),
         }
         details = {}
+        if not family and (faults := fam.loop_faults()):
+            details["loop_faults"] = faults
         if untraced:
             details["tracing_failures"] = [list(w) for w in untraced]
         if missing:

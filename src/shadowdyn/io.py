@@ -20,7 +20,7 @@ import numpy as np
 
 from .horseshoe import HorseshoeCertificate, LoopFamily, SeparationWitness
 from .measures import EmpiricalMeasure
-from .pseudo_orbits import PseudoOrbit, validate
+from .pseudo_orbits import LOOP, PseudoOrbit, validate
 from .systems import NetSystem, SymbolicPoint, SymbolicSystem
 
 SCHEMA_SYSTEM = "shadowdyn/system.v1"
@@ -226,11 +226,12 @@ def _is_index(v, n: int) -> bool:
 
 
 def certificate_from_json(doc, system) -> HorseshoeCertificate:
-    """The certificate a document holds.  Beyond the schema and the hash,
-    every index it carries is checked: a word length of at least 1, at
-    least one loop, a witness when there are two or more, witness loops and
-    indices inside the loops, and coded words that are nonempty lists of
-    loop indices."""
+    """The certificate a document holds.  Beyond the schema, the hash, the
+    points and a nonnegative delta, every index is checked: a word length
+    of at least 1, at least one loop and no empty one, a witness when there
+    are two or more, witness loops and indices inside the longer of their
+    loops, and coded words that are nonempty lists of loop indices.  What
+    the loops claim is judged by ``check()`` alone (``LoopFamily.reverify``)."""
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_CERT:
         raise SchemaError("not a horseshoe certificate document")
     body = {k: v for k, v in doc.items() if k != "sha256"}
@@ -243,13 +244,14 @@ def certificate_from_json(doc, system) -> HorseshoeCertificate:
             and _is_int(entropy.get("divisor"))):
         raise SchemaError("'entropy' needs integers 'log_arg' and 'divisor'")
     delta = parse_frac(doc.get("delta"))
+    if delta < 0:
+        raise SchemaError("'delta' must be nonnegative")
     epsilon = parse_frac(doc.get("epsilon"))
     loops_doc = doc.get("loops")
     if not (isinstance(loops_doc, list) and loops_doc
-            and all(isinstance(lp, list) for lp in loops_doc)):
-        raise SchemaError("a certificate needs a nonempty list 'loops' of point lists")
-    loops = tuple(validate([point_from_json(p, system) for p in lp], delta,
-                           system, kind="loop")
+            and all(isinstance(lp, list) and lp for lp in loops_doc)):
+        raise SchemaError("a certificate needs a nonempty list 'loops' of nonempty point lists")
+    loops = tuple(PseudoOrbit(system, tuple(point_from_json(p, system) for p in lp), delta, LOOP)
                   for lp in loops_doc)
     k = len(loops)
     witnesses_doc = doc.get("witnesses")
@@ -260,7 +262,7 @@ def certificate_from_json(doc, system) -> HorseshoeCertificate:
         if not (isinstance(w, dict) and _is_index(w.get("a"), k)
                 and _is_index(w.get("b"), k)):
             raise SchemaError(f"witness loops must be indices below {k}: {w!r}")
-        length = min(len(loops[w["a"]].points), len(loops[w["b"]].points))
+        length = max(len(loops[w["a"]].points), len(loops[w["b"]].points))
         if not _is_index(w.get("index"), length):
             raise SchemaError(f"witness index must lie inside its loops: {w!r}")
     witnesses = tuple(SeparationWitness(w["a"], w["b"], w["index"],

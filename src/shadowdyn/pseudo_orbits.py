@@ -36,7 +36,8 @@ class PseudoOrbit:
 
     ``points`` is the full point sequence; consecutive steps satisfy
     d(f(x_i), x_{i+1}) <= delta (re-verifiable via :func:`validate`).
-    Loops have first point equal to last and at least one step.
+    Loops have first point equal to last and at least one step; a loaded
+    certificate's loops are claims until ``LoopFamily.reverify`` holds.
     """
 
     system: System

@@ -1116,7 +1116,6 @@ class MetricReport:
     diagonal_failures: list = field(default_factory=list)
     indiscernible_failures: list = field(default_factory=list)
     triangle_failures: list = field(default_factory=list)
-    checked_triples: int = 0
 
     def summary(self) -> str:
         status = "pass" if self.ok else "fail"
@@ -1142,6 +1141,10 @@ class NetSystem:
     them.  ``row`` and ``distance`` return exact Fractions.  ``resolution``
     records the mesh the net guarantees, so downstream claims can be
     stamped with it.
+
+    ``metric_check`` runs ``validate_metric`` on a table from outside and
+    raises ``ValueError`` when it fails; builders whose metric holds by
+    construction pass False.
     """
 
     kind = "net"
@@ -1150,7 +1153,7 @@ class NetSystem:
 
     def __init__(self, labels: Sequence, dist, step_map: Sequence[int],
                  resolution: Fraction, invertible: bool = False,
-                 metric_check: str = "full", denominator: Optional[int] = None):
+                 metric_check: bool = True, denominator: Optional[int] = None):
         self.labels = list(labels)
         self.n = len(self.labels)
         if self.n == 0:
@@ -1196,11 +1199,10 @@ class NetSystem:
         succ = self._succ_cache = _Tables(lambda delta: [None] * n)
         self._pred_cache = _Tables(
             lambda delta: _predecessors(fmap, balls.table(delta), succ.table(delta)))
-        self.metric_report: Optional[MetricReport] = None
-        if metric_check != "skip":
-            self.metric_report = self.validate_metric(mode=metric_check)
-            if not self.metric_report.ok:
-                raise ValueError("invalid metric: " + self.metric_report.summary())
+        if metric_check:
+            report = self.validate_metric()
+            if not report.ok:
+                raise ValueError("invalid metric: " + report.summary())
 
     # -- metric ---------------------------------------------------------------
 
@@ -1218,29 +1220,23 @@ class NetSystem:
     def diameter_bound(self) -> Fraction:
         return self._fractions[int(self._imat.max())]
 
-    def validate_metric(self, mode: str = "full") -> MetricReport:
+    def validate_metric(self) -> MetricReport:
         """Check symmetry, the zero diagonal, identity of indiscernibles and
-        the triangle inequality on the integer matrix.  ``mode='sample'``
-        checks a deterministic subsample of triples (for large nets), as
-        does a full check of more than 512 points whose integers exceed 64
-        bits; pairs are always all checked."""
-        rep = MetricReport(ok=True, mode=mode)
+        the triangle inequality on the integer matrix, every triple unless
+        more than 512 points hold integers beyond 64 bits: then a
+        deterministic sample of ``_SAMPLE_TRIPLES`` triples."""
+        rep = MetricReport(ok=True, mode="full")
         mat, n = self._imat, self.n
-        diagonal = np.diagonal(mat) != 0
-        if diagonal.any():
-            rep.diagonal_failures = np.flatnonzero(diagonal).tolist()
+        rep.diagonal_failures = np.flatnonzero(np.diagonal(mat) != 0).tolist()
         for failures, flags in ((rep.symmetry_failures, mat != mat.T),
                                 (rep.indiscernible_failures, mat == 0)):
-            upper = np.triu(flags, 1)
-            if upper.any():
-                failures.extend(map(tuple, np.argwhere(upper).tolist()))
-        if mode == "full" and (mat.dtype != object or n <= 512):
+            failures.extend(map(tuple, np.argwhere(np.triu(flags, 1)).tolist()))
+        if mat.dtype != object or n <= 512:
             for k in range(n):
                 bad = mat > mat[:, k:k + 1] + mat[k:k + 1, :]
                 if bad.any():
                     rep.triangle_failures.extend(
                         (i, j, k) for i, j in np.argwhere(bad)[:8].tolist())
-            rep.checked_triples = n ** 3
         else:
             rep.mode = "sampled"
             idx = np.arange(0, n ** 3, max(1, n ** 3 // _SAMPLE_TRIPLES))
@@ -1249,7 +1245,6 @@ class NetSystem:
             bad = mat[i, j] > mat[i, k] + mat[k, j]
             rep.triangle_failures = list(zip(i[bad].tolist(), j[bad].tolist(),
                                              k[bad].tolist()))
-            rep.checked_triples = len(idx)
         rep.ok = not (rep.symmetry_failures or rep.diagonal_failures or
                       rep.indiscernible_failures or rep.triangle_failures)
         return rep
@@ -1337,8 +1332,7 @@ class NetSystem:
 
     def piece_coding(self, pieces: dict, eps: Fraction) -> None:
         """None: a net shadows and traces each chain's points one by one
-        (``shadow``, ``traces``), and with ``metric_check="skip"`` its
-        distances need not satisfy the triangle inequality."""
+        (``shadow``, ``traces``), which needs no triangle inequality."""
         return None
 
     def shadow_steps(self, eps: Fraction, delta: Fraction):
@@ -1518,11 +1512,11 @@ def circle_arcs(angles: np.ndarray, denominator: int) -> np.ndarray:
 
 def circle_net(size: int, step_fn: Callable[[int], int],
                invertible: bool = False) -> NetSystem:
-    """Net of ``size`` equally spaced rational angles on the circle."""
+    """Net of ``size`` equally spaced angles on the circle (``circle_arcs``, unchecked)."""
     if size < 3:
         raise ValueError("need at least 3 net points")
     labels = [Fraction(i, size) for i in range(size)]
     return NetSystem(labels, circle_arcs(np.arange(size), size),
                      [step_fn(i) % size for i in range(size)],
                      resolution=Fraction(1, 2 * size), invertible=invertible,
-                     denominator=size)
+                     metric_check=False, denominator=size)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,10 +18,12 @@ from shadowdyn.builders import (
     vertex_shift_points,
 )
 from shadowdyn.chain import build_chain_graph, chain_class, chain_recurrent_set
+from shadowdyn.cli import _named_system
+from shadowdyn.finitize import CylinderNet
 from shadowdyn.pseudo_orbits import validate
 from shadowdyn.shadow_search import find_shadow
 from shadowdyn.shadowing import is_positively_shadowable_at
-from shadowdyn.systems import symbolic_distance
+from shadowdyn.systems import circle_net, symbolic_distance
 from shadowdyn.words import SubstitutionLanguage, screen_minimality
 
 F = Fraction
@@ -90,7 +93,7 @@ def test_fig1_validates_and_size_guard():
     with pytest.raises(ValueError):
         fig1_circle(40)  # not a multiple of 3... 40 % 3 != 0
     small = fig1_circle(36)
-    assert small.metric_report.ok
+    assert small.validate_metric().ok
 
 
 def test_fig1_chain_classes_are_fixed_points(fig1):
@@ -330,3 +333,41 @@ def test_extension_rejects_non_minimal_input():
     periodic = SubstitutionLanguage({0: (0, 0)})
     with pytest.raises(ValueError):
         extension_builder(periodic, 2)
+
+
+# -- the metrics the library builds, against the full check -----------------------
+
+# The builders skip ``validate_metric``: each of these metrics holds by
+# construction.  The full check is the oracle that the construction is right.
+
+
+def test_circle_net_metric_passes_the_full_check_at_every_size():
+    for size in range(3, 201):
+        report = circle_net(size, lambda i: i + 1).validate_metric()
+        assert report.ok and report.mode == "full", (size, report.summary())
+
+
+def test_layered_metric_passes_the_full_check():
+    for levels in range(2, 13):
+        report = dense_shadowable_example(levels).net.validate_metric()
+        assert report.ok and report.mode == "full", (levels, report.summary())
+
+
+def test_extension_and_minimal_layer_metrics_pass_the_full_check(fib):
+    for max_level in range(1, 5):
+        space = extension_builder(fib, max_level)
+        report = space.net.validate_metric()
+        assert report.ok and report.mode == "full", (max_level, report.summary())
+        report = minimal_layer_net(space, max_level).validate_metric()
+        assert report.ok and report.mode == "full", (max_level, report.summary())
+
+
+@pytest.mark.parametrize("name", ["fullshift:2", "fullshift:3", "goldenmean"])
+def test_cylinder_net_metric_passes_the_full_check(name):
+    system = _named_system(name)
+    depths = list(itertools.takewhile(lambda d: system.count_words(2 * d + 1) <= 512,
+                                      itertools.count()))
+    assert len(depths) >= 3
+    for depth in depths:
+        report = CylinderNet(system, depth).validate_metric()
+        assert report.ok and report.mode == "full", (depth, report.summary())

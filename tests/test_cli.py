@@ -44,6 +44,35 @@ def test_chain_on_fig1(tmp_path):
     assert doc["classes"] == [[0], [12], [24]]
 
 
+@pytest.mark.parametrize("argv, size, structure", [
+    (("layered", "--levels", "3", "--net", "12"), 12 + 1 + 2 + 3, "layers"),
+    (("extension", "--levels", "2"), 138, "levels"),
+])
+def test_built_net_documents_pass_the_loader_check(tmp_path, argv, size, structure):
+    # the builder skips the metric check; the loader runs it on the document
+    out = tmp_path / "net.json"
+    assert run_cli("construct", *argv, "--out", str(out)) == EXIT_OK
+    doc = json.loads(out.read_text())
+    net = sio.system_from_json(doc)
+    assert net.n == size and net.validate_metric().ok
+    assert sorted(doc["structure"][structure]) == [str(n) for n in range(1, int(argv[2]) + 1)]
+
+
+def test_entropy_past_the_clique_budget_exits_3(tmp_path, monkeypatch, capsys):
+    from shadowdyn import entropy
+
+    # 198 points: more candidates than a lowered clique budget admits
+    sysfile = tmp_path / "layered.json"
+    assert run_cli("construct", "layered", "--levels", "12", "--net", "120",
+                   "--out", str(sysfile)) == EXIT_OK
+    monkeypatch.setattr(entropy, "CLIQUE_LIMIT", 100)
+    capsys.readouterr()
+    assert run_cli("entropy", "--system", str(sysfile), "--eps", "1/20",
+                   "--n", "1..2") == EXIT_BUDGET
+    out = capsys.readouterr()
+    assert out.out == "" and "clique search budget" in out.err
+
+
 def test_chain_past_the_finitization_budget_exits_3():
     # 3^9 = 19,683 cylinder words on [-4, 4]: refused before the metric is built
     assert run_cli("chain", "--system", "fullshift:3", "--delta", "1/16",
@@ -286,6 +315,7 @@ def _rehashed(doc, tamper):
     pytest.param(lambda doc: _set_witness_index(doc, 10 ** 6), id="witness-index-1e6"),
     pytest.param(lambda doc: doc.update(witnesses=[]), id="no-witnesses"),
     pytest.param(lambda doc: doc.update(loops=[]), id="no-loops"),
+    pytest.param(lambda doc: doc.update(delta="-1/32"), id="negative-delta"),
     pytest.param(lambda doc: doc["witnesses"][0].update(a=7), id="witness-loop-7"),
     pytest.param(lambda doc: doc.update(entropy=None), id="entropy-null"),
 ])
@@ -317,6 +347,41 @@ def test_certificate_loop_off_the_base_fails_verify(tmp_path, certificate_doc):
     assert run_cli("verify", str(path), "--system", "fullshift:2") == EXIT_FAIL
 
 
+@pytest.fixture(scope="module")
+def goldenmean_words4_doc(tmp_path_factory):
+    """The certificate ``horseshoe`` writes for goldenmean 0* at (1/9, 1/64),
+    ``--words 4``."""
+    path = tmp_path_factory.mktemp("cert") / "gm4.json"
+    assert run_cli("horseshoe", "--system", "goldenmean", "--base", json.dumps({"period": [0]}),
+                   "--eps", "1/9", "--delta", "1/64", "--words", "4",
+                   "--out", str(path)) == EXIT_OK
+    return json.loads(path.read_text())
+
+
+def _loop_1_point_7_offset_12(doc):
+    assert doc["loops"][1][7]["offset"] == -11
+    doc["loops"][1][7]["offset"] = -12
+
+
+def _loop_0_cut_to_one_point(doc):
+    doc["loops"][0] = doc["loops"][0][:1]
+
+
+@pytest.mark.parametrize("tamper, fault", [
+    (_loop_1_point_7_offset_12, {"loop": 1, "step": 6}),   # error 1 > delta 1/64
+    (_loop_0_cut_to_one_point, {"loop": 0, "steps": 0}),
+], ids=["step-above-delta", "one-point-loop"])
+def test_certificate_loop_fault_is_a_verdict(tmp_path, goldenmean_words4_doc, tamper, fault,
+                                             capsys):
+    # a hash-valid certificate whose loop breaks its claim gets a report
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_rehashed(goldenmean_words4_doc, tamper)))
+    assert run_cli("verify", str(path), "--system", "goldenmean") == EXIT_FAIL
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"]["family"] is False
+    assert report["details"]["loop_faults"] == [fault]
+
+
 @pytest.mark.parametrize("key, value", [
     ("metric", 0.25),       # d(0, 9) = 1/4 as a float
     ("resolution", True),   # a boolean where a rational belongs
@@ -332,6 +397,34 @@ def test_net_file_with_a_float_or_bool_exit_code(tmp_path, fig1_file, key, value
     path.write_text(json.dumps(doc))
     assert run_cli("shadow", "--system", str(path), "--eps", "1/36",
                    "--delta", "1/72", "--point", "3") == EXIT_SCHEMA
+
+
+def _break_metric(metric, edit):
+    """Break the fig1(36) document's metric in one place."""
+    if edit == "asymmetric":
+        metric[0][9] = "1/3"
+    elif edit == "triangle":
+        # d(0, 18) = 1/2 = d(0, 9) + d(9, 18) before the edit
+        metric[0][18] = metric[18][0] = "3/4"
+    else:
+        metric[5][5] = "1/36"
+
+
+@pytest.mark.parametrize("edit", ["asymmetric", "triangle", "diagonal"])
+@pytest.mark.parametrize("argv", [
+    ("chain", "--delta", "1/72"),
+    ("shadow", "--eps", "1/36", "--delta", "1/72", "--point", "3"),
+    ("entropy", "--eps", "1/36", "--n", "0..1"),
+    ("horseshoe", "--base", "0", "--eps", "1/36", "--delta", "1/72"),
+], ids=lambda argv: argv[0])
+def test_net_document_with_a_broken_metric_exit_code(tmp_path, fig1_file, edit, argv, capsys):
+    doc = json.loads(open(fig1_file).read())
+    _break_metric(doc["metric"], edit)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(argv[0], "--system", str(path), *argv[1:]) == EXIT_SCHEMA
+    out = capsys.readouterr()
+    assert out.out == "" and "invalid metric" in out.err
 
 
 @pytest.mark.parametrize("only", ["0", "11", "-1"])

@@ -16,7 +16,7 @@ from shadowdyn.entropy import (
     separated_set,
     separation_window,
 )
-from shadowdyn.systems import NetSystem, SymbolicSystem, circle_net
+from shadowdyn.systems import BudgetExceeded, NetSystem, SymbolicSystem, circle_net
 
 F = Fraction
 
@@ -94,7 +94,6 @@ def test_full_shift_separated_counts_match_oracle():
     sigma2 = SymbolicSystem.full_shift(2)
     for n in range(0, 6):
         res = max_separated_cylinders(sigma2, n, F(3, 4))
-        assert res.exact
         assert res.cardinality == 2 ** (n + 1)
         assert res.cardinality == brute_force_full_shift_count(2, n + 1)
         if res.witness:
@@ -117,7 +116,6 @@ def test_separated_set_clique_agrees_with_cylinder_count():
     res_fast = max_separated_cylinders(sigma2, n, F(3, 4))
     cands = list(res_fast.witness)
     res_clique = separated_set(sigma2, cands, n, F(3, 4))
-    assert res_clique.exact
     assert res_clique.cardinality == res_fast.cardinality
     assert res_clique.reverify(sigma2)
 
@@ -140,6 +138,16 @@ def test_separated_set_on_net_matches_brute_force():
                 break
     assert res.cardinality == best
     assert res.reverify(net)
+
+
+def test_separated_set_past_the_clique_budget_raises(monkeypatch):
+    from shadowdyn import entropy
+
+    net = circle_net(12, lambda i: i + 1)
+    monkeypatch.setattr(entropy, "CLIQUE_LIMIT", 11)
+    with pytest.raises(BudgetExceeded, match="12 candidates"):
+        separated_set(net, range(12), 1, F(1, 4))
+    assert separated_set(net, range(11), 1, F(1, 4)).reverify(net)
 
 
 def test_separated_trivial_cases():

@@ -224,6 +224,16 @@ def _rotate_loop_1(doc):
     doc["loops"][1] = loop[1:] + loop[1:2]
 
 
+def _shift_loop_1_point_7(doc):
+    # point 7 becomes its own image, so step 6 skips one iterate of the map
+    doc["loops"][1][7]["offset"] -= 1
+
+
+def _cut_loop_0(doc):
+    # a one-point loop has no step
+    doc["loops"][0] = doc["loops"][0][:1]
+
+
 ALL_TRUE = dict.fromkeys(("entropy_bound", "family", "semiconjugacy",
                           "separated_counts", "tracing"), True)
 
@@ -250,6 +260,16 @@ TAMPER_REPORTS = {
                       {"tracing_failures": [[0, 0, 1], [0, 1], [0, 1, 0], [0, 1, 1],
                                             [1], [1, 0], [1, 0, 0], [1, 0, 1],
                                             [1, 1], [1, 1, 0], [1, 1, 1]]}),
+    "shift_loop_1_point_7": (_shift_loop_1_point_7, ("family", "semiconjugacy", "tracing"),
+                             {"loop_faults": [{"loop": 1, "step": 6}],
+                              "tracing_failures": [[0, 0, 1], [0, 1], [0, 1, 0], [0, 1, 1],
+                                                   [1], [1, 0], [1, 0, 0], [1, 0, 1],
+                                                   [1, 1], [1, 1, 0], [1, 1, 1]]}),
+    "cut_loop_0": (_cut_loop_0, ("entropy_bound", "family", "semiconjugacy",
+                                 "separated_counts", "tracing"),
+                   {"loop_faults": [{"loop": 0, "steps": 0}],
+                    "tracing_failures": [[0, 0, 1], [0, 1], [0, 1, 0], [0, 1, 1],
+                                         [1, 0, 1]]}),
 }
 
 TAMPER_SYSTEMS = {"fullshift:2": (SymbolicSystem.full_shift(2), F(1, 5), F(1, 32)),
@@ -282,9 +302,18 @@ def test_verify_report_on_tampered_certificate(words3_documents, name, edit):
 def _per_word_report(cert):
     """The certificate check with one trace of every word's own points and
     a point test of every pair of words of each length (the rule before
-    junction pieces and witness-read separation)."""
+    junction pieces and witness-read separation), and each loop's step
+    errors as Fractions."""
     fam = cert.family
     system, eps = fam.system, fam.epsilon
+    loop_faults = []
+    for i, lp in enumerate(fam.loops):
+        errors = [system.distance(system.step(p), q) for p, q in zip(lp.points, lp.points[1:])]
+        above = [j for j, e in enumerate(errors) if e > fam.delta]
+        if not errors:
+            loop_faults.append({"loop": i, "steps": 0})
+        elif above:
+            loop_faults.append({"loop": i, "step": above[0]})
     words = sorted(cert.coded)
     untraced = [w for w in words
                 if shadows(system, cert.coded[w], cert.word_points(w), eps) is None]
@@ -318,6 +347,8 @@ def _per_word_report(cert):
         "entropy_bound": (cert.entropy_log_arg, cert.entropy_divisor) == (fam.k, fam.n),
     }
     details = {}
+    if loop_faults:
+        details["loop_faults"] = loop_faults
     if untraced:
         details["tracing_failures"] = [list(w) for w in untraced]
     if missing:
@@ -487,7 +518,7 @@ def test_net_document_loads_as_the_fraction_path(name):
     assert got.denominator == want.denominator == net.denominator
     assert (got.resolution, got.map, got.labels, got.invertible) == \
         (want.resolution, want.map, want.labels, want.invertible)
-    assert got.metric_report == want.metric_report
+    assert got.validate_metric() == want.validate_metric()
 
 
 @pytest.mark.parametrize("name", ["fig1-120", "layered-12", "cylinder-goldenmean-3", "wide"])

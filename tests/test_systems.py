@@ -495,7 +495,7 @@ def test_fixed_point_range_checks_its_symbol():
 
 def test_circle_net_metric_valid():
     net = circle_net(360, lambda i: (i + 1) % 360, invertible=True)
-    assert net.metric_report.ok
+    assert net.validate_metric().ok
     assert net.distance(0, 180) == F(1, 2)
     assert net.distance(0, 359) == F(1, 360)
 
@@ -529,10 +529,27 @@ def test_metric_validation_catches_triangle_violation():
         [F(1), F(0), F(1, 100)],
         [F(1, 100), F(1, 100), F(0)],
     ]
-    sysnet = NetSystem([0, 1, 2], dist, [0, 1, 2], resolution=F(1, 4), metric_check="skip")
+    sysnet = NetSystem([0, 1, 2], dist, [0, 1, 2], resolution=F(1, 4), metric_check=False)
     rep = sysnet.validate_metric()
     assert not rep.ok
     assert rep.triangle_failures
+
+
+def test_metric_validation_catches_a_nonzero_diagonal_entry():
+    dist = [[F(0), F(1, 2)], [F(1, 2), F(1, 4)]]
+    with pytest.raises(ValueError, match="invalid metric") as err:
+        NetSystem([0, 1], dist, [0, 1], resolution=F(1, 4))
+    assert "diag=1" in str(err.value)
+    rep = NetSystem([0, 1], dist, [0, 1], resolution=F(1, 4),
+                    metric_check=False).validate_metric()
+    assert rep.diagonal_failures == [1] and not rep.symmetry_failures
+
+
+def test_period_on_a_cycle_and_off_every_cycle():
+    # 0 -> 1 -> 2 -> 0 is a 3-cycle; 4 -> 3 -> 0 falls into it
+    step = [1, 2, 0, 0, 3]
+    net = circle_net(5, step.__getitem__)
+    assert [net.period(p) for p in range(5)] == [3, 3, 3, None, None]
 
 
 def test_successors_and_ball():
