@@ -269,92 +269,85 @@ def cmd_accept(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
+_OUT = (("--out",), {})
+_SYSTEM = (("--system",), {"required": True})
+_EPS = (("--eps",), {"type": _frac, "required": True})
+_DELTA = (("--delta",), {"type": _frac, "required": True})
+
+# (name, help, handler, arguments): each argument is (flags, keywords) of
+# ``add_argument``
+COMMANDS = (
+    ("construct", "build a named example system", cmd_construct, (
+        (("builder",), {"help": "fig1 | layered | extension | fullshift:<k> | goldenmean"}),
+        (("--net",), {"type": int, "default": 360, "help": "net size (fig1/layered)"}),
+        (("--levels",), {"type": int, "default": 12, "help": "layer count"}),
+        (("--out",), {"help": "output file (default stdout)"}))),
+    ("chain", "chain-recurrent set and classes", cmd_chain, (
+        _SYSTEM, _DELTA,
+        (("--depth",), {"type": int, "help": "cylinder depth for symbolic systems"}),
+        _OUT)),
+    ("shadow", "shadowability verdicts", cmd_shadow, (
+        _SYSTEM, _EPS, _DELTA,
+        (("--horizon",), {"type": int, "default": 10}),
+        (("--two-sided",), {"action": "store_true"}),
+        (("--point",), {"help": "start point (index or JSON symbolic point); "
+                                "omit to quantify over all start points"}),
+        (("--budget",), {"type": int, "default": 10 ** 6}),
+        _OUT)),
+    ("horseshoe", "loop family search and certificate", cmd_horseshoe, (
+        _SYSTEM, (("--base",), {"required": True}), _EPS, _DELTA,
+        (("--k",), {"type": int, "default": 2}),
+        (("--n-max",), {"type": int, "default": 64}),
+        (("--words",), {"type": int, "default": 4}),
+        _OUT)),
+    ("entropy", "separated-set growth and slope", cmd_entropy, (
+        _SYSTEM, _EPS,
+        (("--n",), {"required": True, "help": "range lo..hi"}),
+        (("--csv",), {"help": "also write a CSV table"}),
+        _OUT)),
+    ("dstar", "exact weak* distance of two measures", cmd_dstar, (
+        _SYSTEM,
+        (("--mu",), {"required": True, "help": "measure JSON file"}),
+        (("--nu",), {"required": True, "help": "measure JSON file"}),
+        (("--terms",), {"type": int, "default": 24}),
+        _OUT)),
+    ("approx", "positive-entropy approximation pipeline", cmd_approx, (
+        _SYSTEM,
+        (("--components",), {"required": True,
+                             "help": "JSON file {components: [[point, weight], ...]}"}),
+        _EPS,
+        (("--words",), {"type": int, "default": 3}),
+        _OUT)),
+    ("verify", "re-check a certificate file", cmd_verify, (
+        (("certificate",), {}), _SYSTEM, _OUT)),
+    ("accept", "run the acceptance criteria", cmd_accept, (
+        (("--only",), {"type": int, "help": "run one criterion"}),)),
+)
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  When ``argv[0]`` names a subcommand, only
+    that one is registered, under the usage line of all nine (the top parser
+    prints it with an error such as an unrecognized argument); otherwise all
+    nine are.  Help, usage and error texts are those of the full parser."""
     parser = argparse.ArgumentParser(
         prog="shadowdyn",
         description="pseudo-orbit, shadowing, chain-recurrence and entropy "
                     "machinery on finitely represented dynamical systems")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="build a named example system")
-    p.add_argument("builder",
-                   help="fig1 | layered | extension | fullshift:<k> | goldenmean")
-    p.add_argument("--net", type=int, default=360, help="net size (fig1/layered)")
-    p.add_argument("--levels", type=int, default=12, help="layer count")
-    p.add_argument("--out", help="output file (default stdout)")
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("chain", help="chain-recurrent set and classes")
-    p.add_argument("--system", required=True)
-    p.add_argument("--delta", type=_frac, required=True)
-    p.add_argument("--depth", type=int, default=None,
-                   help="cylinder depth for symbolic systems")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_chain)
-
-    p = sub.add_parser("shadow", help="shadowability verdicts")
-    p.add_argument("--system", required=True)
-    p.add_argument("--eps", type=_frac, required=True)
-    p.add_argument("--delta", type=_frac, required=True)
-    p.add_argument("--horizon", type=int, default=10)
-    p.add_argument("--two-sided", action="store_true")
-    p.add_argument("--point", help="start point (index or JSON symbolic point); "
-                                   "omit to quantify over all start points")
-    p.add_argument("--budget", type=int, default=10 ** 6)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_shadow)
-
-    p = sub.add_parser("horseshoe", help="loop family search and certificate")
-    p.add_argument("--system", required=True)
-    p.add_argument("--base", required=True)
-    p.add_argument("--eps", type=_frac, required=True)
-    p.add_argument("--delta", type=_frac, required=True)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=64)
-    p.add_argument("--words", type=int, default=4)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_horseshoe)
-
-    p = sub.add_parser("entropy", help="separated-set growth and slope")
-    p.add_argument("--system", required=True)
-    p.add_argument("--eps", type=_frac, required=True)
-    p.add_argument("--n", required=True, help="range lo..hi")
-    p.add_argument("--csv", help="also write a CSV table")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_entropy)
-
-    p = sub.add_parser("dstar", help="exact weak* distance of two measures")
-    p.add_argument("--system", required=True)
-    p.add_argument("--mu", required=True, help="measure JSON file")
-    p.add_argument("--nu", required=True, help="measure JSON file")
-    p.add_argument("--terms", type=int, default=24)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_dstar)
-
-    p = sub.add_parser("approx", help="positive-entropy approximation pipeline")
-    p.add_argument("--system", required=True)
-    p.add_argument("--components", required=True,
-                   help="JSON file {components: [[point, weight], ...]}")
-    p.add_argument("--eps", type=_frac, required=True)
-    p.add_argument("--words", type=int, default=3)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_approx)
-
-    p = sub.add_parser("verify", help="re-check a certificate file")
-    p.add_argument("certificate")
-    p.add_argument("--system", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("accept", help="run the acceptance criteria")
-    p.add_argument("--only", type=int, default=None, help="run one criterion")
-    p.set_defaults(func=cmd_accept)
+    commands = [c for c in COMMANDS if argv and c[0] == argv[0]]
+    metavar = "{" + ",".join(c[0] for c in COMMANDS) + "}" if commands else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, handler, arguments in commands or COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flags, keywords in arguments:
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except sio.SchemaError as err:

@@ -21,7 +21,7 @@ import numpy as np
 from .horseshoe import HorseshoeCertificate, LoopFamily, SeparationWitness
 from .measures import EmpiricalMeasure
 from .pseudo_orbits import LOOP, PseudoOrbit, validate
-from .systems import NetSystem, SymbolicPoint, SymbolicSystem
+from .systems import NetSystem, SymbolicPoint, SymbolicSystem, circle_arcs, circle_net
 
 SCHEMA_SYSTEM = "shadowdyn/system.v1"
 SCHEMA_ORBIT = "shadowdyn/pseudo-orbit.v1"
@@ -71,27 +71,53 @@ def _is_int(v) -> bool:
 def point_from_json(doc, system):
     """A symbolic point from {"period", "word", "offset"} (integer lists and
     an integer), or a net point index; either must be a point of the system."""
-    if isinstance(doc, dict):
+    return _point_reader(system)(doc)
+
+
+def _point_reader(system):
+    """``point_from_json`` for the points of one document.  Each distinct
+    (period, word) is built and admitted once; every other offset of it is
+    a ``shift`` view that shares its tape, with no conversion and no scan."""
+    admitted = {}
+
+    def read(doc):
+        if not isinstance(doc, dict):
+            if not _is_int(doc):
+                raise SchemaError(f"{doc!r} is neither a symbolic point nor a point index")
+            return _admit(doc, system)
         period, word, offset = doc.get("period"), doc.get("word", []), doc.get("offset", 0)
         if not (isinstance(period, list) and isinstance(word, list) and _is_int(offset)
                 and {*map(type, period), *map(type, word)} <= {int}):
             raise SchemaError("a symbolic point needs integer lists 'period' and "
                               "'word' and an integer 'offset'")
-        doc = SymbolicPoint(period, word, offset)
-    elif not _is_int(doc):
-        raise SchemaError(f"{doc!r} is neither a symbolic point nor a point index")
+        key = (tuple(period), tuple(word))
+        first = admitted.get(key)
+        if first is None:
+            first = admitted[key] = _admit(SymbolicPoint(period, word, offset), system)
+        return first if first.offset == offset else first.shift(first.offset - offset)
+
+    return read
+
+
+def _admit(p, system):
     try:
-        system.check_point(doc)
+        system.check_point(p)
     except ValueError as err:
         raise SchemaError(str(err)) from err
-    return doc
+    return p
 
 
 def system_to_json(system) -> dict:
+    """A symbolic system's alphabet and transitions; a circle net (the table
+    ``circle_net`` builds: D = N, labels i/N, resolution 1/(2N) and the arc
+    metric) as its size and map; any other net as its table."""
     if isinstance(system, SymbolicSystem):
         return {"schema": SCHEMA_SYSTEM, "kind": "symbolic",
                 "alphabet_size": system.alphabet_size,
                 "transitions": [list(r) for r in system.transitions]}
+    if _is_circle(system):
+        return {"schema": SCHEMA_SYSTEM, "kind": "circle", "size": system.n,
+                "map": list(system.map), "invertible": system.invertible}
     # one string per distinct numerator, spread over the matrix
     values, where = np.unique(system._imat, return_inverse=True)
     D = system.denominator
@@ -105,25 +131,46 @@ def system_to_json(system) -> dict:
             "invertible": system.invertible}
 
 
+def _is_circle(net: NetSystem) -> bool:
+    """Whether the net's table is the one ``circle_net`` builds at its size."""
+    n = net.n
+    return (n >= 3 and net.denominator == n and net.resolution == Fraction(1, 2 * n)
+            and [str(l) for l in net.labels] == [str(Fraction(i, n)) for i in range(n)]
+            and np.array_equal(net._imat, circle_arcs(np.arange(n), n)))
+
+
 def _is_int_list(v) -> bool:
     return isinstance(v, list) and all(_is_int(x) for x in v)
 
 
 def system_from_json(doc) -> Union[SymbolicSystem, NetSystem]:
+    """The system a document holds.  A circle net is built by
+    ``circle_net``, its metric known; a net table is checked in full."""
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_SYSTEM:
         raise SchemaError("not a system document")
     kind = doc.get("kind")
     if kind == "symbolic":
         size, transitions = doc.get("alphabet_size"), doc.get("transitions")
         if not (_is_int(size) and isinstance(transitions, list)
-                and all(_is_int_list(row) for row in transitions)):
+                and all(_is_int_list(row) and {*row} <= {0, 1} for row in transitions)):
             raise SchemaError("a symbolic system needs an integer 'alphabet_size' "
-                              "and an integer matrix 'transitions'")
+                              "and a 0/1 matrix 'transitions'")
         return SymbolicSystem(size, transitions)
+    step_map, invertible = doc.get("map"), doc.get("invertible", False)
+    if kind == "circle":
+        size = doc.get("size")
+        if not (_is_int(size) and size >= 3 and _is_int_list(step_map)
+                and len(step_map) == size and all(0 <= i < size for i in step_map)
+                and isinstance(invertible, bool)):
+            raise SchemaError("a circle net needs an integer 'size' of at least 3, a "
+                              "'map' of 'size' indices below it and a boolean 'invertible'")
+        try:
+            return circle_net(size, step_map.__getitem__, invertible)
+        except ValueError as err:
+            raise SchemaError(str(err)) from err
     if kind != "net":
         raise SchemaError(f"unknown system kind {kind!r}")
-    labels, metric, step_map = doc.get("labels"), doc.get("metric"), doc.get("map")
-    invertible = doc.get("invertible", False)
+    labels, metric = doc.get("labels"), doc.get("metric")
     if not (isinstance(labels, list) and _is_int_list(step_map)
             and isinstance(metric, list) and len(metric) == len(labels)
             and all(isinstance(row, list) and len(row) == len(labels)
@@ -166,7 +213,7 @@ def orbit_from_json(doc, system) -> PseudoOrbit:
         raise SchemaError("not a pseudo-orbit document")
     if not isinstance(doc.get("points"), list):
         raise SchemaError("a pseudo-orbit document needs a list 'points'")
-    pts = [point_from_json(p, system) for p in doc["points"]]
+    pts = list(map(_point_reader(system), doc["points"]))
     return validate(pts, parse_frac(doc.get("delta")), system, kind=doc.get("kind"))
 
 
@@ -182,7 +229,8 @@ def _point_weight_pairs(doc, key: str, what: str, system) -> list:
             and all(isinstance(e, list) and len(e) == 2 for e in entries)):
         raise SchemaError(f"a {what} document needs a list '{key}' "
                           "of [point, weight] pairs")
-    return [(point_from_json(p, system), parse_frac(w)) for p, w in entries]
+    read = _point_reader(system)
+    return [(read(p), parse_frac(w)) for p, w in entries]
 
 
 def measure_from_json(doc, system) -> EmpiricalMeasure:
@@ -251,8 +299,8 @@ def certificate_from_json(doc, system) -> HorseshoeCertificate:
     if not (isinstance(loops_doc, list) and loops_doc
             and all(isinstance(lp, list) and lp for lp in loops_doc)):
         raise SchemaError("a certificate needs a nonempty list 'loops' of nonempty point lists")
-    loops = tuple(PseudoOrbit(system, tuple(point_from_json(p, system) for p in lp), delta, LOOP)
-                  for lp in loops_doc)
+    read = _point_reader(system)
+    loops = tuple(PseudoOrbit(system, tuple(map(read, lp)), delta, LOOP) for lp in loops_doc)
     k = len(loops)
     witnesses_doc = doc.get("witnesses")
     if not isinstance(witnesses_doc, list) or (k > 1 and not witnesses_doc):
@@ -268,7 +316,7 @@ def certificate_from_json(doc, system) -> HorseshoeCertificate:
     witnesses = tuple(SeparationWitness(w["a"], w["b"], w["index"],
                                         parse_frac(w.get("distance")))
                       for w in witnesses_doc)
-    fam = LoopFamily(system, point_from_json(doc.get("base"), system), loops,
+    fam = LoopFamily(system, read(doc.get("base")), loops,
                      delta, epsilon, witnesses)
     coded_doc = doc.get("coded")
     if not (isinstance(coded_doc, list)
@@ -276,8 +324,7 @@ def certificate_from_json(doc, system) -> HorseshoeCertificate:
                     and e["word"] and all(_is_index(s, k) for s in e["word"])
                     for e in coded_doc)):
         raise SchemaError(f"coded words must be nonempty lists of loop indices below {k}")
-    coded = {tuple(e["word"]): point_from_json(e.get("shadow"), system)
-             for e in coded_doc}
+    coded = {tuple(e["word"]): read(e.get("shadow")) for e in coded_doc}
     return HorseshoeCertificate(fam, doc["word_length_max"], coded,
                                 doc["entropy"]["log_arg"],
                                 doc["entropy"]["divisor"])

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowdyn import io as sio
+from shadowdyn.builders import fig1_circle
+from shadowdyn import cli
 from shadowdyn.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_SCHEMA, _dumps, main
 from shadowdyn.measures import EmpiricalMeasure
 from shadowdyn.systems import SymbolicSystem
@@ -205,6 +207,12 @@ def test_malformed_component_point_exit_code(tmp_path):
     [1, 2],                                                # not an object
     {"schema": "shadowdyn/system.v1", "kind": "symbolic",  # size as a string
      "alphabet_size": "2", "transitions": [[1, 1], [1, 1]]},
+    {"schema": "shadowdyn/system.v1", "kind": "symbolic",  # a transition entry 2
+     "alphabet_size": 1, "transitions": [[2]]},
+    {"schema": "shadowdyn/system.v1", "kind": "symbolic",  # a transition entry -1
+     "alphabet_size": 2, "transitions": [[1, -1], [1, 0]]},
+    {"schema": "shadowdyn/system.v1", "kind": "circle",    # a map entry equal to the size
+     "size": 3, "map": [1, 2, 3], "invertible": False},
 ])
 def test_malformed_system_exit_code(tmp_path, doc):
     sysfile = tmp_path / "f.json"
@@ -228,6 +236,14 @@ def test_malformed_components_exit_code(tmp_path, spec):
 def fig1_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("fig1") / "f36.json"
     run_cli("construct", "fig1", "--net", "36", "--out", str(path))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def fig1_table_file(tmp_path_factory, table_document):
+    """The fig1(36) net as a table document (``construct`` writes its circle form)."""
+    path = tmp_path_factory.mktemp("fig1") / "f36-table.json"
+    path.write_text(json.dumps(table_document(fig1_circle(36))))
     return str(path)
 
 
@@ -386,8 +402,8 @@ def test_certificate_loop_fault_is_a_verdict(tmp_path, goldenmean_words4_doc, ta
     ("metric", 0.25),       # d(0, 9) = 1/4 as a float
     ("resolution", True),   # a boolean where a rational belongs
 ])
-def test_net_file_with_a_float_or_bool_exit_code(tmp_path, fig1_file, key, value):
-    doc = json.loads(open(fig1_file).read())
+def test_net_file_with_a_float_or_bool_exit_code(tmp_path, fig1_table_file, key, value):
+    doc = json.loads(open(fig1_table_file).read())
     if key == "metric":
         assert doc["metric"][0][9] == doc["metric"][9][0] == "1/4"
         doc["metric"][0][9] = doc["metric"][9][0] = value
@@ -417,8 +433,9 @@ def _break_metric(metric, edit):
     ("entropy", "--eps", "1/36", "--n", "0..1"),
     ("horseshoe", "--base", "0", "--eps", "1/36", "--delta", "1/72"),
 ], ids=lambda argv: argv[0])
-def test_net_document_with_a_broken_metric_exit_code(tmp_path, fig1_file, edit, argv, capsys):
-    doc = json.loads(open(fig1_file).read())
+def test_net_document_with_a_broken_metric_exit_code(tmp_path, fig1_table_file, edit, argv,
+                                                     capsys):
+    doc = json.loads(open(fig1_table_file).read())
     _break_metric(doc["metric"], edit)
     path = tmp_path / "net.json"
     path.write_text(json.dumps(doc))
@@ -533,3 +550,71 @@ def test_documents_are_indented_json_on_both_sinks(command, document_inputs, tmp
     assert main(argv + ["--out", str(out)]) == code
     assert capsys.readouterr().out == ""
     assert out.read_bytes() == stdout.encode()
+
+
+# -- the parser of one subcommand ---------------------------------------------
+
+# per subcommand, one call with a bad argument: an unparsable value, a missing
+# requirement, or a word past the last argument (an error of the top parser,
+# printed under its usage)
+BAD_ARGUMENTS = [
+    ["construct", "fig1", "--net", "many"],
+    ["chain", "--system", "goldenmean", "--delta", "0.5"],
+    ["shadow", "--system", "goldenmean", "--eps", "1/4"],
+    ["horseshoe", "--system", "goldenmean", "--base", "0", "--eps", "1/9", "--delta", "1/64",
+     "--k", "two"],
+    ["entropy", "--system", "goldenmean", "--eps", "1/4", "--n", "1..2", "--bogus"],
+    ["dstar", "--system", "goldenmean", "--mu", "mu.json"],
+    ["approx", "--system", "goldenmean", "--components", "c.json", "--eps", "1/5",
+     "--words", "3.5"],
+    ["verify", "cert.json", "--system", "goldenmean", "extra"],
+    ["accept", "--only"],
+]
+PARSER_RUNS = ([[], ["--help"], ["-h"], ["bogus"], ["bogus", "--help"]]
+               + [[name, "--help"] for name, *_ in cli.COMMANDS] + BAD_ARGUMENTS)
+
+
+def _parse_outcome(argv, capsys) -> tuple:
+    with pytest.raises(SystemExit) as stop:
+        main(list(argv))
+    out = capsys.readouterr()
+    return stop.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", PARSER_RUNS, ids=" ".join)
+def test_one_subcommand_parser_prints_as_the_full_parser(argv, capsys, monkeypatch):
+    got = _parse_outcome(argv, capsys)
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda _argv: build([]))
+    assert got == _parse_outcome(argv, capsys)
+
+
+def test_verify_builds_one_subparser(tmp_path, goldenmean_words4_doc, monkeypatch, capsys):
+    import argparse
+
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(goldenmean_words4_doc))
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: added.append(name) or add_parser(self, name, **kw))
+    assert run_cli("verify", str(path), "--system", "goldenmean") == EXIT_OK
+    assert added == ["verify"]
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_certificate_load_admits_each_point_shape_once(goldenmean_words4_doc, monkeypatch):
+    doc = goldenmean_words4_doc
+    points = [doc["base"], *(p for lp in doc["loops"] for p in lp),
+              *(e["shadow"] for e in doc["coded"])]
+    shapes = {(tuple(p["period"]), tuple(p.get("word", []))) for p in points}
+    assert len(shapes) < len(points)
+    scans = []
+    admissible = SymbolicSystem.admissible
+    monkeypatch.setattr(SymbolicSystem, "admissible",
+                        lambda self, p: scans.append(p) or admissible(self, p))
+    cert = sio.certificate_from_json(doc, SymbolicSystem.golden_mean())
+    assert len(scans) <= len(shapes)
+    assert len({(p.period, p.word) for p in scans}) == len(scans)
+    monkeypatch.undo()
+    assert cert.check()["ok"]

@@ -5,6 +5,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from shadowdyn.horseshoe import (
 from shadowdyn.measures import EmpiricalMeasure
 from shadowdyn.pseudo_orbits import PseudoOrbit, concatenate, connect, validate
 from shadowdyn.shadow_search import shadows
-from shadowdyn.systems import NetSystem, SymbolicPoint, SymbolicSystem, circle_net
+from shadowdyn.systems import NetSystem, SymbolicPoint, SymbolicSystem, circle_arcs, circle_net
 
 F = Fraction
 
@@ -452,18 +453,23 @@ def test_parse_frac_rejects_forms_off_the_grammar(s):
 
 
 @pytest.mark.parametrize("value", [0.5, 1.0, True, False])
-def test_no_float_or_bool_enters_a_claim(value):
+def test_no_float_or_bool_enters_a_claim(value, table_document):
     # a float or a JSON boolean is no exact rational, even where it equals one
     with pytest.raises(sio.SchemaError):
         sio.parse_frac(value)
-    net_doc = sio.system_to_json(circle_net(4, lambda i: i))
+    net_doc = table_document(circle_net(4, lambda i: i))
     net_doc["metric"][0][2] = net_doc["metric"][2][0] = value
     with pytest.raises(sio.SchemaError):
         sio.system_from_json(net_doc)
-    net_doc = sio.system_to_json(circle_net(4, lambda i: i))
+    net_doc = table_document(circle_net(4, lambda i: i))
     net_doc["resolution"] = value
     with pytest.raises(sio.SchemaError):
         sio.system_from_json(net_doc)
+    for key, edit in (("size", lambda d: value), ("map", lambda d: [value, *d["map"][1:]])):
+        circle_doc = sio.system_to_json(circle_net(4, lambda i: i))
+        circle_doc[key] = edit(circle_doc)
+        with pytest.raises(sio.SchemaError):
+            sio.system_from_json(circle_doc)
     sigma2 = SymbolicSystem.full_shift(2)
     orbit_doc = sio.orbit_to_json(validate([sigma2.fixed_point(0)] * 2, F(1, 4), sigma2))
     orbit_doc["delta"] = value
@@ -509,9 +515,9 @@ def _fraction_path_load(doc) -> NetSystem:
 
 
 @pytest.mark.parametrize("name", sorted(NETS))
-def test_net_document_loads_as_the_fraction_path(name):
+def test_net_document_loads_as_the_fraction_path(name, table_document):
     net = NETS[name]()
-    doc = json.loads(json.dumps(sio.system_to_json(net)))
+    doc = json.loads(json.dumps(table_document(net)))
     got, want = sio.system_from_json(doc), _fraction_path_load(doc)
     assert got._imat.dtype == want._imat.dtype
     assert got._imat.tolist() == want._imat.tolist()
@@ -522,29 +528,92 @@ def test_net_document_loads_as_the_fraction_path(name):
 
 
 @pytest.mark.parametrize("name", ["fig1-120", "layered-12", "cylinder-goldenmean-3", "wide"])
-def test_net_document_rows_render_each_distance(name):
+def test_net_document_rows_render_each_distance(name, table_document):
     net = NETS[name]()
     rows = [[sio.frac_str(net.distance(i, j)) for j in range(net.n)] for i in range(net.n)]
-    assert sio.system_to_json(net)["metric"] == rows
+    assert table_document(net)["metric"] == rows
 
 
 @pytest.mark.parametrize("value", ["no", 0, None])
-def test_net_invertible_flag_must_be_a_boolean(value):
+def test_net_invertible_flag_must_be_a_boolean(value, table_document):
     # "no" would otherwise mark the net invertible
-    doc = sio.system_to_json(circle_net(4, lambda i: (i + 1) % 4))
-    doc["invertible"] = value
-    with pytest.raises(sio.SchemaError):
-        sio.system_from_json(doc)
+    net = circle_net(4, lambda i: (i + 1) % 4)
+    for doc in (sio.system_to_json(net), table_document(net)):
+        doc["invertible"] = value
+        with pytest.raises(sio.SchemaError):
+            sio.system_from_json(doc)
 
 
-def test_net_document_entries_over_one_denominator():
+def test_net_document_entries_over_one_denominator(table_document):
     # unreduced, integer and negative-zero entries load to the least denominator
-    doc = sio.system_to_json(circle_net(4, lambda i: i))
+    doc = table_document(circle_net(4, lambda i: i))
     doc["metric"] = [["-0/3", "2/8", "2/4", "1/4"], ["1/4", 0, "1/4", "1/2"],
                      ["1/2", "1/4", 0, "3/12"], ["1/4", "1/2", "1/4", "0"]]
     net = sio.system_from_json(doc)
     assert net.denominator == 4
     assert net._imat.tolist() == [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
+
+
+# -- circle net documents ------------------------------------------------------------
+
+
+def _net_facts(net) -> tuple:
+    return ([str(l) for l in net.labels], net.denominator, net.resolution, net.map,
+            net.invertible, net._imat.tolist())
+
+
+# (step map, invertible) per size n: the identity, a rotation, and an
+# invertible reflection
+CIRCLE_MAPS = [(lambda n: lambda i: i, False),
+               (lambda n: lambda i: i + n // 3, False),
+               (lambda n: lambda i: -i, True)]
+
+
+def _circle_nets():
+    for size in range(3, 201):
+        for k, (step, invertible) in enumerate(CIRCLE_MAPS):
+            yield size, k, circle_net(size, step(size), invertible)
+    for size in (120, 240, 360):
+        yield size, None, fig1_circle(size)
+
+
+def test_circle_document_loads_to_the_built_net_and_the_table_load(table_document):
+    for size, k, net in _circle_nets():
+        doc = json.loads(json.dumps(sio.system_to_json(net)))
+        assert doc == {"schema": sio.SCHEMA_SYSTEM, "kind": "circle", "size": size,
+                       "map": list(net.map), "invertible": net.invertible}
+        got = _net_facts(sio.system_from_json(doc))
+        assert got == _net_facts(net)
+        # one full table check per size: the map is carried verbatim by both forms
+        if k is None or k == size % len(CIRCLE_MAPS):
+            assert got == _net_facts(sio.system_from_json(table_document(net)))
+
+
+def _off_circle_nets(size=12) -> dict:
+    """Nets that differ from ``circle_net(size, ...)`` in one place."""
+    labels = [F(i, size) for i in range(size)]
+    arcs = circle_arcs(np.arange(size), size)
+    step = [(i + 1) % size for i in range(size)]
+    entry = arcs.copy()
+    entry[0, 1] = 2
+
+    def net(labels=labels, arcs=arcs, resolution=F(1, 2 * size)):
+        return NetSystem(labels, arcs, step, resolution=resolution, metric_check=False,
+                         denominator=size)
+
+    return {"metric-entry": lambda: net(arcs=entry),
+            "resolution": lambda: net(resolution=F(1, 4 * size)),
+            "label": lambda: net(labels=[F(1, 5 * size), *labels[1:]])}
+
+
+TABLE_NETS = {**_off_circle_nets(),
+              **{name: NETS[name] for name in ("layered-12", "cylinder-goldenmean-3", "wide")}}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_NETS))
+def test_nets_other_than_circles_are_written_as_their_table(name, table_document):
+    net = TABLE_NETS[name]()
+    assert sio.system_to_json(net) == table_document(net)
 
 
 @pytest.mark.parametrize("key", ["delta", "epsilon", "loops", "witnesses", "base", "coded"])

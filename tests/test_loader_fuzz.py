@@ -19,12 +19,17 @@ from shadowdyn import io as sio
 from shadowdyn.horseshoe import build_certificate, make_family
 from shadowdyn.measures import EmpiricalMeasure
 from shadowdyn.pseudo_orbits import concatenate, connect, validate
-from shadowdyn.systems import SymbolicSystem, circle_net
+from shadowdyn.systems import NetSystem, SymbolicSystem, circle_net
 
 F = Fraction
 
 SIGMA2 = SymbolicSystem.full_shift(2)
 NET = circle_net(6, lambda i: (i + 1) % 6, invertible=True)
+# six points of [0, 1] under the distance |a - b|: a net that is no circle,
+# so its document is a metric table
+LINE = [F(i, 6) for i in range(6)]
+TABLE_NET = NetSystem(LINE, [[abs(a - b) for b in LINE] for a in LINE],
+                      [5 - i for i in range(6)], resolution=F(1, 12), invertible=True)
 
 # values a retyped slot takes: wrong types, floats and booleans where
 # rationals belong, malformed rationals, and containers of the wrong shape
@@ -50,6 +55,7 @@ def _loaders() -> dict:
     mu = EmpiricalMeasure.from_orbit(SIGMA2, SIGMA2.point((0, 1, 1)), 3)
     return {
         "system-net": (sio.system_to_json(NET), sio.system_from_json),
+        "system-net-table": (sio.system_to_json(TABLE_NET), sio.system_from_json),
         "system-symbolic": (sio.system_to_json(SymbolicSystem.golden_mean()),
                             sio.system_from_json),
         "point-symbolic": (sio.point_to_json(p), lambda d: sio.point_from_json(d, SIGMA2)),
@@ -129,6 +135,15 @@ def test_mutated_documents_load_or_raise_value_error(name, data):
 REFUSED = {
     "wordless-certificate": ("certificate", lambda d: d.update(word_length_max=0, coded=[])),
     "negative-word-length": ("certificate", lambda d: d.update(word_length_max=-2)),
+    # circle_net would read these modulo the size, or build a net of two points
+    "circle-map-entry-equal-to-size": ("system-net", lambda d: d["map"].__setitem__(0, 6)),
+    "circle-of-size-2": ("system-net", lambda d: d.update(size=2, map=[1, 0])),
+    "circle-invertible-map-not-injective": ("system-net", lambda d: d.update(map=[0] * 6)),
+    # the constructor reads any nonzero entry as an allowed transition
+    "transition-entry-2": ("system-symbolic",
+                           lambda d: d.update(alphabet_size=1, transitions=[[2]])),
+    "transition-entry-minus-1": ("system-symbolic",
+                                 lambda d: d["transitions"][1].__setitem__(0, -1)),
 }
 
 
