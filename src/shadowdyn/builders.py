@@ -112,6 +112,8 @@ def dense_shadowable_example(levels: int, base_size: int = 120) -> LayeredSpace:
     circle at height 0, all rotating with the same orientation."""
     if levels < 2:
         raise ValueError("need at least two layers")
+    if base_size < 1:
+        raise ValueError("need at least one base point")
     labels = []
     step_map = []
     base_idx = []

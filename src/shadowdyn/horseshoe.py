@@ -155,16 +155,17 @@ def make_family(system, base, loops: Sequence[PseudoOrbit], epsilon,
 
 def find_loop_family(x, epsilon, delta, n_max: int, k: int, system) -> Optional[LoopFamily]:
     """Search k pairwise-separated delta-loops at x of a common length
-    <= n_max, among at most 20000 candidate excursions.  Candidates are
-    taken shortest first, and each is kept when, equalized with the loops
-    already kept, it is separated from every one of them.  Kept pairs need
-    no second test: equalizing repeats a loop, which keeps every prefix, and
-    a witness index lies below the loop length.  Assumes x already passed
-    the positive shadowing test at (epsilon, delta); the family itself never
-    certifies that.
+    <= n_max, among at most ``systems.LOOP_CANDIDATE_BUDGET`` candidate
+    excursions (``BudgetExceeded`` beyond).  Candidates are taken shortest
+    first, and each is kept when, equalized with the loops already kept, it
+    is separated from every one of them.  Kept pairs need no second test:
+    equalizing repeats a loop, which keeps every prefix, and a witness index
+    lies below the loop length.  Assumes x already passed the positive
+    shadowing test at (epsilon, delta); the family itself never certifies
+    that.
     """
     epsilon, delta = Fraction(epsilon), Fraction(delta)
-    candidates = sorted((pts for pts in system.loop_candidates(x, delta, n_max, 20000)
+    candidates = sorted((pts for pts in system.loop_candidates(x, delta)
                          if len(pts) - 1 <= n_max), key=len)
     chosen: list[PseudoOrbit] = []
     for pts in candidates:

@@ -46,9 +46,11 @@ never test the kind of a system or point:
   A closure, and so a splice of ``chain``, closes its word with a shortest
   connecting path read from a k x k table that each shift fills on first
   use, and checks only the two junctions where word and path meet;
-* chains and loops: ``chain(a, b, delta)`` (breadth-first on nets, spliced
-  on shifts; validated by ``pseudo_orbits.connect``), ``dwell_loop``,
-  ``loop_candidates``, ``neighborhood``;
+* chains and loops: ``chain(a, b, delta)`` (on nets the breadth-first
+  search that also finds a shift's connecting paths, spliced on shifts;
+  validated by ``pseudo_orbits.connect``), ``dwell_loop``,
+  ``loop_candidates(x, delta)`` (at most ``LOOP_CANDIDATE_BUDGET``
+  excursions), ``neighborhood``;
 * chain classes: ``chain_net(depth)`` (the net itself, or the cylinder net
   of a shift) with ``node_of``, ``point_of`` and ``restrict_to``, which
   turns a node set into the point test that keeps a shadowability search
@@ -98,6 +100,9 @@ _PACK_RADIUS = 24
 
 # Triangle-inequality triples checked by a sampled metric validation.
 _SAMPLE_TRIPLES = 200000
+
+# Excursions ``loop_candidates`` tries before raising ``BudgetExceeded``.
+LOOP_CANDIDATE_BUDGET = 20000
 
 
 class BudgetExceeded(RuntimeError):
@@ -440,6 +445,13 @@ def distance_le(a: SymbolicPoint, b: SymbolicPoint, t: int) -> bool:
     return agree_on_window(a, b, -(t - 1), t - 1)
 
 
+def _int_type(bound: int):
+    """The narrowest signed NumPy integer type that holds ``bound``, or
+    ``object`` (Python ints) when 64 bits are too few."""
+    return next((t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max),
+                object)
+
+
 def word_ultrametric(words: Sequence[tuple], radius: int) -> np.ndarray:
     """The dyadic distances 2^-a between words on [-radius, radius] (a the
     least |j| where two words disagree, 0 for equal words) as integer
@@ -450,9 +462,7 @@ def word_ultrametric(words: Sequence[tuple], radius: int) -> np.ndarray:
     ints when 64 bits are too few."""
     cols = np.asarray(words, dtype=np.int8).reshape(len(words), 2 * radius + 1)
     n = len(cols)
-    dtype = next((t for t in (np.int16, np.int32, np.int64)
-                  if 2 << radius <= np.iinfo(t).max), object)
-    out = np.zeros((n, n), dtype=dtype)
+    out = np.zeros((n, n), dtype=_int_type(2 << radius))
     differ = np.empty((n, n), dtype=bool)
     other = np.empty((n, n), dtype=bool)
     for a in range(radius, -1, -1):
@@ -493,16 +503,17 @@ _LOW_SYMBOL = operator.attrgetter("low_symbol")
 _TOP_SYMBOL = operator.attrgetter("top_symbol")
 
 
-def _shortest_path(succ: Sequence[tuple], a: int, b: int) -> Optional[tuple]:
-    """Shortest word (a, ..., b) with at least one transition along the
-    successor lists, or None; breadth-first with successors ascending, so
-    ties go to the lowest symbols.  The start is not marked visited, so a
-    path may return to it (a == b)."""
+def _shortest_path(succ: Callable[[int], Sequence[int]], a: int, b: int) -> Optional[tuple]:
+    """Shortest path (a, ..., b) with at least one step along ``succ(u)``,
+    or None.  Breadth-first with successors ascending: each layer is
+    dequeued in the order of its nodes' least paths, so among the shortest
+    paths the lexicographically least one is returned.  The start is not
+    marked visited, so a path may return to it (a == b)."""
     prev: dict = {}
     queue = deque([a])
     while queue:
         u = queue.popleft()
-        for v in succ[u]:
+        for v in succ(u):
             if v in prev:
                 continue
             prev[v] = u
@@ -552,7 +563,7 @@ class SymbolicSystem:
                                     for b in range(alphabet_size) if not mat[a][b])
         # (a, b) -> connecting path, searched on first use; built over the
         # successor lists, not over the system, so that no cycle holds it
-        succ = self._succ
+        succ = self._succ.__getitem__
         self._paths = _Lazy(lambda ab: _shortest_path(succ, *ab))
         # window bytes -> their closure (or None), kept by ``nearby_point``
         self._nearby: dict = {}
@@ -905,8 +916,7 @@ class SymbolicSystem:
         period = p.least_period()
         return None if period is None else [p] + [p.shift(i) for i in range(1, period + 1)]
 
-    def loop_candidates(self, x: SymbolicPoint, delta: Fraction, n_max: int,
-                        budget: int) -> list:
+    def loop_candidates(self, x: SymbolicPoint, delta: Fraction) -> list:
         """Delta-loops at x as point lists: the dwell loop when x is periodic,
         then excursions through the periodic closures q of the width-5
         words (spliced out, once around q's orbit when periodic, and back)."""
@@ -919,7 +929,7 @@ class SymbolicSystem:
             if q is None or q == x:
                 continue
             count += 1
-            if count > budget:
+            if count > LOOP_CANDIDATE_BUDGET:
                 raise BudgetExceeded("loop candidate search exceeded its budget")
             first = self.chain(x, q, delta)
             if first is None:
@@ -1068,20 +1078,6 @@ def _ball_rows(mat: np.ndarray, t: int) -> dict:
     return _Lazy(lambda i: _mask(mat[i] <= t))
 
 
-def _predecessors(fmap: Sequence[int], masks: dict, succ: list) -> list:
-    """Predecessor lists of the transition graph with successors the balls
-    ``masks`` around the images, filling the successor rows ``succ`` (as
-    ``NetSystem.successors`` does) on the way."""
-    preds: list[list[int]] = [[] for _ in fmap]
-    for p, image in enumerate(fmap):
-        row = succ[p]
-        if row is None:
-            row = succ[p] = tuple(_members(masks[image]))
-        for q in row:
-            preds[q].append(p)
-    return preds
-
-
 def _int_matrix(nums, denominator: int) -> tuple:
     """(matrix, D): the integer distances over ``denominator`` with the
     factor they all share with it divided out, so that D is their least
@@ -1100,10 +1096,7 @@ def _int_matrix(nums, denominator: int) -> tuple:
     if g > 1 and mat.any():  # an all-zero matrix keeps its entries; D becomes 1
         mat = mat // g
     bound = 2 * max(-int(mat.min(initial=0)), int(mat.max(initial=0)))
-    for dtype in (np.int16, np.int32, np.int64):
-        if bound <= np.iinfo(dtype).max:
-            return mat.astype(dtype, copy=False), denominator // g
-    return mat.astype(object), denominator // g
+    return mat.astype(_int_type(bound), copy=False), denominator // g
 
 
 @dataclass
@@ -1181,7 +1174,7 @@ class NetSystem:
             raise ValueError("distance matrix shape mismatch")
         # the tables are built over local values, not over the net, so that
         # a dropped net is freed at once rather than by the cyclic GC
-        n, fmap, mat, D = self.n, self.map, self._imat, self.denominator
+        n, mat, D = self.n, self._imat, self.denominator
         fractions = self._fractions = _Lazy(lambda v: Fraction(v, D))
         self._rows = _Lazy(lambda i: tuple([fractions[v] for v in mat[i].tolist()]))
 
@@ -1195,10 +1188,8 @@ class NetSystem:
                 inv[j] = i
             self.inverse = tuple(inv)
 
-        balls = self._ball_cache = _Tables(lambda eps: _ball_rows(mat, _threshold(eps, D)))
-        succ = self._succ_cache = _Tables(lambda delta: [None] * n)
-        self._pred_cache = _Tables(
-            lambda delta: _predecessors(fmap, balls.table(delta), succ.table(delta)))
+        self._ball_cache = _Tables(lambda eps: _ball_rows(mat, _threshold(eps, D)))
+        self._succ_cache = _Tables(lambda delta: [None] * n)
         if metric_check:
             report = self.validate_metric()
             if not report.ok:
@@ -1358,67 +1349,22 @@ class NetSystem:
 
         return range(self.n), balls.__getitem__, expand
 
-    def chain(self, a: int, b: int, delta: Fraction,
-              max_len: int = 10 ** 6) -> Optional[list]:
-        """Points of a shortest delta-chain from a to b, or None.
-
-        Found by breadth-first search on the delta-transition graph; among
-        shortest chains the pointwise lowest-index one is returned.  When
-        a == b the chain makes at least one step.
-        """
-        # backward BFS from b: dist_to[q] = fewest steps from q to b
-        preds = self._pred_cache.table(delta)
-        INF = -1
-        dist_to = [INF] * self.n
-        dist_to[b] = 0
-        queue = deque([b])
-        while queue:
-            q = queue.popleft()
-            if dist_to[q] >= max_len:
-                continue
-            for p in preds[q]:
-                if dist_to[p] == INF:
-                    dist_to[p] = dist_to[q] + 1
-                    queue.append(p)
-
-        if a == b:
-            options = [(dist_to[q], q) for q in self.successors(a, delta) if dist_to[q] != INF]
-            if not options:
-                return None
-            steps = min(options)[0] + 1
-        else:
-            if dist_to[a] == INF:
-                return None
-            steps = dist_to[a]
-        if steps > max_len:
-            return None
-
-        path = [a]
-        cur = a
-        remaining = steps
-        while remaining > 0:
-            nxt = None
-            for q in self.successors(cur, delta):
-                if dist_to[q] == remaining - 1:
-                    nxt = q
-                    break
-            assert nxt is not None
-            path.append(nxt)
-            cur = nxt
-            remaining -= 1
-        assert cur == b
-        return path
+    def chain(self, a: int, b: int, delta: Fraction) -> Optional[list]:
+        """Points of a shortest delta-chain from a to b, or None; among the
+        shortest chains the lexicographically least.  When a == b the chain
+        makes at least one step."""
+        path = _shortest_path(lambda u: self.successors(u, delta), a, b)
+        return None if path is None else list(path)
 
     def dwell_loop(self, p: int, delta: Fraction) -> Optional[list]:
         """The shortest delta-chain loop at p."""
         return self.chain(p, p, delta)
 
-    def loop_candidates(self, x: int, delta: Fraction, n_max: int,
-                        budget: int) -> list:
+    def loop_candidates(self, x: int, delta: Fraction) -> list:
         """Delta-loops at x as point lists: the shortest chain loop, then
         detours x -> q -> x through every other point."""
         out = []
-        loop = self.chain(x, x, delta, max_len=n_max)
+        loop = self.chain(x, x, delta)
         if loop is not None:
             out.append(loop)
         count = 0
@@ -1426,12 +1372,12 @@ class NetSystem:
             if q == x:
                 continue
             count += 1
-            if count > budget:
+            if count > LOOP_CANDIDATE_BUDGET:
                 raise BudgetExceeded("loop candidate search exceeded its budget")
-            first = self.chain(x, q, delta, max_len=n_max)
+            first = self.chain(x, q, delta)
             if first is None:
                 continue
-            back = self.chain(q, x, delta, max_len=n_max - (len(first) - 1))
+            back = self.chain(q, x, delta)
             if back is None:
                 continue
             out.append(first + back[1:])
@@ -1504,10 +1450,14 @@ SystemPoint = Union[int, SymbolicPoint]
 
 
 def circle_arcs(angles: np.ndarray, denominator: int) -> np.ndarray:
-    """Arc-length distances on R/Z between the angles a_i / D, as integer
-    numerators over D: min(k, D - k) with k = (a_i - a_j) mod D."""
-    k = (angles[:, None] - angles) % denominator
-    return np.minimum(k, denominator - k)
+    """Arc-length distances on R/Z between the angles a_i / D (0 <= a_i < D),
+    as integer numerators over D: min(k, D - k) with k = (a_i - a_j) mod D,
+    built in place in the narrowest type that holds D."""
+    a = np.asarray(angles).astype(_int_type(denominator))
+    k = a[:, None] - a
+    k %= denominator
+    np.minimum(k, denominator - k, out=k)
+    return k
 
 
 def circle_net(size: int, step_fn: Callable[[int], int],

@@ -468,6 +468,13 @@ def test_horseshoe_counts_below_one_exit_code(flag, value, capsys):
     assert out.out == "" and "at least 1" in out.err
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_layered_net_without_a_base_point_exit_code(size, capsys):
+    assert run_cli("construct", "layered", "--levels", "3", "--net", size) == EXIT_SCHEMA
+    out = capsys.readouterr()
+    assert out.out == "" and "at least one base point" in out.err
+
+
 @pytest.mark.parametrize("word_length_max", [0, -2])
 def test_verify_rejects_a_wordless_certificate(tmp_path, word_length_max, capsys):
     cert = tmp_path / "cert.json"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowdyn import systems
-from shadowdyn.cli import _named_system
+from shadowdyn.cli import EXIT_BUDGET, _named_system, main
 from shadowdyn.horseshoe import (
     CertificateAborted,
     HorseshoeCertificate,
@@ -93,6 +93,23 @@ def test_find_loop_family_none_on_contracting_net():
     net = circle_net(size, lambda i: step(i) % size)
     fam = find_loop_family(0, F(1, 10), F(1, 200), n_max=10, k=2, system=net)
     assert fam is None
+
+
+def test_loop_candidates_past_the_budget_raise(sigma2, monkeypatch, capsys):
+    # 0* has 31 other width-5 closures on the full 2-shift, and fig1(24) has
+    # 23 points other than 0: more excursions than a budget of 3 admits
+    from shadowdyn.builders import fig1_circle
+
+    monkeypatch.setattr(systems, "LOOP_CANDIDATE_BUDGET", 3)
+    with pytest.raises(systems.BudgetExceeded):
+        find_loop_family(sigma2.fixed_point(0), F(1, 5), F(1, 16), n_max=24, k=2,
+                         system=sigma2)
+    with pytest.raises(systems.BudgetExceeded):
+        find_loop_family(0, F(1, 36), F(1, 6), n_max=20, k=2, system=fig1_circle(24))
+    assert main(["horseshoe", "--system", "fullshift:2", "--base", '{"period": [0]}',
+                 "--eps", "1/5", "--delta", "1/16"]) == EXIT_BUDGET
+    out = capsys.readouterr()
+    assert out.out == "" and "loop candidate search exceeded its budget" in out.err
 
 
 def test_certificate_codes_all_words(sigma2):
@@ -499,7 +516,7 @@ def _assert_search_matches_eager_rule(system, x, eps, delta, n_max):
     rule tested.  Returns the k that found a family."""
     eps, delta = F(eps), F(delta)
     candidates = sorted((validate(pts, delta, system)
-                         for pts in system.loop_candidates(x, delta, n_max, 20000)
+                         for pts in system.loop_candidates(x, delta)
                          if len(pts) - 1 <= n_max), key=lambda lp: lp.step_count)
     tested = []
     found = set()

@@ -1,7 +1,9 @@
 """Layout checks on the package source: the algorithm modules use the
 system protocol instead of testing the kind of a system or point, no module
 imports a name it never uses, every defaulted parameter of a public
-function, constructor or method has a caller that passes it, loop families
+function, constructor or method has a caller that passes it, every
+parameter is read by its function (or, on a system-protocol method, by
+another implementation of the method), loop families
 are built only by ``make_family`` (and the certificate loader), ``systems``
 imports nothing from ``shadow_search``, no JSON call in the package passes
 ``indent`` (``cli._emit`` indents documents itself), the README's Layout
@@ -131,6 +133,50 @@ def test_every_public_default_has_a_caller():
                     and not ("*" in got or param.name in got or positional)):
                 idle.append(f"{label}.{param.name}")
     assert not idle, f"defaulted parameters no call passes: {idle}"
+
+
+def _parameter_reads():
+    """(label, class name or None, function name, {parameter: whether the
+    body reads it}) for every module-level function and class method of the
+    package; a method's self or cls is not counted."""
+    for path in sorted(SRC.glob("*.py")):
+        for top in _parse(path).body:
+            if isinstance(top, ast.FunctionDef):
+                functions = [(None, top)]
+            elif isinstance(top, ast.ClassDef):
+                functions = [(top.name, f) for f in top.body if isinstance(f, ast.FunctionDef)]
+            else:
+                continue
+            for owner, fn in functions:
+                args = fn.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                          *(a for a in (args.vararg, args.kwarg) if a)]
+                if owner and not any(getattr(d, "id", None) == "staticmethod"
+                                     for d in fn.decorator_list):
+                    params = params[1:]
+                reads = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                label = f"{path.stem}.{owner + '.' if owner else ''}{fn.name}"
+                yield label, owner, fn.name, {p.arg: p.arg in reads for p in params}
+
+
+def test_every_parameter_is_read():
+    """A parameter that nothing reads is a knob that does nothing.  A method
+    of the system protocol may leave one to the other kinds of system: it
+    passes when another implementation of the same method reads it."""
+    protocol: dict = {}
+    found = []
+    for label, owner, name, read in _parameter_reads():
+        if owner in KIND_TYPES:
+            protocol.setdefault(name, []).append((label, owner, read))
+        else:
+            found += [f"{label}.{p}" for p, r in read.items() if not r]
+    for implementations in protocol.values():
+        for label, owner, read in implementations:
+            found += [f"{label}.{p}" for p, r in read.items()
+                      if not r and not any(other_read.get(p) for _, other, other_read
+                                           in implementations if other != owner)]
+    assert not found, f"parameters no function reads: {found}"
 
 
 # (module, function) pairs that may construct a LoopFamily: the one rule that

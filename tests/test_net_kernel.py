@@ -137,29 +137,49 @@ def test_one_pass_shadow_is_the_least_tracing_point(name):
         net.shadow([0, net.n], values[-1])
 
 
+def _random_line_net(rng):
+    """A net of 2-14 points of [0, 1) at distance |x - y| with a random map,
+    mostly not injective, and a delta among its distances (0 included), so
+    that many targets are unreachable; with the successor lists of Fraction
+    comparisons."""
+    n = rng.randint(2, 14)
+    labels = [F(x, 40) for x in sorted(rng.sample(range(40), n))]
+    net = NetSystem(labels, [[abs(x - y) for y in labels] for x in labels],
+                    [rng.randrange(n) for _ in range(n)], F(1, 80))
+    delta = rng.choice(sorted({abs(x - y) for x in labels for y in labels}))
+    succ = [[q for q in range(n) if abs(labels[net.step(p)] - labels[q]) <= delta]
+            for p in range(n)]
+    return net, delta, succ
+
+
 @pytest.mark.parametrize("delta", [F(1, 24), F(1, 12)])
 def test_chains_are_shortest_and_lowest_index(delta):
-    # chain() reads predecessor lists cached per delta; every chain must
-    # still be the shortest one and, among those, the lexicographically
-    # least, as found by a layered search over Fraction comparisons
+    # chain() is a breadth-first search over the successor rows cached per
+    # delta; every chain, a == b and unreachable targets included, must be
+    # the shortest one and, among those, the lexicographically least, as
+    # found by a layered search over Fraction comparisons
     net = fig1_circle(24)
-    n = net.n
-    succ = [[q for q in range(n)
+    succ = [[q for q in range(net.n)
              if circle_distance(net.labels[net.step(p)], net.labels[q]) <= delta]
-            for p in range(n)]
-    for a in range(n):
-        expected = {}
-        best = {a: [a]}
-        for _ in range(n):
-            layer = {}
-            for p in sorted(best, key=best.get):
-                for q in succ[p]:
-                    layer.setdefault(q, best[p] + [q])
-            best = layer
-            for b, path in best.items():
-                expected.setdefault(b, path)
-        for b in range(n):
-            assert net.chain(a, b, delta) == expected.get(b)
+            for p in range(net.n)]
+    cases = [(net, delta, succ)]
+    rng = random.Random(str(delta))
+    cases += [_random_line_net(rng) for _ in range(60)]
+    for net, d, succ in cases:
+        n = net.n
+        for a in range(n):
+            expected = {}
+            best = {a: [a]}
+            for _ in range(n):
+                layer = {}
+                for p in sorted(best, key=best.get):
+                    for q in succ[p]:
+                        layer.setdefault(q, best[p] + [q])
+                best = layer
+                for b, path in best.items():
+                    expected.setdefault(b, path)
+            for b in range(n):
+                assert net.chain(a, b, d) == expected.get(b)
 
 
 # -- the bitmask DFS against an exhaustive enumeration ------------------------
@@ -293,7 +313,7 @@ def test_a_dropped_net_is_freed_without_the_cyclic_gc():
     gc.disable()
     try:
         net = fig1_circle(120)
-        # fill every table: rows, balls, successors, predecessors
+        # fill every table: rows, balls, successors
         net.row(4)
         net.ball(5, F(1, 60))
         assert connect(3, 10, F(1, 60), net) is not None

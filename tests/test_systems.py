@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from shadowdyn.systems import (
     SymbolicPoint,
     SymbolicSystem,
     _PACK_RADIUS,
+    circle_arcs,
     circle_net,
     distance_le,
     dyadic_radius,
@@ -550,6 +552,15 @@ def test_period_on_a_cycle_and_off_every_cycle():
     step = [1, 2, 0, 0, 3]
     net = circle_net(5, step.__getitem__)
     assert [net.period(p) for p in range(5)] == [3, 3, 3, None, None]
+
+
+@pytest.mark.parametrize("denominator, dtype", [(32767, np.int16), (40000, np.int32)])
+def test_circle_arcs_in_the_narrowest_type_that_holds_the_denominator(denominator, dtype):
+    angles = np.array([0, 1, denominator // 2, denominator - 1], dtype=np.int64)
+    k = (angles[:, None] - angles) % denominator
+    arcs = circle_arcs(angles, denominator)
+    assert arcs.dtype == dtype
+    assert np.array_equal(arcs, np.minimum(k, denominator - k))
 
 
 def test_successors_and_ball():
