@@ -165,7 +165,7 @@ def find_loop_family(x, epsilon, delta, n_max: int, k: int, system) -> Optional[
     that.
     """
     epsilon, delta = Fraction(epsilon), Fraction(delta)
-    candidates = sorted((pts for pts in system.loop_candidates(x, delta)
+    candidates = sorted((pts for pts in system.loop_candidates(x, delta, n_max)
                          if len(pts) - 1 <= n_max), key=len)
     chosen: list[PseudoOrbit] = []
     for pts in candidates:

@@ -49,7 +49,7 @@ never test the kind of a system or point:
 * chains and loops: ``chain(a, b, delta)`` (on nets the breadth-first
   search that also finds a shift's connecting paths, spliced on shifts;
   validated by ``pseudo_orbits.connect``), ``dwell_loop``,
-  ``loop_candidates(x, delta)`` (at most ``LOOP_CANDIDATE_BUDGET``
+  ``loop_candidates(x, delta, n_max)`` (at most ``LOOP_CANDIDATE_BUDGET``
   excursions), ``neighborhood``;
 * chain classes: ``chain_net(depth)`` (the net itself, or the cylinder net
   of a shift) with ``node_of``, ``point_of`` and ``restrict_to``, which
@@ -85,7 +85,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -503,30 +502,50 @@ _LOW_SYMBOL = operator.attrgetter("low_symbol")
 _TOP_SYMBOL = operator.attrgetter("top_symbol")
 
 
-def _shortest_path(succ: Callable[[int], Sequence[int]], a: int, b: int) -> Optional[tuple]:
-    """Shortest path (a, ..., b) with at least one step along ``succ(u)``,
-    or None.  Breadth-first with successors ascending: each layer is
-    dequeued in the order of its nodes' least paths, so among the shortest
-    paths the lexicographically least one is returned.  The start is not
-    marked visited, so a path may return to it (a == b)."""
+def _search(succ: Callable[[int], Sequence[int]], a: int, max_len: int,
+            b: Optional[int] = None) -> dict:
+    """Breadth-first from a along ``succ(u)``, layer by layer with
+    successors ascending, out to ``max_len`` steps or until b is reached:
+    {v: the node before v}.  Each layer is expanded in the order of its
+    nodes' least paths, so the entries trace, for every node reached, the
+    lexicographically least of its shortest paths of at least one step.
+    The start is not marked visited, so a path may return to it."""
     prev: dict = {}
-    queue = deque([a])
-    while queue:
-        u = queue.popleft()
-        for v in succ(u):
-            if v in prev:
-                continue
-            prev[v] = u
-            if v == b:
-                path = [b]
-                u = prev[b]
-                while u != a:
-                    path.append(u)
-                    u = prev[u]
-                path.append(a)
-                return tuple(reversed(path))
-            queue.append(v)
-    return None
+    layer = [a]
+    for _ in range(max_len):
+        following = []
+        for u in layer:
+            for v in succ(u):
+                if v in prev:
+                    continue
+                prev[v] = u
+                if v == b:
+                    return prev
+                following.append(v)
+        if not following:
+            break
+        layer = following
+    return prev
+
+
+def _path(prev: dict, a: int, b: int) -> Optional[tuple]:
+    """The path (a, ..., b) that ``_search`` from a traced to b, or None."""
+    if b not in prev:
+        return None
+    path = [b]
+    u = prev[b]
+    while u != a:
+        path.append(u)
+        u = prev[u]
+    path.append(a)
+    return tuple(reversed(path))
+
+
+def _shortest_path(succ: Callable[[int], Sequence[int]], a: int, b: int,
+                   max_len: int) -> Optional[tuple]:
+    """The lexicographically least of the shortest paths (a, ..., b) of 1
+    to ``max_len`` steps along ``succ(u)``, or None."""
+    return _path(_search(succ, a, max_len, b), a, b)
 
 
 class SymbolicSystem:
@@ -561,10 +580,11 @@ class SymbolicSystem:
                            for i in range(alphabet_size))
         self._forbidden = frozenset((a, b) for a in range(alphabet_size)
                                     for b in range(alphabet_size) if not mat[a][b])
-        # (a, b) -> connecting path, searched on first use; built over the
-        # successor lists, not over the system, so that no cycle holds it
+        # (a, b) -> connecting path, searched on first use (a shortest one
+        # has at most k steps); built over the successor lists, not over the
+        # system, so that no cycle holds it
         succ = self._succ.__getitem__
-        self._paths = _Lazy(lambda ab: _shortest_path(succ, *ab))
+        self._paths = _Lazy(lambda ab: _shortest_path(succ, *ab, alphabet_size))
         # window bytes -> their closure (or None), kept by ``nearby_point``
         self._nearby: dict = {}
 
@@ -916,10 +936,12 @@ class SymbolicSystem:
         period = p.least_period()
         return None if period is None else [p] + [p.shift(i) for i in range(1, period + 1)]
 
-    def loop_candidates(self, x: SymbolicPoint, delta: Fraction) -> list:
+    def loop_candidates(self, x: SymbolicPoint, delta: Fraction, n_max: int) -> list:
         """Delta-loops at x as point lists: the dwell loop when x is periodic,
         then excursions through the periodic closures q of the width-5
-        words (spliced out, once around q's orbit when periodic, and back)."""
+        words (spliced out, once around q's orbit when periodic, and back).
+        A splice is no search, so ``n_max``, which bounds the net's search,
+        is left to the caller, who drops the loops longer than it."""
         out = []
         dwell = self.dwell_loop(x, delta)
         if dwell is not None:
@@ -1353,20 +1375,25 @@ class NetSystem:
         """Points of a shortest delta-chain from a to b, or None; among the
         shortest chains the lexicographically least.  When a == b the chain
         makes at least one step."""
-        path = _shortest_path(lambda u: self.successors(u, delta), a, b)
+        path = _shortest_path(lambda u: self.successors(u, delta), a, b, self.n)
         return None if path is None else list(path)
 
     def dwell_loop(self, p: int, delta: Fraction) -> Optional[list]:
         """The shortest delta-chain loop at p."""
         return self.chain(p, p, delta)
 
-    def loop_candidates(self, x: int, delta: Fraction) -> list:
-        """Delta-loops at x as point lists: the shortest chain loop, then
-        detours x -> q -> x through every other point."""
+    def loop_candidates(self, x: int, delta: Fraction, n_max: int) -> list:
+        """Delta-loops at x of at most ``n_max`` steps as point lists: the
+        shortest chain loop, then detours x -> q -> x through every other
+        point.  One search from x, out to ``n_max`` steps, traces the loop
+        at x and every outbound chain; a search back from q goes only as
+        deep as the steps left."""
+        succ = [self.successors(u, delta) for u in range(self.n)].__getitem__
         out = []
-        loop = self.chain(x, x, delta)
+        prev = _search(succ, x, n_max)
+        loop = _path(prev, x, x)
         if loop is not None:
-            out.append(loop)
+            out.append(list(loop))
         count = 0
         for q in range(self.n):
             if q == x:
@@ -1374,13 +1401,13 @@ class NetSystem:
             count += 1
             if count > LOOP_CANDIDATE_BUDGET:
                 raise BudgetExceeded("loop candidate search exceeded its budget")
-            first = self.chain(x, q, delta)
+            first = _path(prev, x, q)
             if first is None:
                 continue
-            back = self.chain(q, x, delta)
+            back = _shortest_path(succ, q, x, n_max - (len(first) - 1))
             if back is None:
                 continue
-            out.append(first + back[1:])
+            out.append(list(first + back[1:]))
         return out
 
     def neighborhood(self, points: Sequence[int], delta: Fraction) -> list:

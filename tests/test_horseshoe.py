@@ -516,7 +516,7 @@ def _assert_search_matches_eager_rule(system, x, eps, delta, n_max):
     rule tested.  Returns the k that found a family."""
     eps, delta = F(eps), F(delta)
     candidates = sorted((validate(pts, delta, system)
-                         for pts in system.loop_candidates(x, delta)
+                         for pts in system.loop_candidates(x, delta, n_max)
                          if len(pts) - 1 <= n_max), key=lambda lp: lp.step_count)
     tested = []
     found = set()

@@ -182,6 +182,23 @@ def test_chains_are_shortest_and_lowest_index(delta):
                 assert net.chain(a, b, d) == expected.get(b)
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 3, 5, 9])
+def test_loop_candidates_are_the_chain_loops_within_n_max(n_max):
+    # the searches of loop_candidates stop at n_max steps: they must keep
+    # exactly the loops built from whole chains (the loop at x, then
+    # x -> q -> x for every other q) that have at most n_max steps
+    rng = random.Random(n_max)
+    for net, d, _ in [_random_line_net(rng) for _ in range(40)]:
+        for x in range(net.n):
+            loops = [net.chain(x, x, d)]
+            for q in range(net.n):
+                first, back = net.chain(x, q, d), net.chain(q, x, d)
+                if q != x and first is not None and back is not None:
+                    loops.append(first + back[1:])
+            expected = [lp for lp in loops if lp is not None and len(lp) - 1 <= n_max]
+            assert net.loop_candidates(x, d, n_max) == expected
+
+
 # -- the bitmask DFS against an exhaustive enumeration ------------------------
 
 
