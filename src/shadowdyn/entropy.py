@@ -4,7 +4,10 @@ Separated-set maxima are exact: a branch-and-bound maximum clique search on
 the separation graph for explicit candidate lists, and a word-counting
 argument for cylinder universes of symbolic systems (two points separate
 within n steps iff their windows on [-t', n+t'] differ, t' the largest i
-with 2^-i > epsilon).
+with 2^-i > epsilon).  The separation graph is the complement of the AND
+of the system's ``close_masks`` at steps 0..n; a net answers those from
+its integer metric.  ``is_separated`` and ``SeparatedSetResult.reverify``
+test pairs one by one, as the independent check.  Step counts are >= 0.
 """
 
 from __future__ import annotations
@@ -105,10 +108,14 @@ def max_clique(neighbors: Sequence[int], n: int) -> list:
 
 def separated_set(system, candidates: Sequence, n: int, epsilon) -> SeparatedSetResult:
     """Largest pairwise (n, epsilon)-separated subset of the candidates,
-    by exact clique search.  More than ``CLIQUE_LIMIT`` candidates raise
-    ``BudgetExceeded``.
+    by exact clique search.  Two candidates are adjacent unless they stay
+    epsilon-close at every step 0..n: the AND of the steps' ``close_masks``
+    (on a net, integer comparisons on the metric).  More than
+    ``CLIQUE_LIMIT`` candidates raise ``BudgetExceeded``.
     """
     epsilon = Fraction(epsilon)
+    if n < 0:
+        raise ValueError("n must be >= 0")
     cands = list(candidates)
     m = len(cands)
     if m == 0:
@@ -116,21 +123,13 @@ def separated_set(system, candidates: Sequence, n: int, epsilon) -> SeparatedSet
     if m > CLIQUE_LIMIT:
         raise BudgetExceeded(f"{m} candidates exceed the clique search budget of {CLIQUE_LIMIT}")
 
-    # orbits once, then pairwise separation tests on stored iterates
-    orbits = []
-    for x in cands:
-        orb = [x]
-        for _ in range(n):
-            orb.append(system.step(orb[-1]))
-        orbits.append(orb)
-
-    close = system.closeness(epsilon)
-    neighbors = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if not all(map(close, orbits[i], orbits[j])):
-                neighbors[i] |= 1 << j
-                neighbors[j] |= 1 << i
+    points = cands
+    close = system.close_masks(points, epsilon)
+    for _ in range(n):
+        points = [system.step(x) for x in points]
+        close = [a & b for a, b in zip(close, system.close_masks(points, epsilon))]
+    full = (1 << m) - 1
+    neighbors = [full & ~(c | 1 << i) for i, c in enumerate(close)]
     chosen = max_clique(neighbors, m)
     return SeparatedSetResult(n, epsilon, len(chosen), tuple(cands[i] for i in chosen))
 
@@ -152,6 +151,8 @@ def max_separated_cylinders(system: SymbolicSystem, n: int, epsilon) -> Separate
     those words) is materialized only when small.
     """
     epsilon = Fraction(epsilon)
+    if n < 0:
+        raise ValueError("n must be >= 0")
     tp = separation_window(epsilon)
     if tp is None:
         # no pair of points is ever further apart than epsilon
@@ -187,6 +188,8 @@ def entropy_estimate(system, epsilon, n_range: Sequence[int],
     ns = list(n_range)
     if len(ns) < 2:
         raise ValueError("need at least two n values")
+    if min(ns) < 0:
+        raise ValueError("n must be >= 0")
     entries = []
     for n in ns:
         count = system.separated_count(n, epsilon) if candidates is None else None

@@ -56,9 +56,12 @@ never test the kind of a system or point:
   turns a node set into the point test that keeps a shadowability search
   inside it;
 * measures and entropy: ``test_centers``, ``sample_point``,
-  ``nearby_point``, ``separated_count`` and ``dynamical_ball``.  A shift's
-  nearby point is the closure of a window, kept per window; a net's is a
-  draw from the rng.
+  ``nearby_point``, ``separated_count``, ``close_masks(points, eps)`` (bit
+  j of entry i set iff d(points[i], points[j]) <= eps; a net compares its
+  integer metric on the points' rows and columns, a shift tests each pair
+  with ``closeness``) and ``dynamical_ball``.  A shift's nearby point is
+  the closure of a window, kept per window; a net's is a draw from the
+  rng.
 
 Symbolic points are immutable: a shift is a view that shares its parent's
 word and period tuples and moves only the offset.  The parent and all its
@@ -751,6 +754,18 @@ class SymbolicSystem:
 
         return close
 
+    def close_masks(self, points: Sequence[SymbolicPoint], eps: Fraction) -> list:
+        """Bit j of entry i is set iff d(points[i], points[j]) <= eps, tested
+        pair by pair with ``closeness``."""
+        close = self.closeness(eps)
+        masks = [0] * len(points)
+        for i, a in enumerate(points):
+            for j in range(i, len(points)):
+                if close(a, points[j]):
+                    masks[i] |= 1 << j
+                    masks[j] |= 1 << i
+        return masks
+
     def traces(self, z: SymbolicPoint, pts: Sequence[SymbolicPoint], eps: Fraction) -> bool:
         """Whether d(f^i(z), x_i) <= eps for every i.  Below 1 that is
         agreement of f^i(z) with x_i on |j| <= rho (2^-(rho+1) <= eps), so
@@ -1307,6 +1322,24 @@ class NetSystem:
         """The test d(i, j) <= eps."""
         masks = self.ball_masks(eps)
         return lambda i, j: masks[i] >> j & 1 == 1
+
+    def close_masks(self, points: Sequence[int], eps: Fraction) -> list:
+        """Bit j of entry i is set iff d(points[i], points[j]) <= eps: the
+        integer test of ``ball_masks`` on the points' rows and columns of
+        the metric, 64 rows at a time, so no m x m copy is held."""
+        idx = np.asarray(points)
+        if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= self.n):
+            raise ValueError("points must be point indices of the net system")
+        idx = idx.astype(np.intp)
+        t = _threshold(eps, self.denominator)
+        width = (len(idx) + 7) // 8
+        masks = []
+        for a in range(0, len(idx), 64):
+            close = self._imat.take(idx[a:a + 64], axis=0).take(idx, axis=1) <= t
+            packed = np.packbits(close, axis=1, bitorder="little").tobytes()
+            masks += [int.from_bytes(packed[k:k + width], "little")
+                      for k in range(0, len(packed), width)]
+        return masks
 
     def traces(self, z: int, pts: Sequence[int], eps: Fraction) -> bool:
         """Whether d(f^i(z), x_i) <= eps for every i, point by point."""

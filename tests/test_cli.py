@@ -271,6 +271,15 @@ def test_negative_horizon_exit_code(fig1_file, system, point, eps, delta, capsys
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("system, eps", [("fullshift:2", "3/4"), ("fig1", "1/20")])
+@pytest.mark.parametrize("steps", ["-3..1", "-1..2"])
+def test_negative_entropy_steps_exit_code(fig1_file, system, eps, steps, capsys):
+    assert run_cli("entropy", "--system", fig1_file if system == "fig1" else system,
+                   "--eps", eps, f"--n={steps}") == EXIT_SCHEMA
+    out = capsys.readouterr()
+    assert out.out == "" and "n must be >= 0" in out.err
+
+
 def test_horseshoe_aborted_certificate_is_a_verdict(fig1_file, capsys):
     code = run_cli("horseshoe", "--system", fig1_file, "--base", "0",
                    "--eps", "1/36", "--delta", "1/6", "--n-max", "20", "--words", "3")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import sys
@@ -16,7 +17,9 @@ from shadowdyn.entropy import (
     separated_set,
     separation_window,
 )
-from shadowdyn.systems import BudgetExceeded, NetSystem, SymbolicSystem, circle_net
+from shadowdyn.builders import fig1_circle
+from shadowdyn.systems import (BudgetExceeded, NetSystem, SymbolicSystem, circle_net,
+                               symbolic_distance)
 
 F = Fraction
 
@@ -121,23 +124,63 @@ def test_separated_set_clique_agrees_with_cylinder_count():
 
 
 def test_separated_set_on_net_matches_brute_force():
-    net = circle_net(12, lambda i: (i + 1) % 12, invertible=True)
-    n, eps = 2, F(1, 4)
-    res = separated_set(net, range(net.n), n, eps)
+    rotation = circle_net(12, lambda i: (i + 1) % 12, invertible=True)
+    # not injective: each third of the circle falls onto its first point
+    collapsing = circle_net(12, lambda i: i - i % 4)
+    for net, n, eps in [(rotation, 2, F(1, 4)), (rotation, 0, F(1, 6)),
+                        (collapsing, 1, F(1, 6)), (collapsing, 3, F(1, 12))]:
+        res = separated_set(net, range(net.n), n, eps)
 
-    # oracle: check all subsets of a small candidate pool
-    best = 0
-    pool = list(range(net.n))
-    for size in range(len(pool), 0, -1):
-        if best:
-            break
-        for sub in itertools.combinations(pool, size):
-            if all(is_separated(net, a, b, n, eps)
-                   for a, b in itertools.combinations(sub, 2)):
-                best = size
+        # oracle: check all subsets of a small candidate pool
+        best = 0
+        pool = list(range(net.n))
+        for size in range(len(pool), 0, -1):
+            if best:
                 break
-    assert res.cardinality == best
+            for sub in itertools.combinations(pool, size):
+                if all(is_separated(net, a, b, n, eps)
+                       for a, b in itertools.combinations(sub, 2)):
+                    best = size
+                    break
+        assert res.cardinality == best
+        assert res.reverify(net)
+
+
+def test_reverify_rejects_a_witness_that_stays_close():
+    # replace one witness point by a point that stays eps-close to another
+    # witness point at every step 0..n, checked on exact distances
+    net, n, eps = fig1_circle(120), 2, F(1, 20)
+    res = separated_set(net, range(net.n), n, eps)
     assert res.reverify(net)
+    w = res.witness[1]
+    q = next(q for q in range(net.n) if q not in res.witness and all(
+        net.distance(net.iterate(q, i), net.iterate(w, i)) <= eps for i in range(n + 1)))
+    assert not dataclasses.replace(res, witness=(q, *res.witness[1:])).reverify(net)
+
+    sigma2, n, eps = SymbolicSystem.full_shift(2), 3, F(3, 4)
+    res = max_separated_cylinders(sigma2, n, eps)
+    assert res.reverify(sigma2)
+    w = res.witness[1]
+    # the same coordinates 0..n, and another one at n + 1
+    q = sigma2.periodic_closure(w.window(0, n) + (1 - w.coord(n + 1),))
+    assert q not in res.witness
+    assert all(symbolic_distance(q.shift(i), w.shift(i)) <= eps for i in range(n + 1))
+    assert not dataclasses.replace(res, witness=(q, *res.witness[1:])).reverify(sigma2)
+
+
+@pytest.mark.parametrize("n", [-1, -3])
+def test_negative_step_counts_raise(n):
+    net, sigma2 = fig1_circle(120), SymbolicSystem.full_shift(2)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        separated_set(net, range(net.n), n, F(1, 20))
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        separated_set(sigma2, [sigma2.fixed_point(0), sigma2.fixed_point(1)], n, F(3, 4))
+    for eps in (F(3, 4), F(2)):  # with a separated count, and with one point
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            max_separated_cylinders(sigma2, n, eps)
+    for system, eps in ((net, F(1, 20)), (sigma2, F(3, 4))):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            entropy_estimate(system, eps, range(n, 2))
 
 
 def test_separated_set_past_the_clique_budget_raises(monkeypatch):

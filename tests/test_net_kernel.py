@@ -1,15 +1,19 @@
 """The integer net kernel against direct Fraction comparisons.
 
-Threshold tests (balls, successors, closeness, neighborhoods) are
-compared with d <= eps on independently computed Fraction distances, at
-thresholds on, between and off the metric's values; the one-pass shadow
-search is compared with the stepwise ``traces`` of every net point; the
-shadowability search is compared, on nets, with an exhaustive preorder
-enumeration of pseudo-orbits and an exhaustive Fraction shadow search, and
-on shifts with a preorder enumeration of the successor candidates checked
-by ``find_shadow``.
+Threshold tests (balls, successors, closeness, neighborhoods and the
+``close_masks`` rows of a candidate list) are compared with d <= eps on
+independently computed Fraction distances, at thresholds on, between and
+off the metric's values; the separation graph that ``separated_set``
+builds from ``close_masks`` is compared with the pairwise construction of
+``closeness`` calls it replaced, on random nets and shift closures; the
+one-pass shadow search is compared with the stepwise ``traces`` of every
+net point; the shadowability search is compared, on nets, with an
+exhaustive preorder enumeration of pseudo-orbits and an exhaustive
+Fraction shadow search, and on shifts with a preorder enumeration of the
+successor candidates checked by ``find_shadow``.
 """
 
+import functools
 import gc
 import random
 import weakref
@@ -20,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowdyn.builders import dense_shadowable_example, fig1_circle
+from shadowdyn.entropy import max_clique, separated_set
 from shadowdyn.finitize import CylinderNet
 from shadowdyn.pseudo_orbits import connect
 from shadowdyn.shadow_search import SearchStats, find_shadow, unshadowed
@@ -102,6 +107,14 @@ def test_thresholds_agree_with_fraction_comparisons(build, denominator, limit):
             assert [q for q in range(net.n) if close(i, q)] == near
             assert net.successors(i, eps) == tuple(balls[net.step(i)])
         assert net.neighborhood([0, net.n - 1], eps) == sorted({*balls[0], *balls[-1]})
+        # a candidate list out of order and with repeats, past 64 points
+        # (one block of rows) on the layered net
+        pts = [net.n - 1, 0, *range(net.n - 1, -1, -2), net.n - 1, 1 % net.n]
+        assert net.close_masks(pts, eps) == [
+            sum(1 << j for j, q in enumerate(pts) if table[p][q] <= eps) for p in pts]
+    for bad in ([0, net.n], [-1, 0], [0.5]):
+        with pytest.raises(ValueError, match="point indices"):
+            net.close_masks(bad, max(values))
 
 
 SHADOW_NETS = {
@@ -200,6 +213,76 @@ def test_loop_candidates_are_the_chain_loops_within_n_max(n_max):
 
 
 # -- the bitmask DFS against an exhaustive enumeration ------------------------
+
+
+def reference_separated_set(system, cands, n, eps):
+    """(cardinality, witness) by the pairwise construction ``separated_set``
+    used before ``close_masks``: orbits once, then one ``closeness`` call per
+    pair and step, and the same clique search."""
+    orbits = []
+    for x in cands:
+        orb = [x]
+        for _ in range(n):
+            orb.append(system.step(orb[-1]))
+        orbits.append(orb)
+    close = system.closeness(eps)
+    m = len(cands)
+    neighbors = [0] * m
+    for i in range(m):
+        for j in range(i + 1, m):
+            if not all(map(close, orbits[i], orbits[j])):
+                neighbors[i] |= 1 << j
+                neighbors[j] |= 1 << i
+    chosen = max_clique(neighbors, m)
+    return len(chosen), tuple(cands[i] for i in chosen)
+
+
+SEPARATION_SYSTEMS = {**SHADOW_NETS, "fullshift:2": lambda: SymbolicSystem.full_shift(2),
+                      "goldenmean": SymbolicSystem.golden_mean}
+
+
+def _separation_universe(system):
+    """(candidate points, thresholds at, between and beyond their distances):
+    every point of a net, or the closures of a shift's words on [-1, 3]."""
+    if system.kind == "net":
+        points, denominator = list(range(system.n)), system.denominator
+    else:
+        points, denominator = [q for _, q in system.cylinders(-1, 3)], 16
+    values = {system.distance(a, b) for a in points for b in points}
+    return points, _thresholds(values, denominator, 12)
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_separation_case(name):
+    system = SEPARATION_SYSTEMS[name]()
+    return (system, *_separation_universe(system))
+
+
+@st.composite
+def separation_cases(draw):
+    """A system (a fixed net or shift, or a random line net), a candidate
+    list drawn from it with repeats and out of order, a step count n and a
+    threshold."""
+    name = draw(st.sampled_from(["line", *sorted(SEPARATION_SYSTEMS)]))
+    if name == "line":
+        system = _random_line_net(random.Random(draw(st.integers(0, 10 ** 6))))[0]
+        universe, thresholds = _separation_universe(system)
+    else:
+        system, universe, thresholds = _fixed_separation_case(name)
+    picks = draw(st.lists(st.integers(0, len(universe) - 1), min_size=1, max_size=14))
+    return (system, [universe[k] for k in picks], draw(st.integers(0, 3)),
+            draw(st.sampled_from(thresholds)))
+
+
+@given(separation_cases())
+@settings(max_examples=300, deadline=None)
+def test_separation_graph_matches_the_pairwise_construction(case):
+    system, cands, n, eps = case
+    close = system.closeness(eps)
+    assert system.close_masks(cands, eps) == [
+        sum(1 << j for j, q in enumerate(cands) if close(p, q)) for p in cands]
+    res = separated_set(system, cands, n, eps)
+    assert (res.cardinality, res.witness) == reference_separated_set(system, cands, n, eps)
 
 
 @st.composite
