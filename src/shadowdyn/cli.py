@@ -4,8 +4,9 @@ Subcommands: construct, chain, shadow, horseshoe, entropy, dstar, approx,
 verify, accept.  Rationals are parsed exactly ("p/q" or integers); outputs
 are deterministic JSON (sorted keys) with every claimed number exact.
 Every document goes through ``_emit``: the text of ``json.dumps(doc,
-sort_keys=True, indent=1, default=str)``, written by ``_dumps`` with the
-stdlib's C encoder, to stdout or, the same bytes, to the ``--out`` file.
+sort_keys=True, indent=1, default=str)``, encoded by ``_pieces`` with the
+stdlib's C encoder and streamed, piece by piece, to stdout or, the same
+bytes, to the ``--out`` file.
 
 Exit codes: 0 success / verdict holds, 1 verdict fails (counterexample or
 failed verification), 2 schema or argument error, 3 budget exhaustion.
@@ -45,8 +46,9 @@ def _frac(s: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {s!r}") from err
 
 
-def _dumps(doc) -> str:
-    """The text of ``json.dumps(doc, sort_keys=True, indent=1, default=str)``.
+def _pieces(doc) -> list:
+    """The text of ``json.dumps(doc, sort_keys=True, indent=1, default=str)``,
+    as a list of pieces to write in order.
 
     Any ``indent`` makes the stdlib encode element by element in Python, so
     only the containers that hold other containers are walked here.  Every
@@ -63,30 +65,42 @@ def _dumps(doc) -> str:
         return encoders[level].encode(o)
 
     out = []
-    _write(doc, 0, encode, out)
-    return "".join(out)
+    _write(doc, 0, encode, out, {})
+    return out
 
 
-def _write(o, level, encode, out):
-    """Append the text of ``o`` at nesting ``level`` to ``out``.  (A module
-    function, not a closure of ``_dumps``: a recursive closure is a reference
-    cycle, which would keep ``out`` alive until the cyclic GC runs.)"""
+def _write(o, level, encode, out, texts):
+    """Append the text of ``o`` at nesting ``level`` to ``out``.  ``texts``
+    holds the text of each container that holds no container, keyed by
+    (id, level), so one that recurs is encoded once; the document holds
+    every such container until the walk ends, so no id is reused.  (A
+    module function, not a closure of ``_pieces``: a recursive closure is a
+    reference cycle, which would keep ``out`` alive until the cyclic GC
+    runs.)"""
     is_dict = isinstance(o, dict)
     if not (is_dict or isinstance(o, (list, tuple))):
         out.append(encode(o))
+        return
+    key = (id(o), level)
+    text = texts.get(key)
+    if text is not None:
+        out.append(text)
         return
     inner, outer = "\n" + " " * (level + 1), "\n" + " " * level
     values = o.values() if is_dict else o
     if not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values))):
         text = encode(o, level)
-        out.append(text if len(text) == 2 else text[0] + inner + text[1:-1] + outer + text[-1])
+        if len(text) > 2:
+            text = text[0] + inner + text[1:-1] + outer + text[-1]
+        texts[key] = text
+        out.append(text)
         return
     pairs = ([(_key(k, encode), v) for k, v in sorted(o.items())] if is_dict
              else [("", v) for v in o])
     out.append("{" if is_dict else "[")
     for i, (prefix, v) in enumerate(pairs):
         out.append(("," if i else "") + inner + prefix)
-        _write(v, level + 1, encode, out)
+        _write(v, level + 1, encode, out, texts)
     out.append(outer + ("}" if is_dict else "]"))
 
 
@@ -98,12 +112,15 @@ def _key(k, encode) -> str:
 
 
 def _emit(doc, path=None):
-    text = _dumps(doc)
+    """Write the document to ``path``, or to stdout, once all of it is
+    encoded: a document that fails to encode writes nothing."""
+    pieces = _pieces(doc)
+    pieces.append("\n")
     if path:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.writelines(pieces)
     else:
-        print(text)
+        sys.stdout.writelines(pieces)
 
 
 def _load_system(path: str):

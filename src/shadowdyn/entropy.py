@@ -116,6 +116,13 @@ def separated_set(system, candidates: Sequence, n: int, epsilon) -> SeparatedSet
     epsilon = Fraction(epsilon)
     if n < 0:
         raise ValueError("n must be >= 0")
+    return _separated_sets(system, candidates, {n}, epsilon)[n]
+
+
+def _separated_sets(system, candidates: Sequence, ns: set, epsilon: Fraction) -> dict:
+    """``separated_set`` at each n of ``ns``, by n, from one pass over the
+    steps 0..max(ns): the AND of the ``close_masks`` of steps 0..n is that
+    of steps 0..n-1 and step n's, so each step's masks are built once."""
     cands = list(candidates)
     m = len(cands)
     if m == 0:
@@ -123,15 +130,20 @@ def separated_set(system, candidates: Sequence, n: int, epsilon) -> SeparatedSet
     if m > CLIQUE_LIMIT:
         raise BudgetExceeded(f"{m} candidates exceed the clique search budget of {CLIQUE_LIMIT}")
 
+    full = (1 << m) - 1
+    results = {}
     points = cands
     close = system.close_masks(points, epsilon)
-    for _ in range(n):
-        points = [system.step(x) for x in points]
-        close = [a & b for a, b in zip(close, system.close_masks(points, epsilon))]
-    full = (1 << m) - 1
-    neighbors = [full & ~(c | 1 << i) for i, c in enumerate(close)]
-    chosen = max_clique(neighbors, m)
-    return SeparatedSetResult(n, epsilon, len(chosen), tuple(cands[i] for i in chosen))
+    for n in range(max(ns) + 1):
+        if n:
+            points = [system.step(x) for x in points]
+            close = [a & b for a, b in zip(close, system.close_masks(points, epsilon))]
+        if n in ns:
+            neighbors = [full & ~(c | 1 << i) for i, c in enumerate(close)]
+            chosen = max_clique(neighbors, m)
+            results[n] = SeparatedSetResult(n, epsilon, len(chosen),
+                                            tuple(cands[i] for i in chosen))
+    return results
 
 
 def separation_window(epsilon) -> Optional[int]:
@@ -190,13 +202,15 @@ def entropy_estimate(system, epsilon, n_range: Sequence[int],
         raise ValueError("need at least two n values")
     if min(ns) < 0:
         raise ValueError("n must be >= 0")
-    entries = []
-    for n in ns:
-        count = system.separated_count(n, epsilon) if candidates is None else None
-        if count is None:
-            cands = candidates if candidates is not None else range(system.n)
-            count = separated_set(system, cands, n, epsilon).cardinality
-        entries.append((n, count))
+    counts = dict.fromkeys(ns)
+    if candidates is None:
+        counts = {n: system.separated_count(n, epsilon) for n in ns}
+    searched = {n for n, c in counts.items() if c is None}
+    if searched:
+        cands = range(system.n) if candidates is None else candidates
+        for n, res in _separated_sets(system, cands, searched, epsilon).items():
+            counts[n] = res.cardinality
+    entries = [(n, counts[n]) for n in ns]
     xs = [float(n) for n, _ in entries]
     ys = [math.log(c) for _, c in entries]
     mean_x = sum(xs) / len(xs)

@@ -5,6 +5,11 @@ Every emitted number that is a claim (a distance, a bound, a weight) is an
 exact rational rendered as "p/q", and is read back only as such a string or
 a JSON integer; documents carry a schema tag and certificates a content
 hash, both checked on load.
+
+The points of one symbol tape share one 'period' list and one 'word' list
+in a written document, so documents are read-only values: no loader
+mutates one, and a caller who edits a document copies it first (a JSON
+round trip gives the unshared form a file gives).
 """
 
 from __future__ import annotations
@@ -59,9 +64,24 @@ def parse_frac(s) -> Fraction:
 
 
 def point_to_json(p) -> Union[int, dict]:
-    if isinstance(p, SymbolicPoint):
-        return {"offset": p.offset, "word": list(p.word), "period": list(p.period)}
-    return int(p)
+    return _point_writer()(p)
+
+
+def _point_writer():
+    """``point_to_json`` for the points of one document, the twin of
+    ``_point_reader``.  The points of one symbol tape (a point and its
+    ``shift`` views) share one 'period' list and one 'word' list."""
+    lists = {}
+
+    def write(p):
+        if not isinstance(p, SymbolicPoint):
+            return int(p)
+        shared = lists.get(p._tape)
+        if shared is None:
+            shared = lists[p._tape] = list(p.period), list(p.word)
+        return {"offset": p.offset, "word": shared[1], "period": shared[0]}
+
+    return write
 
 
 def _is_int(v) -> bool:
@@ -203,7 +223,7 @@ def _over_one_denominator(metric: list) -> tuple:
 
 def orbit_to_json(po: PseudoOrbit) -> dict:
     return {"schema": SCHEMA_ORBIT,
-            "points": [point_to_json(p) for p in po.points],
+            "points": list(map(_point_writer(), po.points)),
             "delta": frac_str(po.delta),
             "kind": po.kind}
 
@@ -218,8 +238,9 @@ def orbit_from_json(doc, system) -> PseudoOrbit:
 
 
 def measure_to_json(mu: EmpiricalMeasure) -> dict:
+    write = _point_writer()
     return {"schema": SCHEMA_MEASURE,
-            "atoms": [[point_to_json(p), frac_str(w)] for p, w in mu.atoms]}
+            "atoms": [[write(p), frac_str(w)] for p, w in mu.atoms]}
 
 
 def _point_weight_pairs(doc, key: str, what: str, system) -> list:
@@ -251,16 +272,17 @@ def _payload_hash(payload: dict) -> str:
 
 def certificate_to_json(cert: HorseshoeCertificate) -> dict:
     fam = cert.family
+    write = _point_writer()
     payload = {
         "schema": SCHEMA_CERT,
-        "base": point_to_json(fam.base),
-        "loops": [[point_to_json(p) for p in lp.points] for lp in fam.loops],
+        "base": write(fam.base),
+        "loops": [list(map(write, lp.points)) for lp in fam.loops],
         "delta": frac_str(fam.delta),
         "epsilon": frac_str(fam.epsilon),
         "witnesses": [{"a": w.loop_a, "b": w.loop_b, "index": w.index,
                        "distance": frac_str(w.distance)} for w in fam.witnesses],
         "word_length_max": cert.word_length_max,
-        "coded": [{"word": list(word), "shadow": point_to_json(z)}
+        "coded": [{"word": list(word), "shadow": write(z)}
                   for word, z in sorted(cert.coded.items())],
         "entropy": {"log_arg": cert.entropy_log_arg,
                     "divisor": cert.entropy_divisor},

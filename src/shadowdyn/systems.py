@@ -406,6 +406,10 @@ def first_disagreement(a: SymbolicPoint, b: SymbolicPoint) -> Optional[int]:
         if left:
             i = min(i, _PACK_RADIUS - ((left.bit_length() - 1) >> 3))
         return i
+    # equal sequences end here, whatever their offsets: a scan would run out
+    # to the far end of the words
+    if a.canonical() == b.canonical():
+        return None
     la, ra, da = a._span()
     lb, rb, db = b._span()
     lam = math.lcm(da, db)

@@ -5,13 +5,13 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shadowdyn import io as sio
 from shadowdyn.builders import fig1_circle
 from shadowdyn import cli
-from shadowdyn.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_SCHEMA, _dumps, main
+from shadowdyn.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_SCHEMA, _emit, _pieces, main
 from shadowdyn.measures import EmpiricalMeasure
 from shadowdyn.systems import SymbolicSystem
 
@@ -515,10 +515,37 @@ def _containers(children):
           for keys in (st.text(), st.integers(), st.floats(), st.booleans())))
 
 
+# containers a document may hold at several places and levels: equal but
+# distinct copies, values equal across types ([True], [1], [1.0]), empty
+# ones, and containers that hold shared ones
+_TAPE = [0, 1, 1, 0]
+_SHARED = ([True], [1], [1.0], [1], [], (), {}, (), (1, "a"), {"b": None, "a": 2.5},
+           _TAPE, list(_TAPE), {"period": _TAPE, "word": []}, [_TAPE, (_TAPE,)])
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.recursive(_LEAVES, _containers, max_leaves=30))
+@given(st.recursive(st.one_of(_LEAVES, st.sampled_from(_SHARED)), _containers, max_leaves=30))
+@example([_TAPE, [_TAPE, {"t": _TAPE, "u": [[_TAPE]]}], [True], [1], [1.0], [1], [], (),
+          _SHARED[-1], {"x": _SHARED[-2], "y": [_SHARED[-2]]}])
 def test_document_writer_matches_indented_json_dumps(doc):
-    assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=1, default=str)
+    assert "".join(_pieces(doc)) == json.dumps(doc, sort_keys=True, indent=1, default=str)
+
+
+def test_documents_stream_whole_to_both_sinks_or_not_at_all(tmp_path, capsys):
+    doc = {"a": [_TAPE, [_TAPE, {"t": _TAPE}]], "b": [[True], [1], [1.0], [], ()],
+           "c": _TAPE, "d": F(1, 3)}
+    text = json.dumps(doc, sort_keys=True, indent=1, default=str) + "\n"
+    _emit(doc)
+    assert capsys.readouterr().out == text
+    _emit(doc, str(tmp_path / "doc.json"))
+    assert (tmp_path / "doc.json").read_text() == text
+    # a key no JSON text can hold, met after a large part is encoded
+    bad = dict(doc, z={(1, 2): 0})
+    for path in (None, tmp_path / "bad.json"):
+        with pytest.raises(TypeError, match="keys must be"):
+            _emit(bad, path and str(path))
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "bad.json").exists()
 
 
 @pytest.fixture(scope="module")

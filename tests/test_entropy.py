@@ -219,6 +219,25 @@ def test_entropy_slope_fixed_point_zero():
     assert est.slope == 0
 
 
+@pytest.mark.parametrize("ns, candidates", [
+    (range(1, 4), None), ([3, 0, 2, 0], None), (range(0, 3), [5, 17, 40, 41, 77, 100])])
+def test_net_entropy_builds_each_steps_masks_once(ns, candidates, monkeypatch):
+    """Without a counting argument the entries come from one pass over the
+    steps 0..max(n): one ``close_masks`` call per step, and each entry is
+    the cardinality ``separated_set`` gives at its n."""
+    net, eps = fig1_circle(120), F(1, 20)
+    calls = []
+    close_masks = NetSystem.close_masks
+    monkeypatch.setattr(NetSystem, "close_masks",
+                        lambda self, pts, e: calls.append(len(pts)) or close_masks(self, pts, e))
+    est = entropy_estimate(net, eps, ns, candidates=candidates)
+    m = 120 if candidates is None else len(candidates)
+    assert calls == [m] * (max(ns) + 1)
+    monkeypatch.undo()
+    cands = range(120) if candidates is None else candidates
+    assert est.entries == [(n, separated_set(net, cands, n, eps).cardinality) for n in ns]
+
+
 def test_entropy_monotonicity_in_eps_and_n():
     gm = SymbolicSystem.golden_mean()
     for n in range(1, 5):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from shadowdyn import cli
 from shadowdyn import io as sio
+from shadowdyn.approx import orbit_measure
 from shadowdyn.builders import dense_shadowable_example, fig1_circle
 from shadowdyn.finitize import CylinderNet
 from shadowdyn.horseshoe import (
@@ -128,6 +129,49 @@ def test_certificate_roundtrip_and_verify(certificate):
     back = sio.certificate_from_json(doc, sigma2)
     assert back.family.k == 2
     assert back.entropy_divisor == cert.entropy_divisor
+
+
+def _tape_documents(certificate):
+    """name -> (document, its symbolic points with their point documents in
+    order, the loader's read-back, the written value)."""
+    sigma2, cert = certificate
+    p = sigma2.point((0, 1, 1), word=(1, 0, 0, 1), offset=-2)
+    periodic = sigma2.point((0, 0, 1, 0, 1))
+    mu = EmpiricalMeasure.mix([orbit_measure(sigma2, periodic),
+                               EmpiricalMeasure.from_orbit(sigma2, p, 9)], [F(1, 3), F(2, 3)])
+    po = validate([p, p.shift(1), p.shift(2), p.shift(3), periodic.shift(-1)], F(1, 2), sigma2)
+    fam = cert.family
+    cert_points = [fam.base, *(q for lp in fam.loops for q in lp.points),
+                   *(cert.coded[w] for w in sorted(cert.coded))]
+    docs = {}
+    doc = sio.measure_to_json(mu)
+    docs["measure"] = (doc, [(q, a[0]) for (q, _), a in zip(mu.atoms, doc["atoms"])],
+                       sio.measure_from_json(doc, sigma2), mu)
+    doc = sio.orbit_to_json(po)
+    docs["orbit"] = (doc, list(zip(po.points, doc["points"])),
+                     sio.orbit_from_json(doc, sigma2), po)
+    doc = sio.certificate_to_json(cert)
+    doc_points = [doc["base"], *(d for lp in doc["loops"] for d in lp),
+                  *(e["shadow"] for e in doc["coded"])]
+    back = sio.certificate_from_json(doc, sigma2)
+    docs["certificate"] = (doc, list(zip(cert_points, doc_points)), back, cert)
+    return docs
+
+
+@pytest.mark.parametrize("name", ["measure", "orbit", "certificate"])
+def test_points_of_one_tape_share_their_lists(certificate, name):
+    """The points of one symbol tape hold one 'period' and one 'word' list;
+    the document reads as its deep copy does and loads back to equal
+    objects."""
+    doc, points, back, written = _tape_documents(certificate)[name]
+    first = {}
+    for q, d in points:
+        assert d == {"offset": q.offset, "word": list(q.word), "period": list(q.period)}
+        f = first.setdefault(id(q._tape), d)
+        assert d["period"] is f["period"] and d["word"] is f["word"]
+    assert len(first) < len(points)
+    assert json.dumps(doc, sort_keys=True) == json.dumps(copy.deepcopy(doc), sort_keys=True)
+    assert back == written
 
 
 def test_certificate_hash_tamper_detected(certificate):

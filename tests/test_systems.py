@@ -470,6 +470,33 @@ def test_shift_reads_the_shared_tape_like_a_fresh_point_and_a_coordinate_scan(ca
             assert distance_le(view, q, t) == distance_le(fresh, q, t) == agree
 
 
+def test_equal_points_far_from_zero_compare_without_a_scan(monkeypatch):
+    """Two representations of one sequence, their words at offset 10^7, are
+    equal without reading the coordinates out to the words (a scan there
+    costs time and memory in proportion to the offset)."""
+    read = []
+    symbols = SymbolicPoint._symbols
+    monkeypatch.setattr(SymbolicPoint, "_symbols",
+                        lambda self, lo, n: read.append(n) or symbols(self, lo, n))
+    for offset in (10 ** 5, 10 ** 7, -10 ** 7):
+        a, b = pt((0,), (1,), offset), pt((0,), (1, 0), offset)
+        assert first_disagreement(a, b) is None
+        assert symbolic_distance(a.shift(3), b.shift(3)) == 0
+    assert max(read) <= 2 * R + 1
+
+
+@pytest.mark.parametrize("j", [R + 1, R + 2, 3 * R, -(R + 1), -(R + 2), -3 * R])
+@pytest.mark.parametrize("period", [(0,), (0, 1), (1, 0, 0)])
+def test_first_difference_just_past_the_packed_window_is_located(j, period):
+    """Points that agree on the packed window and differ at j alone."""
+    p, m = pt(period), len(period)
+    lo, hi = (min(j, 0) // m - 1) * m, (max(j, 0) // m + 2) * m
+    word = list(p.window(lo, hi - 1))
+    word[j - lo] = 1 - word[j - lo]
+    q = pt(period, word, lo)
+    assert first_disagreement(p, q) == scanned_first_disagreement(p, q) == abs(j)
+
+
 def test_distance_rejects_out_of_alphabet_points_and_their_shifts():
     sigma2 = SymbolicSystem.full_shift(2)
     x = SymbolicSystem.full_shift(3).point((0, 1), word=(2,), offset=5)
