@@ -373,6 +373,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as err:
         print(f"budget exhausted: {err}", file=sys.stderr)
         return EXIT_BUDGET
+    except MemoryError as err:
+        print(f"out of memory: {err}", file=sys.stderr)
+        return EXIT_BUDGET
     except PipelineStageError as err:
         print(f"pipeline stage failed: {err}", file=sys.stderr)
         return EXIT_FAIL

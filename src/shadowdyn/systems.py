@@ -70,10 +70,13 @@ the period repeated on each side.  Windows, the packed comparison word
 (the coordinates -R..R, one byte each) and the glued word of a shadow
 search are slices of it, and the canonical form is found once per tape
 (one least rotation, Booth 1980) and derived for each view, whose phases
-and breakpoints move with the offset.  On a shift d <= 2^-t means
-agreement on |j| < t, so a trace is one comparison of the shadow's tape
-bytes with the glued word of the pseudo-orbit, and a step whose next point
-is the same tape one offset on has error 0 without a comparison.  Symbols
+and breakpoints move with the offset.  Points compare on the packed words
+and past them from their canonical forms, at a cost bounded by the lengths
+of their words and periods: an offset of any size costs nothing extra.  On
+a shift d <= 2^-t means agreement on |j| < t, so a trace is one comparison
+of the shadow's tape bytes with the glued word of the pseudo-orbit, and a
+step whose next point is the same tape one offset on has error 0 without a
+comparison.  Symbols
 are checked where points enter (``point``, ``check_point``,
 ``step_check`` and the ``io`` loaders run ``admissible``, once per tape
 in ``step_check``) and by ``distance``, ``closeness``, ``traces`` and
@@ -355,15 +358,6 @@ class SymbolicPoint:
                 self._symbols(-_PACK_RADIUS, 2 * _PACK_RADIUS + 1), "little")
         return self._packed
 
-    def _span(self) -> tuple[int, int, int]:
-        """(left bound, right bound, primitive period length) beyond which
-        the sequence is purely periodic."""
-        canon = self.canonical()
-        if canon[0] == "per":
-            return 0, 0, len(canon[1])
-        _, neck, _, _, a, b, _ = canon
-        return a, b, len(neck)
-
     # -- comparisons --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -406,22 +400,27 @@ def first_disagreement(a: SymbolicPoint, b: SymbolicPoint) -> Optional[int]:
         if left:
             i = min(i, _PACK_RADIUS - ((left.bit_length() - 1) >> 3))
         return i
-    # equal sequences end here, whatever their offsets: a scan would run out
-    # to the far end of the words
-    if a.canonical() == b.canonical():
+    fa, fb = a.canonical(), b.canonical()
+    if fa == fb:
         return None
-    la, ra, da = a._span()
-    lb, rb, db = b._span()
-    lam = math.lcm(da, db)
-    bound = max(abs(la), abs(ra), abs(lb), abs(rb), _PACK_RADIUS) + lam + 1
-    # the coordinates R+1..bound and -bound..-(R+1)
-    n = bound - _PACK_RADIUS
-    right = _differences(a._symbols(_PACK_RADIUS + 1, n), b._symbols(_PACK_RADIUS + 1, n))
-    left = _differences(a._symbols(-bound, n), b._symbols(-bound, n))
-    if right is None:
-        return None if left is None else bound - left[1]
-    i = _PACK_RADIUS + 1 + right[0]
-    return i if left is None else min(i, bound - left[1])
+    # Past the window each point reads its left tail left of its bound a,
+    # its middle word up to max(a, b) and its right tail on.  Between the
+    # bounds of both, a run longer than n is read from tails on both sides,
+    # and tails that agree on lcm(d, d') coordinates agree on the whole run,
+    # so n coordinates at the near end of each run settle it.
+    ev = [f for f in (fa, fb) if f[0] == "ev"]
+    cuts = sorted({c for f in ev for c in (f[4], max(f[4], f[5]))})
+    n = math.lcm(len(fa[1]), len(fb[1])) + max((len(f[6]) for f in ev), default=0)
+    right = left = math.inf  # the forms differ, so one side finds a difference
+    for lo in [_PACK_RADIUS + 1, *[c for c in cuts if c > _PACK_RADIUS + 1]]:
+        if d := _differences(a._symbols(lo, n), b._symbols(lo, n)):
+            right = lo + d[0]
+            break
+    for hi in [-_PACK_RADIUS, *[c for c in cuts[::-1] if c < -_PACK_RADIUS]]:
+        if d := _differences(a._symbols(hi - n, n), b._symbols(hi - n, n)):
+            left = n - hi - d[1]
+            break
+    return min(right, left)
 
 
 def symbolic_distance(a: SymbolicPoint, b: SymbolicPoint) -> Fraction:
@@ -436,10 +435,6 @@ def symbolic_distance(a: SymbolicPoint, b: SymbolicPoint) -> Fraction:
     return Fraction(1, 1 << i)
 
 
-def agree_on_window(a: SymbolicPoint, b: SymbolicPoint, lo: int, hi: int) -> bool:
-    return a._symbols(lo, hi - lo + 1) == b._symbols(lo, hi - lo + 1)
-
-
 def distance_le(a: SymbolicPoint, b: SymbolicPoint, t: int) -> bool:
     """Whether d(a, b) <= 2^-t, i.e. agreement on all |j| <= t-1."""
     if t <= 0:
@@ -448,7 +443,8 @@ def distance_le(a: SymbolicPoint, b: SymbolicPoint, t: int) -> bool:
         # the bytes of the coordinates -(t-1)..t-1
         mask = ((1 << 8 * (2 * t - 1)) - 1) << 8 * (_PACK_RADIUS + 1 - t)
         return not (a._pack() ^ b._pack()) & mask
-    return agree_on_window(a, b, -(t - 1), t - 1)
+    i = first_disagreement(a, b)
+    return i is None or i >= t
 
 
 def _int_type(bound: int):

@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -79,6 +81,81 @@ def test_chain_past_the_finitization_budget_exits_3():
     # 3^9 = 19,683 cylinder words on [-4, 4]: refused before the metric is built
     assert run_cli("chain", "--system", "fullshift:3", "--delta", "1/16",
                    "--depth", "4") == EXIT_BUDGET
+
+
+# Runs the CLI in a child capped at 16 GiB of address space, so that an
+# oversized allocation fails there whatever the host's overcommit policy,
+# and prints the exit code, the sha256 of stdout and the child's own peak
+# RSS in KB (RUSAGE_SELF: a RUSAGE_CHILDREN reading keeps the largest of
+# all earlier children).
+CHILD = """
+import contextlib, hashlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (16 << 30, 16 << 30))
+from shadowdyn.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+                  "rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+
+def run_child(*argv, cwd):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=cwd, capture_output=True,
+                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": src})
+    return json.loads(proc.stdout), proc.stderr
+
+
+@pytest.mark.parametrize("argv, asked", [
+    (("construct", "fig1", "--net", "3000000"), "32.7 TiB"),
+    (("chain", "--system", "big.json", "--delta", "1/10"), "596. GiB"),
+])
+def test_running_out_of_memory_exits_3(tmp_path, argv, asked):
+    # a 400,000-point circle document of 800 KB asks for its n x n arcs
+    (tmp_path / "big.json").write_text(json.dumps(
+        {"schema": sio.SCHEMA_SYSTEM, "kind": "circle", "size": 400000,
+         "map": [0] * 400000, "invertible": False}, separators=(",", ":")))
+    result, err = run_child(*argv, cwd=tmp_path)
+    assert result["code"] == EXIT_BUDGET
+    assert err.count("\n") == 1 and err.startswith("out of memory:") and asked in err
+
+
+def _far_certificate(tmp_path, offset):
+    """The one-word horseshoe certificate at 0* with point 0 of loop 0
+    replaced by the point 1 at ``offset`` (rehashed)."""
+    cert = tmp_path / "cert.json"
+    assert run_cli("horseshoe", "--system", "fullshift:2", "--base", '{"period": [0]}',
+                   "--eps", "1/5", "--delta", "1/32", "--words", "1",
+                   "--out", str(cert)) == EXIT_OK
+
+    def far_point(doc):
+        doc["loops"][0][0] = {"offset": offset, "period": [0], "word": [1]}
+
+    cert.write_text(json.dumps(_rehashed(json.loads(cert.read_text()), far_point)))
+    return str(cert)
+
+
+@pytest.mark.parametrize("command, digest", [
+    ("shadow", "a5d03627481c1e293650378786fa19ceb043213feec076653a3554ec9529eca8"),
+    ("verify", "4f7d83b651afb828457e9404f4cd572c25fb39c70dc2168a676960d66e05cf1b"),
+])
+def test_a_far_offset_costs_what_offset_zero_costs(tmp_path, command, digest):
+    """A point at offset 10^8 keeps the peak RSS within 30 MB of its twin
+    at offset 0 (a comparison that scans out to the offset reads one byte
+    per coordinate) and prints the same verdict as the scan did."""
+    def run(offset):
+        if command == "shadow":
+            point = json.dumps({"period": [0], "word": [1], "offset": offset})
+            return run_child("shadow", "--system", "fullshift:2", "--eps", "1/16",
+                             "--delta", "1/4", "--point", point, cwd=tmp_path)[0]
+        return run_child("verify", _far_certificate(tmp_path, offset),
+                         "--system", "fullshift:2", cwd=tmp_path)[0]
+
+    near, far = run(0), run(10 ** 8)
+    assert near["code"] == far["code"] == EXIT_FAIL
+    assert far["sha256"] == digest
+    assert far["rss_kb"] - near["rss_kb"] <= 30 * 1024
 
 
 def test_shadow_point_and_counterexample(tmp_path):

@@ -7,9 +7,11 @@ another implementation of the method), loop families
 are built only by ``make_family`` (and the certificate loader), ``systems``
 imports nothing from ``shadow_search``, no JSON call in the package passes
 ``indent`` (``cli._emit`` indents documents itself), the README's Layout
-table has one row per module, and the short demos run."""
+table has one row per module, the short demos run, and the names the
+benchmark imports and traces exist."""
 
 import ast
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -243,3 +245,32 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_can_import_and_trace_the_library():
+    """``perfbench`` imports names from the package, and its traced mode
+    wraps every function of the modules in ``tracing.MODULES`` and the
+    methods in ``tracing.METHODS``, read with ``vars(cls)[attr]``.  A
+    deleted or renamed name there breaks the benchmark, which no other test
+    runs.  ``tracing.RENAMES`` is left out: a stale entry only stops
+    counting."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("shadowdyn"):
+                module = importlib.import_module(node.module)
+                # a name is an attribute, or a submodule of the package
+                missing += [f"{path.name}: {node.module}.{a.name}" for a in node.names
+                            if not (hasattr(module, a.name) or hasattr(module, "__path__")
+                                    and importlib.util.find_spec(f"{node.module}.{a.name}"))]
+    for name in tracing.MODULES:
+        if not importlib.util.find_spec(f"shadowdyn.{name}"):
+            missing.append(f"MODULES: shadowdyn.{name}")
+    for mod, cls, attr in tracing.METHODS:
+        owner = getattr(importlib.import_module(f"shadowdyn.{mod}"), cls, None)
+        if owner is None or attr not in vars(owner):
+            missing.append(f"METHODS: {mod}.{cls}.{attr}")
+    assert not missing, f"names the benchmark reads are gone: {missing}"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowdyn.builders import extension_builder
 from shadowdyn.systems import (
     NetSystem,
     SymbolicPoint,
@@ -20,6 +21,7 @@ from shadowdyn.systems import (
     first_disagreement,
     symbolic_distance,
 )
+from shadowdyn.words import SubstitutionLanguage
 
 F = Fraction
 
@@ -497,6 +499,75 @@ def test_first_difference_just_past_the_packed_window_is_located(j, period):
     assert first_disagreement(p, q) == scanned_first_disagreement(p, q) == abs(j)
 
 
+@st.composite
+def far_pairs(draw):
+    """Two points with offsets up to +-3,000 that mostly agree on the packed
+    window: a shift of the first by whole periods (one shared tape), a point
+    built from a window of the first with at most one symbol changed (a
+    distinct tape), or an independent point."""
+    symbols = st.integers(0, 2)
+    periods = st.lists(symbols, min_size=1, max_size=12).map(tuple)
+
+    def point(period):
+        return SymbolicPoint(period, draw(st.lists(symbols, max_size=61)),
+                             draw(st.integers(-3000, 3000)))
+
+    a = point(draw(periods))
+    kind = draw(st.sampled_from(("shift", "window", "other")))
+    if kind == "shift":
+        return a, a.shift(len(a.period) * draw(st.integers(-300, 300)))
+    if kind == "window":
+        lo, hi = -draw(st.integers(R + 1, 3 * R)), draw(st.integers(R + 1, 3 * R))
+        word = list(a.window(lo, hi))
+        word[draw(st.integers(0, hi - lo))] = draw(symbols)
+        return a, SymbolicPoint(draw(st.one_of(st.just(a.period), periods)), word, lo)
+    return a, point(draw(st.one_of(st.just(a.period), periods)))
+
+
+@given(far_pairs())
+@settings(max_examples=300, deadline=None)
+def test_first_disagreement_from_the_forms_matches_a_coordinate_scan(pair):
+    a, b = pair
+    expected = scanned_first_disagreement(a, b)
+    assert first_disagreement(a, b) == first_disagreement(b, a) == expected
+    depths = {R, R + 1, R + 2, 2 * R}
+    if expected is not None:
+        depths |= {expected, expected + 1}
+    for t in depths:
+        assert distance_le(a, b, t) == (expected is None or expected >= t)
+
+
+@pytest.fixture
+def bounded_reads(monkeypatch):
+    """Fail any read of more than 4,096 coordinates before it allocates."""
+    symbols = SymbolicPoint._symbols
+
+    def read(self, lo, n):
+        assert n <= 4096, f"read of {n} coordinates"
+        return symbols(self, lo, n)
+    monkeypatch.setattr(SymbolicPoint, "_symbols", read)
+
+
+@pytest.mark.parametrize("K", [10 ** 7, -10 ** 7, 10 ** 9, -10 ** 9])
+@pytest.mark.parametrize("period, word, i", [
+    ((0,), (1, 1, 0, 1), 2),
+    ((0, 1), (1, 1, 0, 1, 0, 0, 1), 0),
+    ((0, 1), (1, 1, 0, 1, 0, 0, 1), 6),
+    ((1, 0, 0), tuple(range(3)) * 20, 41),
+])
+def test_far_offsets_are_compared_from_the_forms(bounded_reads, K, period, word, i):
+    """Middle words at offset K that differ at index i first disagree at
+    |K + i|, read without a scan out to the words."""
+    changed = list(word)
+    changed[i] = 2 + word[i]
+    a, b = pt(period, word, K), pt(period, changed, K)
+    assert first_disagreement(a, b) == first_disagreement(b, a) == abs(K + i)
+    assert distance_le(a, b, abs(K + i)) and not distance_le(a, b, abs(K + i) + 1)
+    # one shared tape: the word 1 at K and at K + 1
+    c = pt((0,), (1,), K)
+    assert first_disagreement(c, c.shift(-1)) == min(abs(K), abs(K + 1))
+
+
 def test_distance_rejects_out_of_alphabet_points_and_their_shifts():
     sigma2 = SymbolicSystem.full_shift(2)
     x = SymbolicSystem.full_shift(3).point((0, 1), word=(2,), offset=5)
@@ -602,6 +673,40 @@ def test_invertibility_verified():
         labels = [0, 1]
         dist = [[F(0), F(1, 2)], [F(1, 2), F(0)]]
         NetSystem(labels, dist, [0, 0], resolution=F(1, 4), invertible=True)
+
+
+HALF = [[F(0), F(1, 2)], [F(1, 2), F(0)]]
+
+
+@pytest.mark.parametrize("labels, dist, step, keywords, message", [
+    ([], [], [], {}, "at least one point"),
+    ([0, 1], HALF, [0, 1], {"resolution": F(0)}, "resolution must be positive"),
+    ([0, 1], HALF, [0, 2], {}, "total function"),
+    ([0, 1], HALF, [0], {}, "total function"),
+    ([0, 1], HALF[:1], [0, 1], {}, "shape mismatch"),
+    ([0, 1], [[0, 1], [1, 0]], [0, 1], {"denominator": 0}, "denominator must be positive"),
+    ([0, 1], [[0, 1, 1], [1, 0, 1]], [0, 1], {"denominator": 2}, "shape mismatch"),
+    ([0, 1], [[0.0, 0.5], [0.5, 0.0]], [0, 1], {"denominator": 2}, "integer distances"),
+])
+def test_net_constructor_rejects(labels, dist, step, keywords, message):
+    keywords = {"resolution": F(1, 4), **keywords}
+    with pytest.raises(ValueError, match=message):
+        NetSystem(labels, dist, step, **keywords)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2])
+def test_circle_net_needs_three_points(size):
+    with pytest.raises(ValueError, match="at least 3"):
+        circle_net(size, lambda i: i)
+
+
+def test_wide_metric_past_512_points_is_checked_by_sampling():
+    # the smallest table of Python ints past 512 points: the extension net
+    # of the Fibonacci subshift at five levels
+    net = extension_builder(SubstitutionLanguage.fibonacci(), 5).net
+    assert net.n > 512 and net._imat.dtype == object
+    report = net.validate_metric()
+    assert report.ok and report.mode == "sampled"
 
 
 def test_out_of_range_symbols_are_not_admissible():
