@@ -168,7 +168,7 @@ def nearest_minimal_point(z: int, system: NetSystem, radius) -> Optional[int]:
     for k in range(reps + 1):
         if cur in cyc:
             # d(f^{kn}(p), z) <= epsilon by the shadowing clause
-            assert system.distance(cur, z) <= radius + delta + epsilon
+            assert system.closeness(radius + delta + epsilon)(cur, z)
             return cur
         cur = system.iterate(cur, n)
     return None

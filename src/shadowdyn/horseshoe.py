@@ -78,37 +78,46 @@ class LoopFamily:
     def n(self) -> int:
         return self.loops[0].step_count
 
-    def loop_faults(self) -> list:
-        """The loops whose steps make no delta-loop: {"loop": i, "steps": 0}
-        for a loop with no step, and {"loop": i, "step": j} for one whose
-        first step above delta is j."""
-        faults = []
-        for i, lp in enumerate(self.loops):
-            if not lp.step_count:
-                faults.append({"loop": i, "steps": 0})
-            elif (j := self.system.step_check(lp.points, self.delta)[0]) is not None:
-                faults.append({"loop": i, "step": j})
-        return faults
+    def faults(self) -> dict:
+        """What keeps the family from verifying; empty when nothing does.
+        ``loop_faults``, loop by loop: {"loop": i, "steps": 0} for no step,
+        {"loop": i, "step": j} for the first step above delta, {"loop": i,
+        "point": p} for an endpoint p off the base and {"loop": i, "steps":
+        m} for a step count unlike the first loop's with steps.
+        ``witness_faults``: {"witness": w} for each witness that names no
+        pair i < j, lies outside its loops or is not more than 4 epsilon at
+        the distance it states (built only past 4 epsilon), then {"pair":
+        [i, j]} for each pair that no valid witness covers."""
+        system, loops = self.system, self.loops
+        counts = [lp.step_count for lp in loops if lp.step_count]
+        loop_faults, witness_faults, covered = [], [], set()
+        for i, lp in enumerate(loops):
+            m = lp.step_count
+            if not m:
+                loop_faults.append({"loop": i, "steps": 0})
+            elif (j := system.step_check(lp.points, self.delta)) is not None:
+                loop_faults.append({"loop": i, "step": j})
+            loop_faults += [{"loop": i, "point": p} for p in sorted({0, m})
+                            if lp.points[p] != self.base]
+            if m and m != counts[0]:
+                loop_faults.append({"loop": i, "steps": m})
+        for n, w in enumerate(self.witnesses):
+            a, b, i, d = w.loop_a, w.loop_b, w.index, None
+            if (0 <= a < b < self.k and w.distance > 4 * self.epsilon
+                    and 0 <= i < min(len(loops[a].points), len(loops[b].points))):
+                d = system.distance(loops[a].points[i], loops[b].points[i])
+            if d == w.distance:
+                covered.add((a, b))
+            else:
+                witness_faults.append({"witness": n})
+        witness_faults += [{"pair": [a, b]} for a, b in itertools.combinations(range(self.k), 2)
+                           if (a, b) not in covered]
+        return {key: faults for key, faults in (("loop_faults", loop_faults),
+                                                ("witness_faults", witness_faults)) if faults}
 
     def reverify(self) -> bool:
-        """No loop faults, every loop at the base with one step count, and
-        a witness per pair, more than 4 epsilon at the distance it states."""
-        if self.loop_faults():
-            return False
-        if any(lp.kind != "loop" or not lp.start == lp.end == self.base for lp in self.loops):
-            return False
-        if len({lp.step_count for lp in self.loops}) != 1:
-            return False
-        bound = 4 * self.epsilon
-        seen = set()
-        for w in self.witnesses:
-            a, b = self.loops[w.loop_a], self.loops[w.loop_b]
-            d = self.system.distance(a.points[w.index], b.points[w.index])
-            if not (d > bound and d == w.distance):
-                return False
-            seen.add((w.loop_a, w.loop_b))
-        expected = {(i, j) for i in range(self.k) for j in range(i + 1, self.k)}
-        return seen == expected
+        """Whether the family has no ``faults``."""
+        return not self.faults()
 
 
 def equalize(loops: Sequence[PseudoOrbit]) -> list:
@@ -254,12 +263,12 @@ class HorseshoeCertificate:
                 lambda z, word: traces_chain(z, chain(word)), True)
 
     def check(self) -> dict:
-        """Re-check every stored invariant: the family (``reverify``, the one
-        judge of the loops), the tracing clause for all coded words (every
-        loop word up to ``word_length_max`` must be coded), the
+        """Re-check every stored invariant: the family (``faults``, the one
+        judge of the loops and witnesses), the tracing clause for all coded
+        words (every loop word up to ``word_length_max`` must be coded), the
         semiconjugacy relation, the separation counts and the entropy
-        stamp.  The details name the loop faults, the untraced words and the
-        first missing words, shortest first.
+        stamp.  The details name the family's loop and witness faults, the
+        untraced words and the first missing words, shortest first.
 
         Each coded point is traced once (``_coding``: on a shift one byte
         comparison against its word's joined piece glue).  When every loop
@@ -277,7 +286,7 @@ class HorseshoeCertificate:
         missing = [list(w) for w in itertools.islice(
             (w for w in loop_words(fam.k, self.word_length_max) if w not in self.coded),
             _MISSING_SHOWN)]
-        family = fam.reverify()
+        family = not (faults := fam.faults())
         traced = set(words).difference(untraced) if family and witnessed else set()
         checks = {
             "family": family,
@@ -289,9 +298,7 @@ class HorseshoeCertificate:
                                     for length in sorted({len(w) for w in self.coded})),
             "entropy_bound": (self.entropy_log_arg, self.entropy_divisor) == (fam.k, fam.n),
         }
-        details = {}
-        if not family and (faults := fam.loop_faults()):
-            details["loop_faults"] = faults
+        details = dict(faults)
         if untraced:
             details["tracing_failures"] = [list(w) for w in untraced]
         if missing:
@@ -424,12 +431,13 @@ def sensitive_recipe(x, neighborhood: Sequence, constant, system, delta,
     if x not in pts:
         pts = [x] + pts
 
+    close = system.closeness(constant)
     div = None
     for a, b in itertools.combinations(pts, 2):
         ca, cb = a, b
         for n in range(1, 64 + 1):
             ca, cb = system.step(ca), system.step(cb)
-            if system.distance(ca, cb) > constant:
+            if not close(ca, cb):
                 div = (a, b, n)
                 break
         if div:

@@ -517,8 +517,9 @@ def verify_empirical_lemma(construction: BlockConcatenation,
     y = c.y_sequence()
     if len(c.x_sequence) < len(y):
         raise ValueError("x sequence shorter than the block concatenation")
+    close = c.system.closeness(eps)
     for xj, yj in zip(c.x_sequence, y):
-        if c.system.distance(xj, yj) > eps:
+        if not close(xj, yj):
             raise ValueError("x sequence leaves the eps-tube around the blocks")
 
     avg = EmpiricalMeasure.mix(list(c.measures),

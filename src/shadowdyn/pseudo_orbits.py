@@ -63,7 +63,7 @@ class PseudoOrbit:
                 for i in range(self.step_count)]
 
     def reverify(self) -> bool:
-        return self.system.step_check(self.points, self.delta)[0] is None
+        return self.system.step_check(self.points, self.delta) is None
 
 
 def validate(points: Sequence[SystemPoint], delta, system: System,
@@ -71,8 +71,9 @@ def validate(points: Sequence[SystemPoint], delta, system: System,
     """Certify a point sequence as a delta-pseudo-orbit.
 
     Raises :class:`PseudoOrbitError` carrying the first violating step index
-    and the worst step error.  ``kind`` defaults to loop when the endpoints
-    coincide and there is at least one step.
+    and the worst step error, built for the steps above delta alone (no
+    other is larger).  ``kind`` defaults to loop when the endpoints coincide
+    and there is at least one step.
     """
     delta = Fraction(delta)
     if delta < 0:
@@ -80,8 +81,11 @@ def validate(points: Sequence[SystemPoint], delta, system: System,
     pts = tuple(points)
     if not pts:
         raise ValueError("pseudo-orbit must be nonempty")
-    first_bad, worst = system.step_check(pts, delta)
+    first_bad = system.step_check(pts, delta)
     if first_bad is not None:
+        close, rest = system.closeness(delta), pts[first_bad:]
+        worst = max(system.distance(fx, q) for fx, q in zip(map(system.step, rest), rest[1:])
+                    if not close(fx, q))
         raise PseudoOrbitError(first_bad, worst, delta)
     if kind is None:
         kind = LOOP if len(pts) >= 2 and pts[0] == pts[-1] else SEGMENT
@@ -105,16 +109,17 @@ def concatenate(x: PseudoOrbit, y: PseudoOrbit) -> PseudoOrbit:
     """Join two pseudo-orbits sharing an endpoint.
 
     The duplicated junction point appears once; the step bound is the max of
-    the two bounds and the junction step is re-verified rather than assumed.
+    the two bounds and the junction step is re-verified (``closeness``)
+    rather than assumed; its error is built only when it fails.
     """
     if x.system is not y.system:
         raise ValueError("pseudo-orbits live on different systems")
     if x.end != y.start:
         raise ValueError("endpoint mismatch: X must end where Y begins")
     delta = max(x.delta, y.delta)
-    junction_err = x.system.distance(x.system.step(x.end), y.points[1]) if y.step_count else None
-    if junction_err is not None and junction_err > delta:
-        raise PseudoOrbitError(x.step_count, junction_err, delta)
+    junction = (x.system.step(x.end), y.points[1]) if y.step_count else None
+    if junction and not x.system.closeness(delta)(*junction):
+        raise PseudoOrbitError(x.step_count, x.system.distance(*junction), delta)
     pts = x.points + y.points[1:]
     kind = LOOP if len(pts) >= 2 and pts[0] == pts[-1] else SEGMENT
     return PseudoOrbit(x.system, pts, delta, kind)

@@ -20,11 +20,10 @@ never test the kind of a system or point:
   ``distance``, ``closeness(eps)`` (the test d <= eps, built once per call),
   ``period``;
 * pseudo-orbits: ``step_check(pts, delta)`` (the first step with
-  d(f(x_i), x_{i+1}) > delta and the worst step error, behind
-  ``pseudo_orbits.validate``) and ``traces(z, pts, eps)`` (the tracing
-  clause d(f^i(z), x_i) <= eps, behind ``shadow_search.shadows``).  A net
-  steps point by point; a shift compares tape bytes for the trace and
-  integer first-disagreement depths for the steps;
+  d(f(x_i), x_{i+1}) > delta, or None, behind ``pseudo_orbits.validate``)
+  and ``traces(z, pts, eps)`` (the tracing clause d(f^i(z), x_i) <= eps,
+  behind ``shadow_search.shadows``).  A net reads its ball masks; a shift
+  compares tape bytes for the trace and tests steps with ``distance_le``;
 * shadow search: ``shadow(pts, eps)`` (the least net point that traces,
   or on a shift the closure of the one glued word, or None),
   ``shadow_steps(eps, delta)`` (the steps of the one shadowability search,
@@ -74,17 +73,16 @@ and breakpoints move with the offset.  Points compare on the packed words
 and past them from their canonical forms, at a cost bounded by the lengths
 of their words and periods: an offset of any size costs nothing extra.  On
 a shift d <= 2^-t means agreement on |j| < t, so a trace is one comparison
-of the shadow's tape bytes with the glued word of the pseudo-orbit, and a
-step whose next point is the same tape one offset on has error 0 without a
-comparison.  Symbols
-are checked where points enter (``point``, ``check_point``,
-``step_check`` and the ``io`` loaders run ``admissible``, once per tape
-in ``step_check``) and by ``distance``, ``closeness``, ``traces`` and
-``shadow``, which compare each point's recorded least and
-largest symbol with the alphabet in O(1).  Symbolic points order by their
-canonical form, which fixes the atom order of empirical measures.  The
-method results are plain points, point lists and step verdicts;
-validation into pseudo-orbits stays in ``pseudo_orbits``.
+of the shadow's tape bytes with the glued word of the pseudo-orbit, a step
+to the same tape one offset on is exact without a comparison, and no
+threshold test builds a distance (2^-i holds i bits).  Symbols are checked
+where points enter (``point``, ``check_point``, ``step_check`` and the
+``io`` loaders run ``admissible``, once per tape in ``step_check``) and by
+``distance``, ``closeness``, ``traces`` and ``shadow``, which compare each
+point's recorded least and largest symbol with the alphabet in O(1).
+Symbolic points order by their canonical form, which fixes the atom order
+of empirical measures.  The methods return plain points, point lists and
+step indices; validation into pseudo-orbits stays in ``pseudo_orbits``.
 """
 
 from __future__ import annotations
@@ -780,30 +778,22 @@ class SymbolicSystem:
         rho = dyadic_radius(eps) - 1
         return z._symbols(-rho, len(pts) + 2 * rho) == glue_constraints(pts, rho)
 
-    def step_check(self, pts: Sequence[SymbolicPoint], delta: Fraction) -> tuple:
-        """(index of the first step with d(f(x_i), x_{i+1}) > delta or None,
-        worst step error), after checking every point, admissibility once
-        per tape.  A step to the same tape one offset on has error 0; any
-        other has error 2^-i, i the first disagreement depth of f(x_i) and
-        x_{i+1}, and is bad when i < s (2^-s <= delta)."""
+    def step_check(self, pts: Sequence[SymbolicPoint], delta: Fraction) -> Optional[int]:
+        """The first step with d(f(x_i), x_{i+1}) > delta, or None, after
+        checking every point, admissibility once per tape.  A step to the
+        same tape one offset on is exact; any other is ``distance_le`` at s,
+        2^-s <= delta (s infinite at delta 0), at a cost set by the words."""
         tapes = set()
         for p in pts:
             if not (isinstance(p, SymbolicPoint) and p._tape in tapes):
                 self.check_point(p)
                 tapes.add(p._tape)
         s = dyadic_radius(delta) if delta > 0 else math.inf
-        first_bad = least = None  # least depth so far; None while every error is 0
         for i, (p, q) in enumerate(zip(pts, pts[1:])):
-            if q._tape is p._tape and q.offset == p.offset - 1:
-                continue
-            depth = first_disagreement(p.shift(1), q)
-            if depth is None:
-                continue
-            if least is None or depth < least:
-                least = depth
-            if first_bad is None and depth < s:
-                first_bad = i
-        return first_bad, ZERO if least is None else Fraction(1, 1 << least)
+            if not (q._tape is p._tape and q.offset == p.offset - 1
+                    or distance_le(p.shift(1), q, s)):
+                return i
+        return None
 
     # -- shadows, chains and loops ---------------------------------------------
 
@@ -927,10 +917,11 @@ class SymbolicSystem:
         """
         if delta <= 0:
             return [a, b] if a.shift(1) == b else None
-        if self.distance(a.shift(1), b) <= delta:
-            return [a, b]
-        # every distance is at most 1, so here delta < 1 and s >= 1
+        self._check_alphabet(a, b)
         s = dyadic_radius(delta)
+        if distance_le(a.shift(1), b, s):
+            return [a, b]
+        # distance_le holds at s = 0 (delta >= 1), so here s >= 1
         u = a.window(-s + 2, s)          # forced window of f(a), length 2s-1
         v = b.window(-s + 1, s - 1)      # target window of b, length 2s-1
         p1 = self.connecting_path(u[-1], v[0])
@@ -1345,20 +1336,14 @@ class NetSystem:
         """Whether d(f^i(z), x_i) <= eps for every i, point by point."""
         return _trace_stepwise(self, z, pts, eps)
 
-    def step_check(self, pts: Sequence[int], delta: Fraction) -> tuple:
-        """(index of the first step with d(f(x_i), x_{i+1}) > delta or None,
-        worst step error), after checking every point."""
+    def step_check(self, pts: Sequence[int], delta: Fraction) -> Optional[int]:
+        """The first step with d(f(x_i), x_{i+1}) > delta, or None, after
+        checking every point: each step is a bit of the delta-ball masks."""
         for p in pts:
             self.check_point(p)
-        first_bad = None
-        worst = ZERO
-        for i in range(len(pts) - 1):
-            err = self.distance(self.step(pts[i]), pts[i + 1])
-            if err > worst:
-                worst = err
-            if err > delta and first_bad is None:
-                first_bad = i
-        return first_bad, worst
+        close, fmap = self.closeness(delta), self.map
+        return next((i for i, (p, q) in enumerate(zip(pts, pts[1:]))
+                     if not close(fmap[p], q)), None)
 
     # -- shadows, chains and loops ---------------------------------------------
 

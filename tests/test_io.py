@@ -279,10 +279,34 @@ def _cut_loop_0(doc):
     doc["loops"][0] = doc["loops"][0][:1]
 
 
+def _traverse_loop_0_twice(doc):
+    # still a delta-loop at the base, with twice the steps of loop 1
+    loop = doc["loops"][0]
+    doc["loops"][0] = loop[:-1] * 2 + loop[-1:]
+
+
+def _swap_witness_loops(doc):
+    w = doc["witnesses"][0]
+    w["a"], w["b"] = w["b"], w["a"]
+
+
+def _witness_past_loop_1(doc):
+    # inside the longer loop, as the loader requires, but past loop 1's end
+    _traverse_loop_0_twice(doc)
+    doc["witnesses"][0]["index"] = len(doc["loops"][1])
+
+
 ALL_TRUE = dict.fromkeys(("entropy_bound", "family", "semiconjugacy",
                           "separated_counts", "tracing"), True)
 
-# edit -> (the checks that fail, details), the same on both systems
+WITNESS_0_FAULT = {"witness_faults": [{"witness": 0}, {"pair": [0, 1]}]}
+LOOP_1_TRACING = {"tracing_failures": [[0, 0, 1], [0, 1], [0, 1, 0], [0, 1, 1], [1], [1, 0],
+                                       [1, 0, 0], [1, 0, 1], [1, 1], [1, 1, 0], [1, 1, 1]]}
+TWICE_TRACING = {"tracing_failures": [[0, 0, 1], [0, 1], [0, 1, 0], [0, 1, 1], [1, 0],
+                                      [1, 0, 0], [1, 0, 1], [1, 1, 0]]}
+
+# edit -> (the checks that fail, details), the same on both systems unless
+# the details are keyed by system
 TAMPER_REPORTS = {
     "none": (lambda doc: None, (), {}),
     "swap_shadow": (_swap_shadow, ("semiconjugacy", "tracing"),
@@ -296,25 +320,37 @@ TAMPER_REPORTS = {
                                                  [0, 1, 0, 0], [0, 1, 0, 1],
                                                  [0, 1, 1, 0], [0, 1, 1, 1]]}),
     "change_divisor": (_change_divisor, ("entropy_bound",), {}),
-    "change_witness_distance": (_change_witness_distance, ("family",), {}),
+    "change_witness_distance": (_change_witness_distance, ("family",), WITNESS_0_FAULT),
     "reverse_length_3_words": (_reverse_length_3_words,
                                ("semiconjugacy", "separated_counts", "tracing"),
                                {"tracing_failures": [[0, 0, 1], [0, 1, 1],
                                                      [1, 0, 0], [1, 1, 0]]}),
-    "rotate_loop_1": (_rotate_loop_1, ("family", "semiconjugacy", "tracing"),
-                      {"tracing_failures": [[0, 0, 1], [0, 1], [0, 1, 0], [0, 1, 1],
-                                            [1], [1, 0], [1, 0, 0], [1, 0, 1],
-                                            [1, 1], [1, 1, 0], [1, 1, 1]]}),
-    "shift_loop_1_point_7": (_shift_loop_1_point_7, ("family", "semiconjugacy", "tracing"),
-                             {"loop_faults": [{"loop": 1, "step": 6}],
-                              "tracing_failures": [[0, 0, 1], [0, 1], [0, 1, 0], [0, 1, 1],
-                                                   [1], [1, 0], [1, 0, 0], [1, 0, 1],
-                                                   [1, 1], [1, 1, 0], [1, 1, 1]]}),
+    "rotate_loop_1": (_rotate_loop_1, ("family", "semiconjugacy", "tracing"), {
+        "fullshift:2": {"loop_faults": [{"loop": 1, "point": 0}, {"loop": 1, "point": 21}],
+                        **LOOP_1_TRACING},
+        "goldenmean": {"loop_faults": [{"loop": 1, "point": 0}, {"loop": 1, "point": 26}],
+                       **WITNESS_0_FAULT, **LOOP_1_TRACING}}),
+    "shift_loop_1_point_7": (_shift_loop_1_point_7, ("family", "semiconjugacy", "tracing"), {
+        "fullshift:2": {"loop_faults": [{"loop": 1, "step": 6}], **LOOP_1_TRACING},
+        "goldenmean": {"loop_faults": [{"loop": 1, "step": 6}], **WITNESS_0_FAULT,
+                       **LOOP_1_TRACING}}),
     "cut_loop_0": (_cut_loop_0, ("entropy_bound", "family", "semiconjugacy",
                                  "separated_counts", "tracing"),
-                   {"loop_faults": [{"loop": 0, "steps": 0}],
+                   {"loop_faults": [{"loop": 0, "steps": 0}], **WITNESS_0_FAULT,
                     "tracing_failures": [[0, 0, 1], [0, 1], [0, 1, 0], [0, 1, 1],
                                          [1, 0, 1]]}),
+    "traverse_loop_0_twice": (_traverse_loop_0_twice, ("entropy_bound", "family",
+                                                       "semiconjugacy", "separated_counts",
+                                                       "tracing"), {
+        "fullshift:2": {"loop_faults": [{"loop": 1, "steps": 21}], **TWICE_TRACING},
+        "goldenmean": {"loop_faults": [{"loop": 1, "steps": 26}], **TWICE_TRACING}}),
+    "swap_witness_loops": (_swap_witness_loops, ("family",), WITNESS_0_FAULT),
+    "witness_past_loop_1": (_witness_past_loop_1, ("entropy_bound", "family", "semiconjugacy",
+                                                   "separated_counts", "tracing"), {
+        "fullshift:2": {"loop_faults": [{"loop": 1, "steps": 21}], **WITNESS_0_FAULT,
+                        **TWICE_TRACING},
+        "goldenmean": {"loop_faults": [{"loop": 1, "steps": 26}], **WITNESS_0_FAULT,
+                       **TWICE_TRACING}}),
 }
 
 TAMPER_SYSTEMS = {"fullshift:2": (SymbolicSystem.full_shift(2), F(1, 5), F(1, 32)),
@@ -341,30 +377,65 @@ def test_verify_report_on_tampered_certificate(words3_documents, name, edit):
     doc["sha256"] = sio._payload_hash({k: v for k, v in doc.items() if k != "sha256"})
     checks = dict(ALL_TRUE, **dict.fromkeys(failing, False))
     assert sio.verify_certificate(doc, TAMPER_SYSTEMS[name][0]) == {
-        "ok": not failing, "checks": checks, "details": details}
+        "ok": not failing, "checks": checks, "details": details.get(name, details)}
 
 
 def _per_word_report(cert):
     """The certificate check with one trace of every word's own points and
     a point test of every pair of words of each length (the rule before
-    junction pieces and witness-read separation), and each loop's step
-    errors as Fractions."""
+    junction pieces and witness-read separation), the family judged by the
+    rule before its faults were listed, and each loop's step errors as
+    Fractions."""
     fam = cert.family
     system, eps = fam.system, fam.epsilon
-    loop_faults = []
+    loop_faults, step_faults = [], []
+    counts = [len(lp.points) - 1 for lp in fam.loops if len(lp.points) > 1]
     for i, lp in enumerate(fam.loops):
         errors = [system.distance(system.step(p), q) for p, q in zip(lp.points, lp.points[1:])]
         above = [j for j, e in enumerate(errors) if e > fam.delta]
-        if not errors:
-            loop_faults.append({"loop": i, "steps": 0})
-        elif above:
-            loop_faults.append({"loop": i, "step": above[0]})
+        fault = ({"loop": i, "steps": 0} if not errors
+                 else {"loop": i, "step": above[0]} if above else None)
+        if fault:
+            step_faults.append(fault)
+            loop_faults.append(fault)
+        loop_faults += [{"loop": i, "point": p} for p in sorted({0, len(errors)})
+                        if not lp.points[p] == fam.base]
+        if errors and len(errors) != counts[0]:
+            loop_faults.append({"loop": i, "steps": len(errors)})
+    witness_faults, covered = [], set()
+    for n, w in enumerate(fam.witnesses):
+        pa, pb = fam.loops[w.loop_a].points, fam.loops[w.loop_b].points
+        if (w.loop_a < w.loop_b and w.index < min(len(pa), len(pb))
+                and w.distance == system.distance(pa[w.index], pb[w.index]) > 4 * eps):
+            covered.add((w.loop_a, w.loop_b))
+        else:
+            witness_faults.append({"witness": n})
+    witness_faults += [{"pair": list(pair)} for pair in itertools.combinations(range(fam.k), 2)
+                       if pair not in covered]
+
+    def family_rule():
+        if step_faults:
+            return False
+        if any(lp.kind != "loop" or not lp.start == lp.end == fam.base for lp in fam.loops):
+            return False
+        if len({lp.step_count for lp in fam.loops}) != 1:
+            return False
+        seen = set()
+        for w in fam.witnesses:
+            d = system.distance(fam.loops[w.loop_a].points[w.index],
+                                fam.loops[w.loop_b].points[w.index])
+            if not (d > 4 * eps and d == w.distance):
+                return False
+            seen.add((w.loop_a, w.loop_b))
+        return seen == {(i, j) for i in range(fam.k) for j in range(i + 1, fam.k)}
+
     words = sorted(cert.coded)
     untraced = [w for w in words
                 if shadows(system, cert.coded[w], cert.word_points(w), eps) is None]
     missing = [list(w) for w in itertools.islice(
         (w for w in loop_words(fam.k, cert.word_length_max) if w not in cert.coded), 8)]
-    family = fam.reverify()
+    family = family_rule()
+    assert family == (not loop_faults and not witness_faults)
 
     def separated(length):
         close = system.closeness(2 * eps)
@@ -394,6 +465,8 @@ def _per_word_report(cert):
     details = {}
     if loop_faults:
         details["loop_faults"] = loop_faults
+    if witness_faults:
+        details["witness_faults"] = witness_faults
     if untraced:
         details["tracing_failures"] = [list(w) for w in untraced]
     if missing:

@@ -6,9 +6,10 @@ parameter is read by its function (or, on a system-protocol method, by
 another implementation of the method), loop families
 are built only by ``make_family`` (and the certificate loader), ``systems``
 imports nothing from ``shadow_search``, no JSON call in the package passes
-``indent`` (``cli._emit`` indents documents itself), the README's Layout
-table has one row per module, the short demos run, and the names the
-benchmark imports and traces exist."""
+``indent`` (``cli._emit`` indents documents itself), no comparison has a
+built distance as an operand (threshold tests read ``closeness``), the
+README's Layout table has one row per module, the short demos run, and the
+names the benchmark imports and traces exist."""
 
 import ast
 import importlib.util
@@ -228,6 +229,23 @@ def test_no_indented_json_calls():
                     and any(k.arg == "indent" for k in node.keywords)):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"JSON calls that pass indent: {found}"
+
+
+def test_no_threshold_test_builds_a_distance():
+    """A threshold test reads the system's ``closeness`` (or ``distance_le``
+    on a shift), which decides d <= eps without building d, where an exact
+    shift distance 2^-K holds K bits.  So no comparison has a call named
+    ``distance`` as an operand; a distance is built only to be reported or
+    stored."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(o, ast.Call) and "distance" in (
+                        getattr(o.func, "id", None), getattr(o.func, "attr", None))
+                    for o in (node.left, *node.comparators)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"comparisons with a built distance: {found}"
 
 
 def test_readme_layout_has_one_row_per_module():

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowdyn import io as sio
+from shadowdyn.horseshoe import LoopFamily
 from shadowdyn.pseudo_orbits import (
     PseudoOrbit,
     PseudoOrbitError,
@@ -326,3 +328,58 @@ def test_empty_trace_and_foreign_symbols_wherever_they_sit():
             shadows(sigma2, z.shift(1), orbit[:-1] + [foreign], eps)
     with pytest.raises(ValueError):
         validate(orbit[:-1] + [foreign], F(1, 8), sigma2)
+
+
+# -- steps at far offsets: judged without building their error -----------------
+
+
+def far_orbit(system, k):
+    """[0*, f(p), 0*, 0*] with p the point 0* with a 1 at coordinate k: its
+    first two steps have errors 2^-(|k| +- 1) and 2^-(|k| +- 2)."""
+    zero = system.point((0,))
+    return [zero, system.point((0,), (1,), k).shift(1), zero, zero]
+
+
+def peak_mb(call):
+    """(result, peak MB that Python allocated during the call)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def first_and_worst(pts, delta, system):
+    with pytest.raises(PseudoOrbitError) as err:
+        validate(pts, delta, system)
+    return err.value.first_bad_index, err.value.worst_error
+
+
+@pytest.mark.parametrize("k", [10 ** 8, -10 ** 8])
+def test_far_steps_are_judged_without_their_error(sigma2, k):
+    """Every step judgement of the far orbit peaks below 1 MB, though its
+    exact step errors hold |k| bits each (12 MB at 10^8).  Followed by steps
+    of errors 1/4 and 1/2, the orbit fails at delta 1/16 with the first and
+    the larger of them, and builds no error for its far steps."""
+    delta = F(1, 16)
+    pts = far_orbit(sigma2, k)
+    loop = PseudoOrbit(sigma2, tuple(pts), delta, "loop")
+    family = LoopFamily(sigma2, pts[0], (loop,), delta, F(1, 5), ())
+    head = PseudoOrbit(sigma2, tuple(pts[:2]), delta, "segment")
+    tail = PseudoOrbit(sigma2, tuple(pts[1:]), delta, "segment")
+    q = sigma2.point((0,), (1,), 2)  # d(0*, q) = 1/4 and d(f(q), 0*) = 1/2
+    calls = {
+        "validate": lambda: validate(pts, delta, sigma2).points == tuple(pts),
+        "reverify": loop.reverify,
+        "connect": lambda: connect(pts[0], pts[1], delta, sigma2).points == tuple(pts[:2]),
+        "concatenate": lambda: concatenate(head, tail).points == tuple(pts),
+        "chain": lambda: sigma2.chain(pts[0], pts[1], delta) == pts[:2],
+        "family": family.reverify,
+        "failing validate": lambda: first_and_worst(pts[:3] + [q, pts[0]], delta,
+                                                    sigma2) == (2, F(1, 2)),
+    }
+    for name, call in calls.items():
+        holds, peak = peak_mb(call)
+        assert holds, name
+        assert peak < 1, (name, peak)

@@ -361,7 +361,7 @@ def test_chain_is_a_delta_chain_when_both_paths_exist(case, s):
     assert (pts is not None) == closes
     if pts is not None:
         assert pts[0] == a and pts[-1] == b
-        assert system.step_check(pts, delta)[0] is None
+        assert system.step_check(pts, delta) is None
 
 
 def test_shift_of_admissible_is_admissible():
